@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Service throughput benchmark: asyncio vs threaded frontend, event core.
+"""Service throughput benchmark: asyncio vs threaded frontend, idle-gap skipping.
 
-ISSUE 10's tentpole replaces the slot-stepped hot loop with an event-queue
-core and pairs it with an asyncio JSON-over-HTTP frontend.  This harness
-measures both halves:
+The run loops jump the idle gaps of a sparse workload
+(``EngineCore.skip_idle``) and the service has an asyncio JSON-over-HTTP
+frontend.  This harness measures both halves:
 
 * **sustained submissions/sec** — ``repro serve`` booted as a subprocess
   (so client and server GIL-contend like real deployments, not inside one
@@ -20,9 +20,10 @@ measures both halves:
   and the *server-side* decide-latency p99 from ``GET /slo``, which must
   stay under the SLO ceiling while the queue sheds — backpressure, not
   collapse.
-* **event-core wall clock** — the same sparse batch workload run
-  in-process on ``engine="slots"`` and ``engine="events"``; outcomes are
-  asserted identical while the event core skips the idle gaps.
+* **idle-gap skipping wall clock** — the same sparse batch workload run
+  in-process through ``Simulation.run()`` (which jumps the idle gaps) and
+  through an every-slot ``core.step()`` loop; outcomes are asserted
+  identical.
 
 Run from the repo root::
 
@@ -31,7 +32,7 @@ Run from the repo root::
 Writes ``BENCH_throughput.json`` (see ``--out``).  With ``--check`` the
 exit code is non-zero unless the async frontend sustains at least
 ``--min-ratio`` times the threaded baseline, the overload decide p99
-stays under ``--max-decide-p99``, and both engines agree (the CI
+stays under ``--max-decide-p99``, and both loops agree (the CI
 ``throughput-smoke`` job's gate).
 """
 
@@ -54,9 +55,11 @@ sys.path.insert(0, str(Path(ROOT) / "src"))
 from repro.model.cluster import ClusterCapacity  # noqa: E402
 from repro.model.job import Job, JobKind, TaskSpec  # noqa: E402
 from repro.model.resources import CPU, MEM, ResourceVector  # noqa: E402
+from repro.obs import Observability, use_obs  # noqa: E402
 from repro.schedulers.registry import make_scheduler  # noqa: E402
 from repro.service import HttpServiceClient  # noqa: E402
 from repro.simulator.engine import Simulation, SimulationConfig  # noqa: E402
+from repro.simulator.runtime import make_engine_core  # noqa: E402
 from scripts.loadgen import run_load  # noqa: E402
 
 #: Client p99 above this is not "sustained", it is queueing collapse.
@@ -78,7 +81,7 @@ class _Server:
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--engine", "events", "--no-admission",
+                "--port", "0", "--no-admission",
                 *extra_flags,
             ],
             cwd=ROOT, env=env, stdout=subprocess.PIPE,
@@ -218,42 +221,54 @@ def _sparse_adhoc(n: int = 40, gap: int = 25) -> list[Job]:
     ]
 
 
+def _run_every_slot(cluster, scheduler, adhoc):
+    """``Simulation.run()`` without the idle-gap jump: one step per slot."""
+    obs = Observability()
+    core = make_engine_core(cluster, scheduler, SimulationConfig(), obs)
+    for job in adhoc:
+        core.add_adhoc(job)
+    with use_obs(obs):
+        while not core.finished:
+            core.step()
+        core.flush_pending_events()
+        core.finalize_metrics()
+    return core.result()
+
+
+def _run_jumping(cluster, scheduler, adhoc):
+    return Simulation(cluster, scheduler, adhoc_jobs=adhoc).run()
+
+
 def bench_engines() -> dict:
-    """Wall-clock of the same sparse batch run on both engine cores."""
+    """Wall-clock of the same sparse batch run, jumping vs every slot."""
     out: dict = {}
     results = {}
-    for engine in ("slots", "events"):
-        adhoc = _sparse_adhoc()
-        sim = Simulation(
-            cluster=ClusterCapacity.uniform(cpu=16, mem=32),
-            scheduler=make_scheduler("FlowTime"),
-            adhoc_jobs=adhoc,
-            config=SimulationConfig(engine=engine),
-        )
+    for loop, run in (("every_slot", _run_every_slot), ("jumping", _run_jumping)):
+        cluster = ClusterCapacity.uniform(cpu=16, mem=32)
         t0 = time.perf_counter()
-        result = sim.run()
+        result = run(cluster, make_scheduler("FlowTime"), _sparse_adhoc())
         elapsed = time.perf_counter() - t0
-        results[engine] = result
-        out[engine] = {
+        results[loop] = result
+        out[loop] = {
             "wall_s": round(elapsed, 4),
             "n_slots": result.n_slots,
             "slot_spans": result.metrics["sim.slot"]["count"],
             "slots_skipped": result.counter_value("sim.slots.skipped") or 0,
         }
-    a, b = results["slots"], results["events"]
+    a, b = results["every_slot"], results["jumping"]
     out["outcomes_equal"] = (
         a.n_slots == b.n_slots
         and a.finished == b.finished
         and all(a.jobs[j] == b.jobs[j] for j in a.jobs)
     )
     out["speedup"] = (
-        round(out["slots"]["wall_s"] / out["events"]["wall_s"], 2)
-        if out["events"]["wall_s"]
+        round(out["every_slot"]["wall_s"] / out["jumping"]["wall_s"], 2)
+        if out["jumping"]["wall_s"]
         else None
     )
     print(
-        f"engines: slots {out['slots']['wall_s']}s vs events "
-        f"{out['events']['wall_s']}s ({out['events']['slots_skipped']} slots "
+        f"engines: every slot {out['every_slot']['wall_s']}s vs jumping "
+        f"{out['jumping']['wall_s']}s ({out['jumping']['slots_skipped']} slots "
         f"skipped, equal={out['outcomes_equal']})",
         flush=True,
     )
@@ -322,9 +337,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"(> {args.max_decide_p99}s)"
         )
     if not report["engines"]["outcomes_equal"]:
-        failures.append("slot and event engines disagreed on the batch run")
-    if not report["engines"]["events"]["slots_skipped"]:
-        failures.append("event engine skipped nothing on a sparse workload")
+        failures.append("jumping and every-slot runs disagreed on the batch run")
+    if not report["engines"]["jumping"]["slots_skipped"]:
+        failures.append("the run loop skipped nothing on a sparse workload")
     for failure in failures:
         print(f"CHECK FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -92,7 +92,7 @@ from repro.workloads import (
 )
 from repro.workloads.recurring import RecurringWorkflow, record_run
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "CPU",

@@ -1,8 +1,6 @@
 """Paper-style textual reports and the one-shot reproduction report.
 
-Two layers live here (they were once split across ``analysis/report.py``
-and ``analysis/reporting.py``; the split carried no weight and the old
-``repro.analysis.report`` path is now a deprecated shim):
+Two layers live here:
 
 * **formatting helpers** — :func:`format_comparison_table`,
   :func:`format_phase_table`, :func:`format_series`,
@@ -176,7 +174,8 @@ def format_comparison_table(
 
     With ``planning=True`` a scheduling-latency column is appended (mean
     wall-clock milliseconds the scheduler spent per engine call — the
-    quantity Fig. 7 studies for the LP).
+    quantity Fig. 7 studies for the LP).  A call is one *executed* slot:
+    skipped idle-gap slots make no call and do not dilute the mean.
     """
     header = (
         f"{'algorithm':<16}{'jobs missed':>12}{'wf missed':>11}"

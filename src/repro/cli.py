@@ -252,14 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "per-slot runtime assertions plus a full end-of-run validation and "
         "reported-metric recomputation; exits 1 on any violation",
     )
-    run.add_argument(
-        "--engine",
-        default="slots",
-        choices=["slots", "events"],
-        help="engine core: 'slots' steps every slot; 'events' jumps idle "
-        "virtual-time gaps via an event queue (outcome-identical; see "
-        "docs/PERFORMANCE.md)",
-    )
     _add_cluster_args(run)
     _add_fault_args(run)
 
@@ -376,14 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "dead (and, with --failover, eligible for workflow re-homing)",
     )
     serve.add_argument("--slot-seconds", type=float, default=10.0)
-    serve.add_argument(
-        "--engine",
-        default="slots",
-        choices=["slots", "events"],
-        help="engine core for each service: 'events' makes idle virtual "
-        "time and drain cost proportional to actual work (outcome-"
-        "identical to 'slots'; jumping is disabled under --realtime)",
-    )
     serve.add_argument(
         "--async",
         dest="async_http",
@@ -688,7 +672,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     failures=failures,
                     verify=args.verify,
                     lp_backend=args.lp_backend,
-                    engine=args.engine,
                 ),
                 scheduler_kwargs=scheduler_kwargs,
                 obs=obs,
@@ -866,13 +849,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slo_deadline_objective=args.slo_objective,
         slo_decide_p99_s=args.slo_decide_p99,
         slo_window_s=args.slo_window,
-        engine=args.engine,
     )
     if args.shards > 1:
         if args.async_http:
-            # Shards inherit --engine through ServiceConfig, but the
-            # router frontend is thread-based; keep the combination an
-            # explicit error rather than a silent fallback.
+            # The router frontend is thread-based; keep the combination
+            # an explicit error rather than a silent fallback.
             print(
                 "error: --async supports a single service only "
                 "(use --shards 1)",
@@ -923,8 +904,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             server = serve_http(service, host=args.host, port=args.port)
         frontend = "asyncio" if args.async_http else "threaded"
         print(
-            f"serving {args.scheduler} on {server.url} "
-            f"({frontend} frontend, {args.engine} engine)",
+            f"serving {args.scheduler} on {server.url} ({frontend} frontend)",
             flush=True,
         )
         print(

@@ -29,7 +29,6 @@ scraped from each shard's own ``/metrics`` endpoint.
 from __future__ import annotations
 
 import json
-import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -38,13 +37,16 @@ from repro.cluster.rebalance import Rebalancer
 from repro.cluster.router import ShardRouter
 from repro.obs import PROMETHEUS_CONTENT_TYPE, new_request_id, render_prometheus
 from repro.service.api import SubmitResult
-from repro.service.http import _REJECT_STATUS
+from repro.service.http import (
+    _MAX_BODY_BYTES,
+    _REJECT_STATUS,
+    _REQUEST_ID_OK,
+    _RETRYABLE_REASONS,
+    _retry_after,
+)
 from repro.workloads.traces import job_from_dict, workflow_from_dict
 
 __all__ = ["RouterHTTPServer", "serve_router_http"]
-
-_MAX_BODY_BYTES = 8 * 1024 * 1024
-_REQUEST_ID_OK = re.compile(r"^[A-Za-z0-9._:-]{1,128}$")
 
 
 class _RouterHandler(BaseHTTPRequestHandler):
@@ -199,8 +201,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
             return
         status = 200 if result.accepted else _REJECT_STATUS.get(result.reason, 400)
         headers = {"X-Request-Id": result.request_id or request_id}
-        if not result.accepted and result.reason in ("queue_full", "unavailable"):
-            headers["Retry-After"] = "1"
+        if not result.accepted and result.reason in _RETRYABLE_REASONS:
+            headers["Retry-After"] = _retry_after(1.0)
         self._reply(status, result.to_dict(), headers=headers)
 
     # -- plumbing -----------------------------------------------------------------

@@ -29,7 +29,6 @@ solve's skyline warm-starts the lexmin ladder on near-identical ones; see
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -198,17 +197,8 @@ class FlowTimePlanner:
 
     # -- planning ----------------------------------------------------------------
 
-    def plan(
-        self,
-        request: PlanRequest | int,
-        demands: list[JobDemand] | None = None,
-        capacity: ClusterCapacity | None = None,
-    ) -> AllocationPlan:
+    def plan(self, request: PlanRequest) -> AllocationPlan:
         """Compute an integral allocation plan for the live deadline jobs.
-
-        Takes a single :class:`~repro.core.replan.PlanRequest`.  (The old
-        positional signature ``plan(now_slot, demands, capacity)`` still
-        works for one release but emits a :class:`DeprecationWarning`.)
 
         Returns an :class:`AllocationPlan` anchored at the request's
         ``now_slot``.  When there are no demands the plan is empty
@@ -216,20 +206,6 @@ class FlowTimePlanner:
         the LP was infeasible even with relaxed windows and EDF
         water-filling was used.
         """
-        if not isinstance(request, PlanRequest):
-            warnings.warn(
-                "FlowTimePlanner.plan(now_slot, demands, capacity) is "
-                "deprecated; pass a single PlanRequest instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if demands is None or capacity is None:
-                raise TypeError(
-                    "legacy plan() call requires now_slot, demands and capacity"
-                )
-            request = PlanRequest(
-                now_slot=request, demands=tuple(demands), capacity=capacity
-            )
         config = request.config or self.config
         obs = current_obs()
         with obs.span("sched.plan"):

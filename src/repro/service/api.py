@@ -73,8 +73,10 @@ class ServiceConfig:
             the paper's deployment used 10 s).
         realtime: when True the event loop advances one slot per
             ``slot_seconds`` of wall-clock time (a live server); when False
-            time is *virtual* — the clock advances as fast as work exists
-            and parks while the system is idle (tests, simulation serving).
+            time is *virtual* — the clock advances as fast as work exists,
+            jumps the gaps in which nothing is live, and parks while the
+            system is idle (tests, simulation serving).  The drain run-out
+            is unpaced, and jumps such gaps, in both modes.
         batch_window_s: re-planning batch window in wall seconds.  After a
             submission arrives, the loop holds the (virtual) clock open for
             this long so a burst of N submissions coalesces into a single
@@ -125,12 +127,6 @@ class ServiceConfig:
         slo_decide_p99_s: decide-latency p99 ceiling in seconds.
         slo_window_s: rolling SLO evaluation window in seconds (burn rate,
             rolling p99).
-        engine: which engine core steps the clock — ``"slots"`` or
-            ``"events"`` (``repro serve --engine``).  The event core
-            jumps idle virtual-time gaps and makes drain cost
-            proportional to remaining work; under ``realtime=True``
-            jumping is disabled so virtual time never races the wall
-            clock, leaving the cores behaviourally identical there.
     """
 
     scheduler: str = "FlowTime"
@@ -155,11 +151,8 @@ class ServiceConfig:
     slo_deadline_objective: float = 0.99
     slo_decide_p99_s: float = 1.0
     slo_window_s: float = 300.0
-    engine: str = "slots"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("slots", "events"):
-            raise ValueError("engine must be 'slots' or 'events'")
         if self.slot_seconds <= 0:
             raise ValueError("slot_seconds must be > 0")
         if self.batch_window_s < 0:

@@ -165,14 +165,9 @@ class SchedulerService:
                 strict=self.config.strict,
                 record_execution=self.config.record_execution,
                 failures=self.config.failures,
-                engine=self.config.engine,
             ),
             self.obs,
         )
-        if self.config.realtime and hasattr(self._core, "jump_enabled"):
-            # A wall-clock-paced loop owns the mapping of slots to
-            # seconds; the event core must not fast-forward past it.
-            self._core.jump_enabled = False
         self._commands: "queue.Queue[_Command]" = queue.Queue()
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
@@ -617,11 +612,17 @@ class SchedulerService:
                 return
             now = time.monotonic()
             if config.realtime:
+                # Wall-clock pacing owns the mapping of slots to seconds:
+                # one slot per tick, idle or not, never a jump.
                 while now >= next_tick:
                     self._step()
                     next_tick += config.slot_seconds
             elif not core.finished and not self._batch_window_open(now):
-                self._step()
+                # The engine's horizon caps the jump, so a far-future
+                # arrival slot from a client cannot make one call
+                # allocate that many rows; past it the clock just steps.
+                if not core.skip_idle(core.config.max_slots):
+                    self._step()
             self._refresh_status()
 
     def _next_command(self, core: EngineCore, next_tick: float) -> Optional[_Command]:
@@ -1177,9 +1178,11 @@ class SchedulerService:
         self.obs.event("service_drain_start", slot=core.slot)
         self._refresh_status()
         deadline_slot = core.slot + self.config.drain_max_slots
-        core.schedule_drain(deadline_slot)
+        # The run-out is unpaced under ``realtime`` too, so it jumps idle
+        # gaps either way — never past the drain deadline.
         while not core.finished and core.slot < deadline_slot:
-            self._step()
+            if not core.skip_idle(deadline_slot):
+                self._step()
         core.flush_pending_events()
         core.finalize_metrics()
         finished = core.finished

@@ -16,7 +16,6 @@ experiments behave like the real system.
 """
 
 from repro.simulator.engine import Simulation, SimulationConfig
-from repro.simulator.events import EventEngineCore, EventQueue, SimEvent
 from repro.simulator.failures import FailureModel
 from repro.simulator.runtime import EngineCore, StepOutcome, make_engine_core
 from repro.simulator.nodes import NodeCluster, PackResult
@@ -35,11 +34,8 @@ __all__ = [
     "ClusterView",
     "DeadlineJobView",
     "EngineCore",
-    "EventEngineCore",
-    "EventQueue",
     "FailureModel",
     "JobRecord",
-    "SimEvent",
     "NodeCluster",
     "PackResult",
     "Simulation",

@@ -21,7 +21,7 @@ The slot machinery itself lives in :class:`~repro.simulator.runtime.
 EngineCore`, shared with the online scheduler service
 (:mod:`repro.service`): this class owns the *batch* clock — register the
 whole workload up front, then spin slots as fast as possible until every
-job completes (or ``max_slots``).
+job completes (or ``max_slots``), jumping the gaps in which nothing is live.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ class SimulationConfig:
             (:func:`repro.analysis.experiments.run_one`, the golden-trace
             corpus) read it and fold it into the FlowTime planner kwargs.
             ``None`` keeps each scheduler's own default.
-        engine: which engine core steps the clock — ``"slots"`` (the
-            historical slot-stepped :class:`~repro.simulator.runtime.
-            EngineCore`) or ``"events"`` (the event-queue
-            :class:`~repro.simulator.events.EventEngineCore`, which
-            jumps idle gaps; outcome-identical, see
-            ``tests/test_engine_equivalence.py``).
     """
 
     slot_seconds: float = 10.0
@@ -88,7 +82,6 @@ class SimulationConfig:
     node_cluster: NodeCluster | None = None
     verify: bool = False
     lp_backend: str | None = None
-    engine: str = "slots"
 
 
 class Simulation:
@@ -135,8 +128,13 @@ class Simulation:
     def _run_loop(self) -> SimulationResult:
         core = self._core
         core.emit_run_start()
-        while not core.finished and core.slot < self.config.max_slots:
-            core.step()
+        max_slots = self.config.max_slots
+        while not core.finished and core.slot < max_slots:
+            # A gap with nothing live and nothing pending holds no
+            # decision: jump it (outcome-identical to stepping through,
+            # see tests/test_engine_equivalence.py).
+            if not core.skip_idle(max_slots):
+                core.step()
         core.flush_pending_events()
         core.finalize_metrics()
         finished = core.finished

@@ -77,6 +77,8 @@ class SimulationResult:
     granted: np.ndarray
     resources: tuple[str, ...]
     scheduler_name: str = ""
+    #: Scheduler decide calls, one per *executed* slot: ``n_slots`` minus
+    #: the idle-gap slots the run loop skipped (``sim.slots.skipped``).
     planning_calls: int = 0
     planning_seconds: float = 0.0
     #: Per-slot executed task units per job (only when the simulation ran

@@ -17,6 +17,10 @@ propagation — over a workload that *arrives while the clock runs*.
   happened, so callers own the clock: the batch
   :class:`~repro.simulator.engine.Simulation` spins it as fast as possible,
   the service paces it (virtual or wall-clock-scaled);
+* :meth:`skip_idle` moves the clock over slots that hold no decision
+  (nothing live, nothing pending) straight to the next arrival; a loop
+  that owns a virtual clock calls it before each step, a wall-clock-paced
+  one never does;
 * :meth:`result` snapshots the same :class:`~repro.simulator.result.
   SimulationResult` the batch simulator always produced.
 
@@ -140,23 +144,9 @@ def make_engine_core(
     config: "SimulationConfig",
     obs,
 ) -> "EngineCore":
-    """Build the engine core ``config.engine`` selects.
-
-    ``"slots"`` is the historical slot-stepped :class:`EngineCore`;
-    ``"events"`` the event-queue :class:`~repro.simulator.events.
-    EventEngineCore` that jumps idle gaps (imported lazily — the events
-    module subclasses this one).
-    """
-    engine = getattr(config, "engine", "slots") or "slots"
-    if engine == "slots":
-        return EngineCore(cluster, scheduler, config, obs)
-    if engine == "events":
-        from repro.simulator.events import EventEngineCore
-
-        return EventEngineCore(cluster, scheduler, config, obs)
-    raise ValueError(
-        f"unknown engine {engine!r} (choose 'slots' or 'events')"
-    )
+    """Build the engine core (the constructor, under the name the batch
+    simulator, the service and ``bench/`` import)."""
+    return EngineCore(cluster, scheduler, config, obs)
 
 
 def _apply_lp_backend(scheduler: "Scheduler", backend: str) -> None:
@@ -218,6 +208,14 @@ class EngineCore:
         self._prev_running: set[str] = set()
         self._remaining_jobs = 0
         self._live_adhoc = 0
+        # Arrival index: slot -> (workflow ids, ad-hoc job ids) arriving
+        # then, each in registration order.  ``step`` pops its slot's
+        # bucket, ``skip_idle`` reads the smallest key, so every key is
+        # >= ``self.slot`` and an empty bucket is never kept.
+        self._arrivals: dict[int, tuple[list[str], list[str]]] = {}
+        # Jobs delivered by a step and not yet completed or withdrawn.
+        self._live = 0
+        self._skipped_counter = obs.counter("sim.slots.skipped")
         # Prefer the span-wrapped ``decide`` of repro schedulers; duck-typed
         # stand-ins (test doubles) only need ``assign``.
         self._decide = getattr(scheduler, "decide", scheduler.assign)
@@ -280,6 +278,9 @@ class EngineCore:
                 unmet_parents=len(workflow.parents_of(job.job_id)),
             )
         self._remaining_jobs += len(workflow)
+        self._arrivals.setdefault(arrival, ([], []))[0].append(
+            workflow.workflow_id
+        )
         if request_id is not None:
             self._request_ids[workflow.workflow_id] = request_id
             for job in workflow.jobs:
@@ -292,11 +293,11 @@ class EngineCore:
         if job.job_id in self._runs:
             raise ValueError(f"duplicate job id {job.job_id}")
         self._validate_job(job)
-        self._runs[job.job_id] = JobRun(
-            job, arrival_slot=max(job.arrival_slot, self.slot), unmet_parents=0
-        )
+        arrival = max(job.arrival_slot, self.slot)
+        self._runs[job.job_id] = JobRun(job, arrival_slot=arrival, unmet_parents=0)
         self._remaining_jobs += 1
         self._live_adhoc += 1
+        self._arrivals.setdefault(arrival, ([], []))[1].append(job.job_id)
         if request_id is not None:
             self._request_ids[job.job_id] = request_id
 
@@ -323,8 +324,15 @@ class EngineCore:
                     f"workflow {workflow_id} has started (job {job.job_id}); "
                     "not withdrawable"
                 )
+        arrival = self._workflow_arrival.pop(workflow_id)
+        if arrival >= self.slot:  # not delivered yet: leave the index
+            bucket = self._arrivals[arrival]
+            bucket[0].remove(workflow_id)
+            if not any(bucket):
+                del self._arrivals[arrival]
+        else:
+            self._live -= len(workflow)
         del self.workflows[workflow_id]
-        del self._workflow_arrival[workflow_id]
         del self._workflow_completion[workflow_id]
         del self._workflow_remaining[workflow_id]
         self._request_ids.pop(workflow_id, None)
@@ -466,16 +474,47 @@ class EngineCore:
 
     # -- stepping ------------------------------------------------------------------
 
-    def schedule_drain(self, deadline_slot: int) -> None:
-        """Advisory drain cap; a no-op on the slot-stepped core.
+    def skip_idle(self, limit: int) -> int:
+        """Move the clock over slots that hold no decision.
 
-        The event-driven core (:class:`repro.simulator.events.
-        EventEngineCore`) overrides this so fast-forward never coasts
-        past the graceful-drain deadline.
+        Returns how many slots were skipped (0: the caller should step).
+
+        When no delivered job is incomplete and no event is pending, every
+        slot before the next arrival is empty: the scheduler has nothing
+        to place, nothing executes, the failure RNG (rolled per executed
+        job) is not consulted and no trace event fires.  The clock goes
+        to ``min(next arrival, limit)`` and the skipped slots get the
+        all-zero usage/granted (and empty execution) rows a step would
+        have recorded, so :meth:`result` is the same either way.  They get
+        no ``sim.slot`` span, no decide call and no ``planning_calls``
+        tick; ``sim.slots.skipped`` counts them instead.
         """
+        if self._live or self._pending_events or not self._arrivals:
+            return 0
+        skipped = min(min(self._arrivals), limit) - self.slot
+        if skipped <= 0:
+            return 0
+        zero_row = [0.0] * len(self.cluster.resources)
+        self._usage_rows.extend([zero_row] * skipped)
+        self._granted_rows.extend([zero_row] * skipped)
+        if self._record_execution:
+            self._execution_rows.extend({} for _ in range(skipped))
+        self._skipped_counter.inc(skipped)
+        self.slot += skipped
+        return skipped
 
     def step(self) -> StepOutcome:
-        """Execute one slot: events -> decide -> execute -> completions."""
+        """Execute one slot: events -> decide -> execute -> completions.
+
+        One call, one slot.  Within the slot the scheduler is handed
+
+        1. the events carried over from the previous executed slot —
+           completions, readiness releases, setbacks, withdrawals — in
+           the order they were generated;
+        2. workflow arrivals in registration order, each followed at once
+           by the readiness events of its root jobs;
+        3. ad-hoc job arrivals in registration order.
+        """
         config = self.config
         obs = self.obs
         tracing = obs.tracing
@@ -485,26 +524,20 @@ class EngineCore:
         events = self._pending_events
         self._pending_events = []
 
-        # Arrivals at this slot.
-        for workflow in self.workflows.values():
-            if self._workflow_arrival[workflow.workflow_id] == slot:
+        workflow_ids, adhoc_ids = self._arrivals.pop(slot, ((), ()))
+        for workflow_id in workflow_ids:
+            workflow = self.workflows[workflow_id]
+            events.append(WorkflowArrived(slot=slot, workflow_id=workflow_id))
+            for job_id in workflow.roots():
+                self._runs[job_id].ready_slot = slot
                 events.append(
-                    WorkflowArrived(slot=slot, workflow_id=workflow.workflow_id)
+                    JobReady(slot=slot, job_id=job_id, workflow_id=workflow_id)
                 )
-                for job_id in workflow.roots():
-                    run = self._runs[job_id]
-                    run.ready_slot = slot
-                    events.append(
-                        JobReady(
-                            slot=slot,
-                            job_id=job_id,
-                            workflow_id=workflow.workflow_id,
-                        )
-                    )
-        for run in self._runs.values():
-            if run.job.kind is JobKind.ADHOC and run.arrival_slot == slot:
-                run.ready_slot = slot
-                events.append(JobArrived(slot=slot, job_id=run.job.job_id))
+            self._live += len(workflow)
+        for job_id in adhoc_ids:
+            self._runs[job_id].ready_slot = slot
+            events.append(JobArrived(slot=slot, job_id=job_id))
+        self._live += len(adhoc_ids)
 
         if tracing:
             self.trace_events(events)
@@ -620,6 +653,7 @@ class EngineCore:
                             )
                         )
         self._remaining_jobs -= len(completions)
+        self._live -= len(completions)
         self.slot = slot + 1
         slot_span.__exit__(None, None, None)
         if slot_span.elapsed > self._slowest[0]:

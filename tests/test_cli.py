@@ -2,6 +2,8 @@
 
 import json
 import logging
+import re
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +177,12 @@ class TestGlobalFlags:
             main(["--version"])
         assert exc_info.value.code == 0
         assert capsys.readouterr().out.strip() == f"repro {__version__}"
+        # One source: the package metadata reads ``repro.__version__`` too,
+        # so pyproject.toml's [project] table carries no literal version.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = pyproject.read_text().split("[project]", 1)[1].split("\n[", 1)[0]
+        assert not re.search(r"^version\s*=", project, re.MULTILINE)
+        assert re.search(r'^dynamic\s*=.*"version"', project, re.MULTILINE)
 
     def test_verbosity_mapping(self):
         assert verbosity_to_level(quiet=True, verbose=0) == logging.ERROR

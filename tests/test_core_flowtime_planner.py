@@ -154,55 +154,3 @@ class TestPaperFormulation:
         for slot in range(plan.horizon):
             load = plan.load(slot)
             assert load.fits_in(cluster.at(slot))
-
-
-class TestDeprecatedPositionalSignature:
-    def test_positional_call_warns_and_still_plans(self, cluster):
-        planner = FlowTimePlanner(PlannerConfig(slack_slots=0))
-        with pytest.warns(DeprecationWarning, match="PlanRequest"):
-            legacy = planner.plan(0, [demand(units=6, deadline=6)], cluster)
-        assert legacy.total_units("j") == 6
-        modern = make_plan(
-            FlowTimePlanner(PlannerConfig(slack_slots=0)),
-            0,
-            [demand(units=6, deadline=6)],
-            cluster,
-        )
-        assert (legacy.grants["j"] == modern.grants["j"]).all()
-
-    def test_positional_call_requires_all_arguments(self, cluster):
-        with pytest.raises(TypeError):
-            with pytest.warns(DeprecationWarning):
-                FlowTimePlanner().plan(0, [demand()])
-
-    def test_positional_path_identical_to_request_path(self, cluster):
-        # The shim must be a pure re-packaging: a contended multi-job plan
-        # computed through the legacy signature matches the PlanRequest
-        # path field for field, not just in totals.
-        demands = [
-            demand(job_id=f"j{i}", units=8, deadline=8 + 2 * i, cores=2, mem=4)
-            for i in range(4)
-        ]
-        with pytest.warns(DeprecationWarning, match="PlanRequest"):
-            legacy = FlowTimePlanner().plan(3, demands, cluster)
-        modern = FlowTimePlanner().plan(
-            PlanRequest(now_slot=3, demands=tuple(demands), capacity=cluster)
-        )
-        assert legacy.origin_slot == modern.origin_slot
-        assert legacy.horizon == modern.horizon
-        assert legacy.degraded == modern.degraded
-        assert set(legacy.grants) == set(modern.grants)
-        for job_id, grant in modern.grants.items():
-            assert (legacy.grants[job_id] == grant).all(), job_id
-
-    def test_positional_call_shares_the_plan_cache(self, cluster):
-        # Same planner, same inputs: the legacy call should be answered
-        # straight from the cache entry the PlanRequest call created.
-        planner = FlowTimePlanner()
-        demands = [demand(units=6, deadline=6)]
-        planner.plan(PlanRequest(now_slot=0, demands=tuple(demands), capacity=cluster))
-        assert planner.plan_cache.misses == 1
-        with pytest.warns(DeprecationWarning, match="PlanRequest"):
-            planner.plan(0, demands, cluster)
-        assert planner.plan_cache.hits == 1
-        assert planner.plan_cache.misses == 1

@@ -173,3 +173,10 @@ class TestAccounting:
         result = Simulation(small_cluster, GreedyAll(), adhoc_jobs=[job]).run()
         assert result.planning_calls == result.n_slots
         assert result.planning_seconds >= 0.0
+
+    def test_planning_calls_count_executed_slots_only(self, small_cluster):
+        jobs = [adhoc_job("a", 0), adhoc_job("late", 40)]
+        result = Simulation(small_cluster, GreedyAll(), adhoc_jobs=jobs).run()
+        skipped = result.counter_value("sim.slots.skipped")
+        assert skipped > 30
+        assert result.planning_calls == result.n_slots - skipped
