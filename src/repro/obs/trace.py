@@ -61,8 +61,10 @@ EVENT_SCHEMA: dict[str, tuple[str, ...]] = {
     "workflow_withdrawn": ("slot", "workflow_id"),
     "workflow_deadline_miss": ("slot", "workflow_id", "deadline_slot"),
     # admission control
-    "admission_accept": ("workflow_id", "slot", "utilisation"),
-    "admission_reject": ("workflow_id", "slot", "shortfall_units", "utilisation"),
+    "admission_accept": ("workflow_id", "slot", "utilisation", "route"),
+    "admission_reject": (
+        "workflow_id", "slot", "shortfall_units", "utilisation", "route"
+    ),
     # planner degradation
     "plan_fallback": ("slot", "reason", "backend"),
     "plan_recovered": ("slot",),

@@ -90,8 +90,9 @@ class ServiceConfig:
             workflow submission and reject workloads that provably cannot
             meet their deadlines.  False admits everything (paper
             behaviour).
-        cluster_aware_decomposition: how admission decomposes candidate
-            workflows (matches the FlowTime scheduler's default).
+        cluster_aware_decomposition: how candidate workflows are
+            decomposed — once, for the admission proof and the committed
+            windows alike (matches the FlowTime scheduler's default).
         strict: engine grant validation (see
             :class:`~repro.simulator.engine.SimulationConfig`).
         record_execution: keep per-slot executed-unit rows (Gantt support).

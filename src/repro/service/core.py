@@ -775,6 +775,7 @@ class SchedulerService:
             return self._reject_workflow(workflow, "invalid")
 
         utilisation = float("nan")
+        cluster_aware = self.config.cluster_aware_decomposition
         if self.config.admission:
             try:
                 decision = check_admission(
@@ -783,6 +784,7 @@ class SchedulerService:
                     self.cluster,
                     now_slot=core.slot,
                     config=self._planner_config(),
+                    cluster_aware=cluster_aware,
                 )
             except SolverFailure:
                 # The admission LP itself failed — a transient solver
@@ -810,13 +812,13 @@ class SchedulerService:
                     shortfall_units=dict(decision.shortfall_units),
                     queue_depth=core.live_adhoc_count(),
                 )
-
-        decomposition = decompose_deadline(
-            workflow,
-            self.cluster,
-            cluster_aware=self.config.cluster_aware_decomposition,
-        )
-        self._windows.update(decomposition.windows)
+            # Commit exactly the windows the check proved feasible.
+            windows = decision.windows
+        else:
+            windows = decompose_deadline(
+                workflow, self.cluster, cluster_aware=cluster_aware
+            ).windows
+        self._windows.update(windows)
         # The engine executes the (possibly error-perturbed) true structure;
         # the journal records the *original* submission — replay re-derives
         # the same perturbation from the id-keyed seed.

@@ -48,6 +48,18 @@ def adhoc_job(job_id: str, arrival: int, **kwargs) -> Job:
     )
 
 
+def straddling_workflow(workflow_id: str, deadline: int = 90) -> Workflow:
+    """A cpu-heavy job, then a mem-heavy one: on a cpu=16/mem=32 cluster
+    neither resource's capacity row implies the other's, so admission
+    needs its LP route."""
+    jobs = [
+        deadline_job(f"{workflow_id}-j0", workflow_id, cores=4, mem=2),
+        deadline_job(f"{workflow_id}-j1", workflow_id, cores=1, mem=8),
+    ]
+    edge = (f"{workflow_id}-j0", f"{workflow_id}-j1")
+    return Workflow.from_jobs(workflow_id, jobs, [edge], 0, deadline)
+
+
 @pytest.fixture
 def chain3() -> Workflow:
     """j0 -> j1 -> j2, window of 60 slots."""

@@ -1,11 +1,17 @@
 """Tests for the admission-control extension."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.admission import check_admission
-from repro.core.flowtime import JobDemand, PlannerConfig
+from repro.core.admission import _admission_entries, _place_by_lp, check_admission
+from repro.core.decomposition import decompose_deadline
+from repro.core.flowtime import JobDemand, PlannerConfig, caps_array
 from repro.model.cluster import ClusterCapacity
+from repro.model.job import Job, TaskSpec
 from repro.model.resources import ResourceVector
+from repro.model.workflow import Workflow
 from repro.workloads.dag_generators import chain_workflow, fork_join_workflow
 
 
@@ -96,9 +102,6 @@ class TestPerJobInfeasibility:
     def test_single_job_window_too_small_is_rejected(self, cluster):
         """A job whose own window cannot hold its work (even alone on the
         cluster) must be rejected — admission never repairs windows."""
-        from repro.model.job import Job, TaskSpec
-        from repro.model.workflow import Workflow
-
         job = Job(
             job_id="w-big",
             tasks=TaskSpec(
@@ -115,24 +118,16 @@ class TestPerJobInfeasibility:
         assert decision.shortfall_units.get("w-big", 0) > 0
 
 
-# -- property: sequential admission never over-commits ------------------------------
+# -- the two routes -----------------------------------------------------------------
 #
-# The online service admits workflows one at a time, folding each accepted
-# workflow's decomposed demands into the "existing" set for the next check.
-# The safety property of that bookkeeping: whatever subset the sequential
-# process accepts must still be *jointly* feasible — identical to having
-# admitted the accepted set as a single batch.  If the accounting dropped or
-# double-counted demands, a later joint check would certify a shortfall.
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from repro.core.decomposition import decompose_deadline  # noqa: E402
+# check_admission answers by integer max-flow when one resource binds and by
+# the max-placement LP otherwise.  The LP function is the reference the flow
+# is tested against; an independent (networkx, pure-Python network) max-flow
+# prices the deficit the flow route reports.
 
 
-def _demands_of(workflow, capacity):
+def _demands_of(workflow, windows):
     """A workflow's demands exactly as check_admission derives them."""
-    windows = decompose_deadline(workflow, capacity).windows
     return [
         JobDemand(
             job_id=job.job_id,
@@ -146,26 +141,223 @@ def _demands_of(workflow, capacity):
     ]
 
 
+def _lp_reference(demands, capacity, now_slot, slack):
+    """``(shortfall_units, utilisation)`` of the LP route, called directly."""
+    entries = _admission_entries(demands, now_slot, slack)
+    caps = caps_array(capacity, now_slot, max(e.deadline for e in entries))
+    return _place_by_lp(entries, caps, capacity.resources)
+
+
+def _brute_force_binding(entries, capacity, now_slot):
+    """The binding predicate, evaluated over every (job, resource, slot)."""
+    horizon = max(entry.deadline for entry in entries)
+    for star in capacity.resources:
+        if all(
+            entry.unit_demand[star] > 0
+            and entry.unit_demand[r] * capacity.amount(t, star)
+            <= entry.unit_demand[star] * capacity.amount(t, r)
+            for entry in entries
+            for r in capacity.resources
+            for t in range(now_slot, now_slot + horizon)
+        ):
+            return star
+    return None
+
+
+def _max_flow_deficit(entries, capacity, now_slot, star):
+    """Total supply minus the max-flow value on *star*'s transportation
+    network, built arc by arc and solved by networkx."""
+    graph = nx.DiGraph()
+    supply = 0
+    for entry in entries:
+        d = entry.unit_demand[star]
+        supply += entry.units * d
+        graph.add_edge("source", entry.job_id, capacity=entry.units * d)
+        for t in range(entry.release, entry.deadline):
+            graph.add_edge(
+                entry.job_id, t, capacity=min(entry.max_parallel, entry.units) * d
+            )
+            graph.add_edge(t, "sink", capacity=capacity.amount(now_slot + t, star))
+    return supply - nx.maximum_flow_value(graph, "source", "sink")
+
+
+class TestHalfSlotShortfall:
+    """Three 4 GB tasks in one slot of a 10 GB cluster.  The LP places 2.5
+    of them; rounding the missing 0.5 to zero used to admit the job."""
+
+    capacity = ClusterCapacity.uniform(cpu=16, mem=10)
+    workflow = Workflow.from_jobs(
+        "w",
+        [
+            Job(
+                job_id="w-j",
+                tasks=TaskSpec(
+                    count=3, duration_slots=1, demand=ResourceVector(cpu=1, mem=4)
+                ),
+                workflow_id="w",
+            )
+        ],
+        [],
+        0,
+        1,
+    )
+
+    def test_flow_route_rejects(self):
+        decision = check_admission(
+            self.workflow, [], self.capacity, 0, config=PlannerConfig(slack_slots=0)
+        )
+        assert decision.route == "flow"
+        assert not decision.admit
+        assert decision.shortfall_units == {"w-j": 1}
+
+    def test_lp_route_rejects(self):
+        windows = decompose_deadline(self.workflow, self.capacity).windows
+        shortfalls, _ = _lp_reference(
+            _demands_of(self.workflow, windows), self.capacity, 0, slack=0
+        )
+        assert shortfalls == {"w-j": 1}
+
+
+#: (cpu, mem) per task.  Memory binds the first mix on a ratio-2 cluster;
+#: the second straddles it, so no resource does.
+_MEM_BOUND_MIX = [(1, 2), (1, 3), (2, 4), (1, 4)]
+_STRADDLING_MIX = [(2, 2), (1, 4), (4, 2), (1, 2)]
+#: Per-slot overrides: closed, halved (same ratio), memory-rich (the CPU
+#: binds there instead), memory-poor.
+_OVERRIDE_CAPS = [(0, 0), (4, 8), (2, 16), (8, 6)]
+
+
+@st.composite
+def admission_instances(draw):
+    """(workflow, existing demands, capacity, now_slot, slack_slots)."""
+    names = draw(st.sampled_from([("cpu",), ("cpu", "mem")]))
+    mix = draw(st.sampled_from([_MEM_BOUND_MIX, _STRADDLING_MIX]))
+
+    def vector(amounts):
+        return ResourceVector(dict(zip(names, amounts)))
+
+    capacity = ClusterCapacity(
+        base=vector((8, 16)),
+        overrides=draw(
+            st.dictionaries(
+                st.integers(0, 30),
+                st.sampled_from(_OVERRIDE_CAPS).map(vector),
+                max_size=3,
+            )
+        ),
+    )
+    now_slot = draw(st.integers(0, 6))
+    existing = []
+    for index in range(draw(st.integers(0, 5))):
+        # Released before now_slot: a partly-run commitment.
+        release = draw(st.integers(0, 20))
+        existing.append(
+            JobDemand(
+                job_id=f"busy{index}",
+                release_slot=release,
+                deadline_slot=release + draw(st.integers(1, 12)),
+                units=draw(st.integers(1, 24)),
+                unit_demand=vector(draw(st.sampled_from(mix))),
+                max_parallel=draw(st.integers(1, 6)),
+            )
+        )
+
+    def spec(_index):
+        return TaskSpec(
+            count=draw(st.integers(1, 6)),
+            duration_slots=draw(st.integers(1, 3)),
+            demand=vector(draw(st.sampled_from(mix))),
+        )
+
+    shape = draw(st.sampled_from([chain_workflow, fork_join_workflow]))
+    start = now_slot + draw(st.integers(0, 4))
+    # Windows from hopeless (a job's own window too small) to generous.
+    workflow = shape(
+        "w", draw(st.integers(1, 3)), start, start + draw(st.integers(2, 30)), spec
+    )
+    return workflow, existing, capacity, now_slot, draw(st.sampled_from([0, 6]))
+
+
+class TestFlowAgainstLp:
+    @given(admission_instances())
+    @settings(deadline=None, max_examples=200)
+    def test_route_and_verdict(self, instance):
+        workflow, existing, capacity, now_slot, slack = instance
+        decision = check_admission(
+            workflow,
+            existing,
+            capacity,
+            now_slot,
+            config=PlannerConfig(slack_slots=slack),
+        )
+        demands = existing + _demands_of(workflow, decision.windows)
+        entries = _admission_entries(demands, now_slot, slack)
+        star = _brute_force_binding(entries, capacity, now_slot)
+        assert decision.route == ("lp" if star is None else "flow")
+        assert (decision.total_shortfall > 0) == (not decision.admit)
+        assert set(decision.shortfall_units) <= {d.job_id for d in demands}
+        if star is None:
+            return
+
+        lp_shortfalls, _ = _lp_reference(demands, capacity, now_slot, slack)
+        assert decision.admit == (not lp_shortfalls)
+        # The reported task-slots are the flow's deficit, rounded up per job.
+        per_unit = {e.job_id: e.unit_demand[star] for e in entries}
+        short = decision.shortfall_units
+        deficit = _max_flow_deficit(entries, capacity, now_slot, star)
+        assert decision.admit == (deficit == 0)
+        if deficit:
+            assert (
+                sum(units * per_unit[job] for job, units in short.items())
+                >= deficit
+                > sum((units - 1) * per_unit[job] for job, units in short.items())
+            )
+        assert 0.0 <= decision.utilisation <= 1.0
+
+
+# -- property: sequential admission never over-commits ------------------------------
+#
+# The online service admits workflows one at a time, folding each accepted
+# workflow's decomposed demands into the "existing" set for the next check.
+# The safety property of that bookkeeping: whatever subset the sequential
+# process accepts must still be *jointly* feasible — identical to having
+# admitted the accepted set as a single batch.  If the accounting dropped or
+# double-counted demands, a later joint check would certify a shortfall.
+
+#: Task spec per route on the property's cpu=8 / mem=16 cluster: the default
+#: ratio-2 spec binds (flow); a cpu-heavy beside a mem-heavy job does not.
+_ROUTE_SPECS = {
+    "flow": None,
+    "lp": lambda index: TaskSpec(
+        count=8,
+        duration_slots=3,
+        demand=ResourceVector(cpu=3, mem=2) if index % 2 else ResourceVector(cpu=1, mem=4),
+    ),
+}
+
+
 @st.composite
 def workflow_batches(draw):
-    """2-4 small workflows with windows from hopeless to generous."""
+    """A route, and 2-4 small workflows with windows from hopeless to
+    generous whose admission checks take it."""
+    route = draw(st.sampled_from(sorted(_ROUTE_SPECS)))
     k = draw(st.integers(min_value=2, max_value=4))
     workflows = []
     for i in range(k):
         shape = draw(st.sampled_from(["chain", "fork"]))
-        size = draw(st.integers(min_value=1, max_value=3))
+        # A single job has a single demand vector, so some resource binds.
+        size = draw(st.integers(min_value=1 if route == "flow" else 2, max_value=3))
         window = draw(st.integers(min_value=3, max_value=40))
-        if shape == "chain":
-            workflows.append(chain_workflow(f"w{i}", size, 0, window))
-        else:
-            workflows.append(fork_join_workflow(f"w{i}", size, 0, window))
-    return workflows
+        make = chain_workflow if shape == "chain" else fork_join_workflow
+        workflows.append(make(f"w{i}", size, 0, window, _ROUTE_SPECS[route]))
+    return route, workflows
 
 
 class TestSequentialAdmissionProperty:
     @given(workflow_batches())
-    @settings(deadline=None, max_examples=25)
-    def test_one_at_a_time_never_over_commits(self, workflows):
+    @settings(deadline=None, max_examples=50)
+    def test_one_at_a_time_never_over_commits(self, batch):
+        route, workflows = batch
         capacity = ClusterCapacity.uniform(cpu=8, mem=16)
         config = PlannerConfig(slack_slots=0)
         committed: list[JobDemand] = []
@@ -174,19 +366,18 @@ class TestSequentialAdmissionProperty:
             decision = check_admission(
                 workflow, committed, capacity, now_slot=0, config=config
             )
+            assert decision.route == route
             if decision.admit:
                 accepted.append(workflow)
-                committed.extend(_demands_of(workflow, capacity))
+                committed.extend(_demands_of(workflow, decision.windows))
         if not accepted:
             return
         # Joint feasibility of the accepted set, checked as one batch: the
         # first accepted workflow against everything else that got in.  One
         # max-placement over the union either places all work or refutes
         # the sequential bookkeeping.
-        head, rest = accepted[0], accepted[1:]
-        others: list[JobDemand] = []
-        for workflow in rest:
-            others.extend(_demands_of(workflow, capacity))
+        head = accepted[0]
+        others = committed[len(head.jobs):]
         joint = check_admission(head, others, capacity, now_slot=0, config=config)
         assert joint.admit, (
             f"sequential admission over-committed: accepted "

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.model.cluster import ClusterCapacity
 from repro.model.workflow import Workflow
 from repro.obs import (
     NULL_OBS,
@@ -24,7 +25,7 @@ from repro.obs import (
 )
 from repro.schedulers.fifo import FifoScheduler
 from repro.simulator.engine import Simulation
-from tests.conftest import adhoc_job, deadline_job
+from tests.conftest import adhoc_job, deadline_job, straddling_workflow
 
 
 class TestCounterAndGauge:
@@ -293,6 +294,26 @@ class TestAdmissionEvents:
         assert reject["workflow_id"] == "doom"
         assert reject["shortfall_units"] > 0
         assert obs.registry.histogram("admission.check").count == 2
+        # One resource binds both checks: the flow route, no LP solve.
+        assert accept["route"] == reject["route"] == "flow"
+        assert obs.registry.counter("admission.route.flow").value == 2
+        assert obs.registry.counter("admission.route.lp").value == 0
+        assert obs.registry.counter("lp.solve.tag.admission").value == 0
+
+    def test_lp_route_is_counted_and_tagged(self):
+        from repro.core.admission import check_admission
+
+        sink = MemorySink()
+        obs = Observability(sink=sink)
+        with use_obs(obs):
+            assert check_admission(
+                straddling_workflow("s"), [], ClusterCapacity.uniform(cpu=16, mem=32), 0
+            ).admit
+        accept, = sink.of_type("admission_accept")
+        assert accept["route"] == "lp"
+        assert obs.registry.counter("admission.route.lp").value == 1
+        assert obs.registry.counter("admission.route.flow").value == 0
+        assert obs.registry.counter("lp.solve.tag.admission").value == 1
 
 
 class TestLogging:

@@ -11,6 +11,10 @@ import math
 
 import pytest
 
+import repro.core.admission as admission_module
+import repro.service.core as service_module
+from repro.core.admission import check_admission
+from repro.core.decomposition import decompose_deadline
 from repro.model.cluster import ClusterCapacity
 from repro.model.job import Job, TaskSpec
 from repro.model.resources import ResourceVector
@@ -145,6 +149,46 @@ class TestAdmission:
         )
         assert results[0].accepted
         assert not results[1].accepted and results[1].reason == "invalid"
+
+    def test_proof_and_commit_are_one_decomposition(self, cluster, monkeypatch):
+        # 40 two-slot tasks need two waves on this cluster, so the
+        # cluster-aware decomposition gives j0 a slot more than the paper's.
+        jobs = [
+            deadline_job("w-j0", "w", count=40),
+            deadline_job("w-j1", "w", count=20),
+        ]
+        workflow = Workflow.from_jobs("w", jobs, [("w-j0", "w-j1")], 0, 30)
+        paper = decompose_deadline(workflow, cluster, cluster_aware=False).windows
+        assert paper != decompose_deadline(workflow, cluster).windows
+
+        decompositions, decisions = [], []
+
+        def counted(*args, **kwargs):
+            decompositions.append(kwargs)
+            return decompose_deadline(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            decisions.append(check_admission(*args, **kwargs))
+            return decisions[-1]
+
+        # The submission path's two by-name imports (the scheduler's own
+        # decomposition on arrival is not on it).
+        monkeypatch.setattr(admission_module, "decompose_deadline", counted)
+        monkeypatch.setattr(service_module, "decompose_deadline", counted)
+        monkeypatch.setattr(service_module, "check_admission", recorded)
+        service = SchedulerService(
+            cluster,
+            ServiceConfig(
+                cluster_aware_decomposition=False, realtime=True, slot_seconds=3600.0
+            ),
+        ).start()
+        try:
+            assert service.submit_workflow(workflow).accepted
+            committed = {job_id: service._windows[job_id] for job_id in paper}
+        finally:
+            service.drain(timeout=60)
+        assert len(decompositions) == 1
+        assert committed == paper == decisions[0].windows
 
     def test_admitted_set_is_jointly_feasible(self, cluster):
         # Saturating stream: whatever subset gets in must all meet its

@@ -33,7 +33,7 @@ from repro.service.client import ServiceUnavailableError
 from repro.service.journal import read_journal
 from repro.simulator.failures import FailureModel
 from repro.estimation.errors import ErrorModel
-from tests.conftest import adhoc_job, deadline_job
+from tests.conftest import adhoc_job, deadline_job, straddling_workflow
 
 
 @pytest.fixture
@@ -205,19 +205,39 @@ class TestBackpressure:
 
 
 class TestAdmissionUnavailable:
-    def test_solver_outage_answers_unavailable_not_silent_admit(self, cluster):
-        def fail_everything(backend, problem):
-            raise RuntimeError("injected outage")
+    """Every LP backend is down.  Only a committed set with no binding
+    resource needs the LP; the flow route keeps admitting."""
 
+    @staticmethod
+    def fail_everything(backend, problem):
+        raise RuntimeError("injected outage")
+
+    def test_solver_outage_answers_unavailable_not_silent_admit(self):
+        cluster = ClusterCapacity.uniform(cpu=16, mem=32)
+        workflow = straddling_workflow("w")
         service = SchedulerService(cluster, ServiceConfig(admission=True)).start()
-        install_fault_injector(fail_everything)
+        install_fault_injector(self.fail_everything)
         try:
-            result = service.submit_workflow(chain("w"))
+            result = service.submit_workflow(workflow)
         finally:
             install_fault_injector(None)
         assert not result.accepted and result.reason == "unavailable"
         # The outage clears: the same workflow is admissible again.
-        assert service.submit_workflow(chain("w")).accepted
+        assert service.submit_workflow(workflow).accepted
+        service.drain(timeout=120)
+
+    def test_solver_outage_does_not_stop_the_flow_route(self, cluster):
+        # Frozen clock: no plan is attempted while the solver is down.
+        service = SchedulerService(
+            cluster,
+            ServiceConfig(admission=True, realtime=True, slot_seconds=3600.0),
+        ).start()
+        install_fault_injector(self.fail_everything)
+        try:
+            result = service.submit_workflow(chain("w"))
+        finally:
+            install_fault_injector(None)
+        assert result.accepted
         service.drain(timeout=120)
 
 

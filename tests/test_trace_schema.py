@@ -134,3 +134,5 @@ class TestLiveRuns:
         kinds = {event["type"] for event in sink.events}
         assert {"service_start", "admission_accept",
                 "service_drain_start"} <= kinds
+        accept, = sink.of_type("admission_accept")
+        assert accept["route"] in ("flow", "lp")
