@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Service throughput benchmark: asyncio vs threaded frontend, idle-gap skipping.
+"""Service throughput benchmark: asyncio vs threaded transport, idle-gap skipping.
 
 The run loops jump the idle gaps of a sparse workload
-(``EngineCore.skip_idle``) and the service has an asyncio JSON-over-HTTP
-frontend.  This harness measures both halves:
+(``EngineCore.skip_idle``) and the service's route table is served by a
+threaded and by an asyncio HTTP transport.  This harness measures both
+halves:
 
 * **sustained submissions/sec** — ``repro serve`` booted as a subprocess
   (so client and server GIL-contend like real deployments, not inside one
@@ -13,8 +14,9 @@ frontend.  This harness measures both halves:
   which the server answered every request (zero transport errors) with a
   bounded client p99 — a frontend that answers a burst at 900/s but with
   second-long tail latencies and connection resets is not sustaining it.
-  The threaded frontend's thread-per-connection model hits its accept-
-  backlog wall early; the asyncio frontend keeps answering cleanly.
+  (With the stdlib's listen backlog of 5 the threaded server hit that
+  wall at ~400/s; it listens with 128 now, and what is left between the
+  two is a thread spawn per connection against a coroutine.)
 * **overload behaviour** — the async server with a deliberately small
   ad-hoc queue, driven well past capacity: shed rate (429s / submitted)
   and the *server-side* decide-latency p99 from ``GET /slo``, which must
@@ -30,10 +32,10 @@ Run from the repo root::
     PYTHONPATH=src python benchmarks/bench_throughput.py --quick
 
 Writes ``BENCH_throughput.json`` (see ``--out``).  With ``--check`` the
-exit code is non-zero unless the async frontend sustains at least
-``--min-ratio`` times the threaded baseline, the overload decide p99
-stays under ``--max-decide-p99``, and both loops agree (the CI
-``throughput-smoke`` job's gate).
+exit code is non-zero unless both transports sustain some clean rate and
+the async one at least ``--min-ratio`` times the threaded one's, the
+overload decide p99 stays under ``--max-decide-p99``, and both loops
+agree (the CI ``throughput-smoke`` job's gate).
 """
 
 from __future__ import annotations
@@ -286,9 +288,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="exit non-zero unless the gates below hold",
     )
     parser.add_argument(
-        "--min-ratio", type=float, default=2.0,
+        "--min-ratio", type=float, default=1.0,
         help="--check: minimum async/threaded sustained-rate ratio "
-        "(default: 2.0)",
+        "(default: 1.0)",
     )
     parser.add_argument(
         "--max-decide-p99", type=float, default=1.0, metavar="SECONDS",
@@ -318,6 +320,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.check:
         return 0
     failures = []
+    for frontend in ("threaded", "async"):
+        if not report["frontends"][frontend]["sustained_per_s"]:
+            failures.append(
+                f"{frontend}: no ramp point without transport errors and "
+                f"with p99 <= {_CLEAN_P99_MS:.0f} ms"
+            )
     ratio = report["frontends"]["async_over_threaded"]
     if ratio is None or ratio < args.min_ratio:
         failures.append(

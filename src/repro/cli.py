@@ -372,9 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--async",
         dest="async_http",
         action="store_true",
-        help="serve over the asyncio HTTP frontend instead of the "
-        "thread-per-connection stdlib server (single service only; the "
-        "high-throughput path — see BENCH_throughput.json)",
+        help="serve over the asyncio HTTP transport instead of the "
+        "thread-per-connection stdlib server (same routes, with or without "
+        "--shards; see BENCH_throughput.json)",
     )
     serve.add_argument(
         "--lp-backend",
@@ -818,12 +818,36 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _serve_until_signal(args: argparse.Namespace, routes, banner: list[str]) -> None:
+    """Serve *routes* on the transport ``--async`` picks until SIGTERM or
+    Ctrl-C, then stop accepting requests; the caller drains its backend.
+    *banner* is printed first, ``{url}`` and ``{frontend}`` filled into
+    its first line."""
     import signal
     import threading
+
+    from repro.service import AsyncServiceHTTPServer, ServiceHTTPServer
+
+    transport = AsyncServiceHTTPServer if args.async_http else ServiceHTTPServer
+    server = transport(routes, args.host, args.port).start()
+    frontend = "asyncio" if args.async_http else "threaded"
+    print(banner[0].format(url=server.url, frontend=frontend), flush=True)
+    for line in banner[1:]:
+        print(line, flush=True)
+
+    stop = threading.Event()
+    signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    signal.signal(signal.SIGINT, lambda *_: stop.set())
+    stop.wait()
+
+    print("draining...", file=sys.stderr, flush=True)
+    server.shutdown()
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
-    from repro.service import SchedulerService, ServiceConfig, serve_http
+    from repro.service import SchedulerService, ServiceConfig, ServiceRoutes
 
     cluster = _cluster(args)
     failures, error_model = _fault_models(args)
@@ -851,15 +875,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slo_window_s=args.slo_window,
     )
     if args.shards > 1:
-        if args.async_http:
-            # The router frontend is thread-based; keep the combination
-            # an explicit error rather than a silent fallback.
-            print(
-                "error: --async supports a single service only "
-                "(use --shards 1)",
-                file=sys.stderr,
-            )
-            return 2
         return _serve_sharded(args, cluster, config)
     sink = None
     if args.trace_out:
@@ -896,35 +911,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
         service = SchedulerService(cluster, config, obs=obs).start()
-        if args.async_http:
-            from repro.service import serve_http_async
-
-            server = serve_http_async(service, host=args.host, port=args.port)
-        else:
-            server = serve_http(service, host=args.host, port=args.port)
-        frontend = "asyncio" if args.async_http else "threaded"
-        print(
-            f"serving {args.scheduler} on {server.url} ({frontend} frontend)",
-            flush=True,
-        )
-        print(
+        banner = [
+            f"serving {args.scheduler} on {{url}} ({{frontend}} frontend)",
             "endpoints: POST /workflows  POST /jobs  GET /plan  GET /status  "
             "GET /metrics[?format=prometheus]  GET /slo  GET /healthz  "
             "GET /readyz",
-            flush=True,
-        )
+        ]
         if args.journal:
-            print(f"journal:   {args.journal}", flush=True)
-
-        stop = threading.Event()
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
-        signal.signal(signal.SIGINT, lambda *_: stop.set())
-        stop.wait()
-
-        # Graceful drain: stop accepting requests, finish in-flight work,
-        # flush the trace, then summarise the run.
-        print("draining...", file=sys.stderr, flush=True)
-        server.shutdown()
+            banner.append(f"journal:   {args.journal}")
+        _serve_until_signal(args, ServiceRoutes(service), banner)
+        # Graceful drain: in-flight work finishes, the trace flushes, then
+        # the run is summarised.
         result = service.drain()
         status = service.status()
         missed = sum(not w.met_deadline for w in result.workflows.values())
@@ -961,8 +958,6 @@ def _serve_sharded(args: argparse.Namespace, cluster, config) -> int:
     single-service HTTP dialect over the fleet and the skyline
     rebalancer runs on its own cadence (docs/SHARDING.md).
     """
-    import signal
-    import threading
     from dataclasses import replace as dc_replace
 
     from repro.cluster import (
@@ -970,7 +965,7 @@ def _serve_sharded(args: argparse.Namespace, cluster, config) -> int:
         FailureDetector,
         LocalShard,
         Rebalancer,
-        RouterHTTPServer,
+        RouterRoutes,
         ShardRouter,
         Supervisor,
         SupervisorConfig,
@@ -1030,47 +1025,21 @@ def _serve_sharded(args: argparse.Namespace, cluster, config) -> int:
             SupervisorConfig(failover_after_s=args.dead_after),
             rebalancer=rebalancer,
         ).start(args.probe_interval)
-    server = RouterHTTPServer(
-        router,
-        rebalancer=rebalancer,
-        supervisor=supervisor,
-        host=args.host,
-        port=args.port,
-    )
-    server_thread = threading.Thread(
-        target=server.serve_forever, name="repro-router-http", daemon=True
-    )
-    server_thread.start()
-    print(
-        f"serving {args.scheduler} x{args.shards} shards behind router on "
-        f"{server.url}",
-        flush=True,
-    )
-    print(
+    banner = [
+        f"serving {args.scheduler} x{args.shards} shards behind router on {{url}}",
         "endpoints: POST /workflows  POST /jobs  POST /rebalance  "
         "POST /reconcile  POST /failover  GET /status  GET /metrics  "
         "GET /slo  GET /shards  GET /healthz  GET /readyz",
-        flush=True,
-    )
+    ]
     if supervisor is not None:
-        print(
+        banner.append(
             f"failover:  supervisor on (probe {args.probe_interval}s, "
-            f"dead after {args.dead_after}s)",
-            flush=True,
+            f"dead after {args.dead_after}s)"
         )
     if args.journal:
-        print(
-            f"journals:  {args.journal}.shard0..shard{args.shards - 1}",
-            flush=True,
-        )
-
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
-    stop.wait()
-
-    print("draining...", file=sys.stderr, flush=True)
-    server.shutdown()
+        banner.append(f"journals:  {args.journal}.shard0..shard{args.shards - 1}")
+    routes = RouterRoutes(router, rebalancer=rebalancer, supervisor=supervisor)
+    _serve_until_signal(args, routes, banner)
     if supervisor is not None:
         supervisor.stop()
     detector.stop()

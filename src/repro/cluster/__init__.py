@@ -11,8 +11,9 @@ loaded shard on backpressure) and aggregates fleet status; the
 :class:`Rebalancer` compares per-shard demand skylines and migrates
 not-yet-started workflows from saturated to slack shards via a
 journal-backed two-phase handoff that survives crashes on either side.
-:class:`RouterHTTPServer` serves the whole fleet behind the same HTTP
-dialect as a single ``repro serve`` (``repro serve --shards N``).
+:class:`RouterRoutes` serves the whole fleet behind the same HTTP
+dialect as a single ``repro serve`` (``repro serve --shards N``), over
+either transport; :class:`RouterHTTPServer` is the threaded one.
 
 Availability (docs/ROBUSTNESS.md): the :class:`FailureDetector` probes
 the fleet on a heartbeat and caches a ``live → suspect → dead`` verdict
@@ -28,7 +29,7 @@ from repro.cluster.failover import (
     Supervisor,
     SupervisorConfig,
 )
-from repro.cluster.http import RouterHTTPServer, serve_router_http
+from repro.cluster.http import RouterHTTPServer, RouterRoutes
 from repro.cluster.rebalance import RebalanceConfig, Rebalancer
 from repro.cluster.router import ShardRouter
 from repro.cluster.shards import LocalShard, RemoteShard
@@ -42,9 +43,9 @@ __all__ = [
     "Rebalancer",
     "RemoteShard",
     "RouterHTTPServer",
+    "RouterRoutes",
     "ShardRouter",
     "Supervisor",
     "SupervisorConfig",
-    "serve_router_http",
     "slice_capacity",
 ]

@@ -5,10 +5,11 @@ workload; this package serves a *dynamic* one.  A single event-loop thread
 (:class:`~repro.service.core.SchedulerService`) owns the clock and the
 scheduler; submissions arrive through a thread-safe API — in-process
 (:class:`~repro.service.client.InProcessClient`) or over stdlib JSON/HTTP
-(:mod:`repro.service.http`, :class:`~repro.service.client.
-HttpServiceClient`) — and are admission-checked, batched into shared
-re-plans, and backpressured when the ad-hoc queue fills.  ``repro serve``
-is the CLI entry point; see docs/ARCHITECTURE.md for how the batch and
+(one route table, :mod:`repro.service.routes`, behind a threaded or an
+asyncio transport; :class:`~repro.service.client.HttpServiceClient`) —
+and are admission-checked, batched into shared re-plans, and
+backpressured when the ad-hoc queue fills.  ``repro serve`` is the CLI
+entry point; see docs/ARCHITECTURE.md for how the batch and
 service paths share the engine core.
 
 Fault tolerance (docs/ROBUSTNESS.md): accepted submissions are journaled
@@ -18,7 +19,7 @@ shedding surface as typed errors (:class:`~repro.service.api.
 ServiceSaturatedError`, :class:`~repro.service.api.QueueFullError`).
 """
 
-from repro.service.aio import AsyncServiceHTTPServer, serve_http_async
+from repro.service.aio import AsyncServiceHTTPServer
 from repro.service.api import (
     QueueFullError,
     ServiceConfig,
@@ -35,6 +36,7 @@ from repro.service.client import (
 from repro.service.core import SchedulerService
 from repro.service.http import ServiceHTTPServer, serve_http
 from repro.service.journal import JournalRecord, SubmissionJournal, read_journal
+from repro.service.routes import Request, Response, Routes, ServiceRoutes
 from repro.service.top import render_dashboard, run_top
 
 __all__ = [
@@ -43,10 +45,14 @@ __all__ = [
     "InProcessClient",
     "JournalRecord",
     "QueueFullError",
+    "Request",
+    "Response",
+    "Routes",
     "SchedulerService",
     "ServiceConfig",
     "ServiceError",
     "ServiceHTTPServer",
+    "ServiceRoutes",
     "ServiceSaturatedError",
     "ServiceStatus",
     "ServiceUnavailableError",
@@ -56,5 +62,4 @@ __all__ = [
     "render_dashboard",
     "run_top",
     "serve_http",
-    "serve_http_async",
 ]

@@ -1,127 +1,68 @@
-"""Asyncio JSON-over-HTTP frontend for the scheduler service.
+"""Asyncio HTTP transport: every connection a coroutine on one loop.
 
-Same wire protocol as the threaded frontend (:mod:`repro.service.http`)
-— identical routes, bodies, status codes, ``Idempotency-Key`` /
-``X-Request-Id`` / ``Retry-After`` semantics — served by a single
-``asyncio`` event loop instead of one OS thread per connection.  The
-threaded server pays a thread spawn + context switches per connection;
-under a sustained submission burst (hundreds of short-lived connections
-per second from :mod:`scripts.loadgen`) that dominates the request cost.
-Here each connection is a coroutine, and the natural backpressure of one
-accept loop keeps memory bounded under overload.
+Serves the same route table as the threaded transport
+(:mod:`repro.service.http`) — the dialect lives in
+:mod:`repro.service.routes`; this module only parses HTTP/1.1 (keep-alive,
+``Content-Length`` bodies, per-read timeouts) and decides how to wait:
 
-Division of labour per request class:
+* **Submissions to a service** call ``submit_*(wait=False)``, which
+  enqueues the command and returns a ``concurrent.futures.Future``; the
+  coroutine awaits it via :func:`asyncio.wrap_future` — no thread blocks
+  while the scheduler's event loop decides.  (Sending these to the
+  executor too cost 11-16 % of sustained throughput at 1300/s offered.)
+* **Everything else** — snapshot reads, ``/shard/*`` coordination, and
+  every request to a router, whose shards may be a network hop away —
+  runs the blocking ``routes.handle`` on the default thread executor.
 
-* **Submissions** (``POST /workflows``, ``POST /jobs``) call the
-  service's ``submit_*(wait=False)`` form, which enqueues the command
-  and returns a ``concurrent.futures.Future``; the coroutine awaits it
-  via :func:`asyncio.wrap_future` — no thread blocks while the
-  scheduler's event loop decides.
-* **Snapshot reads** (``/status``, ``/plan``, ``/metrics``, ``/slo``,
-  ``/healthz``, ``/readyz``) answer directly: they read lock-protected
-  or immutable snapshots and never block on the scheduler.
-* **Shard/migration traffic** (``/shard/*``) runs the blocking service
-  call on the default executor — it is low-rate coordination traffic,
-  not the hot path.
-
-All scheduling decisions still happen on the service's single
-event-loop thread; this frontend — like the threaded one — only
-enqueues commands and reads snapshots.  Stdlib only (``asyncio`` +
-``json``); the minimal HTTP/1.1 parser supports keep-alive,
-``Content-Length`` bodies, and per-read timeouts.
-
-Run it with ``repro serve --async`` or in-process via
-:func:`serve_http_async`, which mirrors :func:`repro.service.http.
-serve_http` (returns a started server with ``.url`` and
-``.shutdown()``).
+The threaded server pays a thread spawn per connection; here the one
+accept loop is the natural backpressure that keeps memory bounded under
+overload.  Run it with ``repro serve --async`` (with or without
+``--shards``), or in-process as
+``AsyncServiceHTTPServer(ServiceRoutes(service)).start()``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import threading
 import time
-from http.client import responses as _HTTP_REASONS
 from typing import Optional
-from urllib.parse import parse_qs, urlsplit
 
-from repro.obs import PROMETHEUS_CONTENT_TYPE, new_request_id, render_prometheus
-from repro.service.api import ServiceSaturatedError
-from repro.service.core import SchedulerService
-from repro.service.http import (
-    _MAX_BODY_BYTES,
-    _REJECT_STATUS,
-    _REQUEST_ID_OK,
-    _RETRYABLE_REASONS,
-    _retry_after,
-)
-from repro.workloads.traces import (
-    job_from_dict,
-    workflow_from_dict,
-    workflow_to_dict,
-)
+from repro.service.routes import Request, Response, Routes
 
-__all__ = ["AsyncServiceHTTPServer", "serve_http_async"]
+__all__ = ["AsyncServiceHTTPServer"]
 
 #: Per-read timeout (request head, body) and keep-alive idle limit.
 _IO_TIMEOUT_S = 30.0
 #: Upper bound on the request head (request line + headers).
 _MAX_HEAD_BYTES = 64 * 1024
 
-_TIMEOUTS = (TimeoutError, asyncio.TimeoutError)
-
-
-class _Request:
-    """One parsed HTTP request."""
-
-    __slots__ = ("method", "path", "headers", "body", "keep_alive")
-
-    def __init__(self, method: str, path: str, headers: dict, body: bytes):
-        self.method = method
-        self.path = path
-        self.headers = headers  # lower-cased header names
-        self.body = body
-        connection = headers.get("connection", "").lower()
-        self.keep_alive = connection != "close"
-
 
 class AsyncServiceHTTPServer:
-    """Asyncio HTTP frontend bound to one :class:`SchedulerService`.
+    """Asyncio HTTP server over one route table.
 
-    The server runs on a dedicated daemon thread owning its own event
-    loop, so in-process callers (tests, the CLI, benchmarks) use it
-    exactly like the threaded ``ServiceHTTPServer``: construct, call
-    :meth:`start`, read :attr:`url`, later :meth:`shutdown` — then drain
-    the service.
+    Runs on a dedicated daemon thread owning its own event loop, so
+    in-process callers (tests, the CLI, benchmarks) use it exactly like
+    the threaded server: construct, :meth:`start`, read :attr:`url`,
+    later :meth:`shutdown` — then drain the backend.
     """
 
-    def __init__(
-        self,
-        service: SchedulerService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self.service = service
+    def __init__(self, routes: Routes, host: str = "127.0.0.1", port: int = 0):
+        self.routes = routes
         self._host = host
         self._port = port
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.base_events.Server] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._sockname: tuple = (host, port)
-        obs = service.obs
-        self._requests = obs.windowed_counter("http.requests")
-        self._request_seconds = obs.windowed_histogram("http.request.seconds")
-        self._submit_latency = obs.windowed_histogram("service.submit.seconds")
 
     # -- lifecycle ----------------------------------------------------------------
 
     def start(self) -> "AsyncServiceHTTPServer":
         self._thread = threading.Thread(
-            target=self._run, name="repro-service-aio", daemon=True
+            target=self._run, name="repro-http-aio", daemon=True
         )
         self._thread.start()
         self._ready.wait(timeout=30)
@@ -135,14 +76,18 @@ class AsyncServiceHTTPServer:
         self._loop = loop
         try:
             server = loop.run_until_complete(
-                asyncio.start_server(self._handle_connection, self._host, self._port)
+                asyncio.start_server(
+                    self._handle_connection,
+                    self._host,
+                    self._port,
+                    limit=_MAX_HEAD_BYTES,
+                )
             )
         except BaseException as error:  # bind failure surfaces in start()
             self._startup_error = error
             self._ready.set()
             loop.close()
             return
-        self._server = server
         self._sockname = server.sockets[0].getsockname()
         self._ready.set()
         try:
@@ -176,36 +121,37 @@ class AsyncServiceHTTPServer:
                 request = await self._read_request(reader)
                 if request is None:
                     break
-                start = time.perf_counter()
-                try:
-                    keep_alive = await self._dispatch(request, writer)
-                finally:
-                    self._requests.inc()
-                    self._request_seconds.observe(time.perf_counter() - start)
+                response = await self._respond(request)
+                close = (
+                    response.close
+                    or request.headers.get("connection", "").lower() == "close"
+                )
+                writer.write(response.encode(close))
                 await writer.drain()
-                if not keep_alive:
+                if close:
                     break
-        except (ConnectionError, asyncio.LimitOverrunError, *_TIMEOUTS):
+        except (
+            ConnectionError,
+            asyncio.IncompleteReadError,
+            asyncio.LimitOverrunError,
+            asyncio.TimeoutError,
+        ):
             pass  # client went away / abused the protocol: just close
         finally:
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _read_request(self, reader: asyncio.StreamReader) -> Optional[_Request]:
+    async def _read_request(self, reader: asyncio.StreamReader) -> Optional[Request]:
         try:
             head = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), timeout=_IO_TIMEOUT_S
             )
-        except asyncio.IncompleteReadError:
-            return None  # clean close between requests
-        except _TIMEOUTS:
-            return None  # idle keep-alive connection: close it
-        if len(head) > _MAX_HEAD_BYTES:
-            return None
+        except (asyncio.IncompleteReadError, asyncio.TimeoutError):
+            return None  # clean close between requests / idle keep-alive
         try:
             request_line, _, header_blob = head.partition(b"\r\n")
-            method, path, _version = request_line.decode("latin-1").split(" ", 2)
+            method, target, _version = request_line.decode("latin-1").split(" ", 2)
         except ValueError:
             return None
         headers: dict[str, str] = {}
@@ -213,328 +159,41 @@ class AsyncServiceHTTPServer:
             name, sep, value = line.partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-        body = b""
-        try:
-            length = int(headers.get("content-length", 0))
-        except ValueError:
-            length = 0
-        if length > 0:
-            if length > _MAX_BODY_BYTES:
-                return None  # oversized: drop the connection, like a reset
-            body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=_IO_TIMEOUT_S
+        request = Request(method, target, headers)
+        if request.length:
+            request.body = await asyncio.wait_for(
+                reader.readexactly(request.length), timeout=_IO_TIMEOUT_S
             )
-        return _Request(method, path, headers, body)
+        return request
 
-    # -- routing ------------------------------------------------------------------
-
-    async def _dispatch(
-        self, request: _Request, writer: asyncio.StreamWriter
-    ) -> bool:
-        split = urlsplit(request.path)
-        path = split.path.rstrip("/") or "/"
-        if request.method == "GET":
-            status, payload, content_type, headers = await self._get(path, split)
-        elif request.method == "POST":
-            status, payload, content_type, headers = await self._post(path, request)
-        else:
-            status, payload, content_type, headers = (
-                405,
-                {"error": f"method {request.method} not allowed"},
-                "application/json",
-                {},
-            )
-        if content_type == "application/json":
-            # allow_nan=False mirrors the threaded frontend: a non-finite
-            # float that slipped past json_safe fails loudly, never as
-            # bare NaN that strict parsers reject.
-            data = json.dumps(payload, allow_nan=False).encode("utf-8")
-        else:
-            data = payload.encode("utf-8")
-        self._write_response(
-            writer, status, data, content_type, headers, request.keep_alive
-        )
-        return request.keep_alive
-
-    def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        data: bytes,
-        content_type: str,
-        headers: dict,
-        keep_alive: bool,
-    ) -> None:
-        reason = _HTTP_REASONS.get(status, "")
-        lines = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(data)}",
-        ]
-        lines.extend(f"{name}: {value}" for name, value in headers.items())
-        if not keep_alive:
-            lines.append("Connection: close")
-        writer.write("\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + data)
-
-    # -- GET ----------------------------------------------------------------------
-
-    async def _get(self, path: str, split) -> tuple:
-        service = self.service
-        if path == "/status":
-            return 200, service.status().to_dict(), "application/json", {}
-        if path == "/plan":
-            return 200, service.plan_snapshot(), "application/json", {}
-        if path == "/metrics":
-            query = parse_qs(split.query)
-            if query.get("format", [""])[0] == "prometheus":
-                return (
-                    200,
-                    render_prometheus(service.obs.registry),
-                    PROMETHEUS_CONTENT_TYPE,
-                    {},
-                )
-            return 200, service.metrics_snapshot(), "application/json", {}
-        if path == "/slo":
-            return 200, service.slo_snapshot(), "application/json", {}
-        if path == "/healthz":
-            return 200, {"ok": True}, "application/json", {}
-        if path == "/readyz":
-            ready = service.running and not service.draining
-            return (
-                200 if ready else 503,
-                {
-                    "ready": ready,
-                    "running": service.running,
-                    "draining": service.draining,
-                },
-                "application/json",
-                {},
-            )
-        if path == "/shard/skyline":
-            payload = await self._blocking(service.demand_skyline)
-            return 200, payload, "application/json", {}
-        if path == "/shard/candidates":
-            query = parse_qs(split.query)
-            try:
-                max_n = int(query.get("max", ["8"])[0])
-            except ValueError:
-                max_n = 8
-            candidates = await self._blocking(service.migration_candidates, max_n)
-            return 200, {"candidates": candidates}, "application/json", {}
-        if path == "/shard/orphans":
-            return 200, {"orphans": service.orphan_info()}, "application/json", {}
-        if path == "/shard/workflows":
-            return (
-                200,
-                {"workflows": sorted(service.workflow_ids())},
-                "application/json",
-                {},
-            )
-        if path == "/shard/owns":
-            query = parse_qs(split.query)
-            workflow_id = query.get("workflow", [""])[0]
-            if not workflow_id:
-                return 400, {"error": "missing ?workflow=<id>"}, "application/json", {}
-            return (
-                200,
-                {
-                    "workflow_id": workflow_id,
-                    "owns": service.owns_workflow(workflow_id),
-                },
-                "application/json",
-                {},
-            )
-        return 404, {"error": f"no such resource: {path}"}, "application/json", {}
-
-    # -- POST ---------------------------------------------------------------------
-
-    async def _post(self, path: str, request: _Request) -> tuple:
-        if path == "/workflows":
-            return await self._submit(
-                request, workflow_from_dict, self.service.submit_workflow
-            )
-        if path == "/jobs":
-            return await self._submit(
-                request, job_from_dict, self.service.submit_adhoc
-            )
-        if path.startswith("/shard/"):
-            return await self._shard_post(path, request)
-        return 404, {"error": f"no such resource: {path}"}, "application/json", {}
-
-    @staticmethod
-    def _parse_body(request: _Request) -> tuple[Optional[dict], Optional[tuple]]:
-        """The JSON object body, or the error response to send instead."""
-        if not request.body:
-            return None, (
-                400,
-                {"error": "missing or oversized request body"},
-                "application/json",
-                {},
-            )
-        try:
-            body = json.loads(request.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None, (
-                400,
-                {"error": "request body is not valid JSON"},
-                "application/json",
-                {},
-            )
-        if not isinstance(body, dict):
-            return None, (
-                400,
-                {"error": "request body must be a JSON object"},
-                "application/json",
-                {},
-            )
-        return body, None
-
-    async def _submit(self, request: _Request, parse, submit) -> tuple:
-        supplied = request.headers.get("x-request-id", "").strip()
-        request_id = (
-            supplied
-            if supplied and _REQUEST_ID_OK.match(supplied)
-            else new_request_id()
-        )
-        id_header = {"X-Request-Id": request_id}
-        body, error = self._parse_body(request)
-        if error is not None:
-            status, payload, content_type, headers = error
-            return status, payload, content_type, {**headers, **id_header}
-        try:
-            entity = parse(body)
-        except (KeyError, TypeError, ValueError) as err:
-            return (
-                400,
-                {"error": f"malformed submission: {err}"},
-                "application/json",
-                id_header,
-            )
-        key = request.headers.get("idempotency-key") or None
+    async def _respond(self, request: Request) -> Response:
+        routes = self.routes
         start = time.perf_counter()
+        submission = (
+            routes.parse_submission(request)
+            if routes.submit_timeout_s is not None
+            else None
+        )
+        if submission is None:
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(None, routes.handle, request)
         try:
-            future = submit(
-                entity, wait=False, idempotency_key=key, request_id=request_id
-            )
-            result = await asyncio.wait_for(
-                asyncio.wrap_future(future),
-                timeout=self.service.config.submit_timeout_s,
-            )
-        except ServiceSaturatedError as err:
-            return (
-                503,
-                {"error": str(err), "retry_after_s": err.retry_after_s},
-                "application/json",
-                {"Retry-After": _retry_after(err.retry_after_s), **id_header},
-            )
-        except _TIMEOUTS:
-            return (
-                504,
-                {"error": "scheduler did not answer in time"},
-                "application/json",
-                id_header,
-            )
-        except RuntimeError as err:  # service stopped
-            return 503, {"error": str(err)}, "application/json", id_header
-        # Admission latency as the submitter saw it (the threaded path
-        # records this inside the synchronous submit call).
-        self._submit_latency.observe(time.perf_counter() - start)
-        status = 200 if result.accepted else _REJECT_STATUS.get(result.reason, 400)
-        headers = {"X-Request-Id": result.request_id or request_id}
-        if not result.accepted and result.reason in _RETRYABLE_REASONS:
-            headers["Retry-After"] = _retry_after(1.0)
-        return status, result.to_dict(), "application/json", headers
-
-    async def _shard_post(self, path: str, request: _Request) -> tuple:
-        body, error = self._parse_body(request)
-        if error is not None:
-            return error
-        service = self.service
-        try:
-            if path == "/shard/migrate-out":
-                handoff = await self._blocking(
-                    service.migrate_out,
-                    str(body["workflow_id"]),
-                    dest=str(body.get("dest", "")),
-                    epoch=int(body.get("epoch", 0)),
+            if isinstance(submission, Response):
+                return submission
+            try:
+                # shield: a timeout must not cancel the service's future,
+                # which its loop thread will still resolve.
+                outcome = await asyncio.wait_for(
+                    asyncio.shield(
+                        asyncio.wrap_future(submission.call(wait=False))
+                    ),
+                    timeout=routes.submit_timeout_s,
                 )
-                return (
-                    200,
-                    {
-                        "workflow": workflow_to_dict(handoff["workflow"]),
-                        "key": handoff["key"],
-                        "epoch": handoff["epoch"],
-                    },
-                    "application/json",
-                    {},
-                )
-            if path == "/shard/migrate-in":
-                result = await self._blocking(
-                    service.migrate_in,
-                    workflow_from_dict(body["workflow"]),
-                    key=body.get("key"),
-                    epoch=int(body.get("epoch", 0)),
-                )
-                status = (
-                    200
-                    if result.accepted
-                    else _REJECT_STATUS.get(result.reason, 400)
-                )
-                return status, result.to_dict(), "application/json", {}
-            if path == "/shard/restore":
-                if "workflow" in body:
-                    result = await self._blocking(
-                        service.restore_workflow,
-                        workflow_from_dict(body["workflow"]),
-                        key=body.get("key"),
-                    )
-                else:
-                    result = await self._blocking(
-                        service.restore_orphan, str(body["workflow_id"])
-                    )
-                return 200, result.to_dict(), "application/json", {}
-            if path == "/shard/confirm":
-                payload = await self._blocking(
-                    service.confirm_migration,
-                    str(body["workflow_id"]),
-                    epoch=int(body.get("epoch", 0)),
-                )
-                return 200, payload, "application/json", {}
-            return 404, {"error": f"no such resource: {path}"}, "application/json", {}
-        except (KeyError, TypeError) as err:
-            return (
-                400,
-                {"error": f"malformed shard request: {err}"},
-                "application/json",
-                {},
-            )
-        except ValueError as err:
-            # Unknown workflow / already started / no such orphan: the
-            # coordinator treats 409 as "this move cannot happen".
-            return 409, {"error": str(err)}, "application/json", {}
-        except _TIMEOUTS:
-            return (
-                504,
-                {"error": "scheduler did not answer in time"},
-                "application/json",
-                {},
-            )
-        except RuntimeError as err:  # service stopped
-            return 503, {"error": str(err)}, "application/json", {}
+            except asyncio.TimeoutError:
+                outcome = TimeoutError()
+            except Exception as error:  # mapped by the route table
+                outcome = error
+            return routes.submission_response(submission, outcome)
+        finally:
+            routes.record(start)
 
-    async def _blocking(self, fn, *args, **kwargs):
-        """Run a blocking service call on the default thread executor."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, lambda: fn(*args, **kwargs))
-
-
-def serve_http_async(
-    service: SchedulerService, host: str = "127.0.0.1", port: int = 0
-) -> AsyncServiceHTTPServer:
-    """Start the asyncio HTTP frontend; returns the bound, running server.
-
-    Mirrors :func:`repro.service.http.serve_http`: the caller owns
-    shutdown ordering — ``server.shutdown()`` first (stop accepting
-    requests), then ``service.drain()``.
-    """
-    return AsyncServiceHTTPServer(service, host=host, port=port).start()

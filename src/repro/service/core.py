@@ -505,14 +505,16 @@ class SchedulerService:
                 retry_after_s=max(self.config.batch_window_s, 1.0),
             )
         self._submit_requests.inc()
+        start = time.perf_counter()
+        # Admission latency, enqueue -> decision, whether the submitter
+        # blocks below or awaits the future.
+        command.future.add_done_callback(
+            lambda _: self._submit_latency.observe(time.perf_counter() - start)
+        )
         self._commands.put(command)
         if not wait:
             return command.future
-        start = time.perf_counter()
-        result = command.future.result(timeout=self.config.submit_timeout_s)
-        # Admission latency as the submitter saw it: enqueue -> decision.
-        self._submit_latency.observe(time.perf_counter() - start)
-        return result
+        return command.future.result(timeout=self.config.submit_timeout_s)
 
     # -- query API ---------------------------------------------------------------------
 

@@ -1,414 +1,94 @@
-"""Stdlib-only JSON-over-HTTP frontend for the scheduler service.
+"""Threaded HTTP transport: one OS thread per connection, stdlib only.
 
-A :class:`http.server.ThreadingHTTPServer` that translates these routes
-onto one :class:`~repro.service.core.SchedulerService`:
-
-====== ============ =====================================================
-Method Path         Meaning
-====== ============ =====================================================
-POST   /workflows   submit a deadline workflow (trace wire format);
-                    synchronous admission decision in the body
-POST   /jobs        submit an ad-hoc job; queued or shed (backpressure)
-GET    /plan        the live allocation plan (origin slot, horizon,
-                    per-job granted slots)
-GET    /status      service snapshot (slot, queue depth, accept counts)
-GET    /metrics     full metrics-registry snapshot (counters, gauges,
-                    histogram quantiles); ``?format=prometheus`` switches
-                    to text exposition format 0.0.4 for scrapers
-GET    /slo         SLO status: deadline error budget + burn rate, and
-                    decide-latency p99 vs objective
-GET    /healthz     liveness: 200 while the process serves requests
-GET    /readyz      readiness: 200 only while the event loop is running
-                    and admitting (503 when stopped or draining)
-====== ============ =====================================================
-
-Shard-to-shard surface (docs/SHARDING.md) — consumed by the
-:class:`repro.cluster.router.ShardRouter` and rebalancer, not by end
-users: ``GET /shard/skyline`` (committed-demand saturation),
-``GET /shard/candidates`` (migratable workflows), ``GET /shard/orphans``
-(unsettled outbound handoffs), ``GET /shard/workflows`` (owned ids),
-``GET /shard/owns?workflow=ID``, and ``POST /shard/migrate-out``,
-``/shard/migrate-in``, ``/shard/restore``, ``/shard/confirm`` driving the
-two-phase migration protocol.
-
-Handler threads only enqueue commands and read snapshots — every
-scheduling decision still happens on the service's single event-loop
-thread, so concurrency is bounded by design, not by luck.  No third-party
-dependencies: ``http.server`` + ``json`` only.
-
-Robustness affordances (docs/ROBUSTNESS.md): submissions may carry an
-``Idempotency-Key`` header — a retried key whose original submission was
-accepted returns the original decision, so client retries never
-double-admit.  Backpressure answers carry ``Retry-After``: ``429`` when
-the ad-hoc queue sheds, ``503`` when the command queue is saturated or
-the admission solver is temporarily unavailable.
-
-Request correlation (docs/OBSERVABILITY.md): every submission is
-processed under a request id — taken from the client's ``X-Request-Id``
-header when present, minted otherwise — echoed back both as a response
-header and in the body, and stamped onto every trace event the
-submission generates, so ``repro trace query RUN.jsonl --request <id>``
-reconstructs its full timeline.
+A :class:`http.server.ThreadingHTTPServer` that moves bytes to and from
+a route table (:mod:`repro.service.routes`) — parse the head, read the
+body the table asks for, call ``routes.handle``, write the
+:class:`~repro.service.routes.Response` — and blocks its handler thread
+while the backend decides.  It knows no path, status code or header of
+the dialect: :func:`serve_http` hands it the table over one
+:class:`~repro.service.core.SchedulerService`,
+:class:`repro.cluster.http.RouterHTTPServer` the one over a shard
+router.  It is the default ``repro serve`` frontend; ``--async`` swaps
+in :mod:`repro.service.aio` over the same table.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import re
-import time
+import logging
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
 
-from repro.obs import PROMETHEUS_CONTENT_TYPE, new_request_id, render_prometheus
-from repro.service.api import ServiceSaturatedError, SubmitResult
 from repro.service.core import SchedulerService
-from repro.workloads.traces import (
-    job_from_dict,
-    workflow_from_dict,
-    workflow_to_dict,
-)
+from repro.service.routes import Request, Routes, ServiceRoutes
 
 __all__ = ["ServiceHTTPServer", "serve_http"]
-
-#: HTTP status for each rejection reason; accepted submissions are 200.
-_REJECT_STATUS = {
-    "infeasible": 409,  # admission proved a deadline shortfall
-    "invalid": 400,
-    "queue_full": 429,  # backpressure: retry later
-    "draining": 503,
-    "unavailable": 503,  # admission solver failed; transient, retry
-    "stale_epoch": 409,  # handoff superseded by a newer migration epoch
-}
-#: Rejection reasons that are transient — the answer carries Retry-After.
-_RETRYABLE_REASONS = {"queue_full", "unavailable"}
-_MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: Accepted shape of a client-supplied X-Request-Id.  Anything else is
-#: replaced with a minted id (never trusted into traces verbatim).
-_REQUEST_ID_OK = re.compile(r"^[A-Za-z0-9._:-]{1,128}$")
-
-
-def _retry_after(seconds: float) -> str:
-    """Retry-After header value: whole seconds, at least 1."""
-    return str(max(int(math.ceil(seconds)), 1))
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-scheduler"
 
-    # The bound service, set by ServiceHTTPServer.
-    @property
-    def service(self) -> SchedulerService:
-        return self.server.service  # type: ignore[attr-defined]
+    def _serve(self) -> None:
+        headers = {name.lower(): value for name, value in self.headers.items()}
+        request = Request(self.command, self.path, headers)
+        request.body = self.rfile.read(request.length)
+        response = self.server.routes.handle(request)  # type: ignore[attr-defined]
+        # Nothing after this response is read from the socket when the
+        # table says close, or the client asked to (parse_request's flag).
+        self.close_connection = response.close or self.close_connection
+        self.log_request(response.status, len(response.body))
+        self.wfile.write(response.encode(self.close_connection))
 
-    # -- routing -----------------------------------------------------------------------
+    do_GET = do_POST = _serve  # noqa: N815 (http.server API)
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._timed(self._get)
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._timed(self._post)
-
-    def _timed(self, handler) -> None:
-        """Run *handler* and record rolling HTTP request metrics."""
-        obs = self.service.obs
-        start = time.perf_counter()
-        try:
-            handler()
-        finally:
-            obs.windowed_counter("http.requests").inc()
-            obs.windowed_histogram("http.request.seconds").observe(
-                time.perf_counter() - start
-            )
-
-    def _get(self) -> None:
-        split = urlsplit(self.path)
-        path = split.path.rstrip("/") or "/"
-        if path == "/status":
-            self._reply(200, self.service.status().to_dict())
-        elif path == "/plan":
-            self._reply(200, self.service.plan_snapshot())
-        elif path == "/metrics":
-            query = parse_qs(split.query)
-            if query.get("format", [""])[0] == "prometheus":
-                self._reply_text(
-                    200,
-                    render_prometheus(self.service.obs.registry),
-                    content_type=PROMETHEUS_CONTENT_TYPE,
-                )
-            else:
-                self._reply(200, self.service.metrics_snapshot())
-        elif path == "/slo":
-            self._reply(200, self.service.slo_snapshot())
-        elif path == "/shard/skyline":
-            self._reply(200, self.service.demand_skyline())
-        elif path == "/shard/candidates":
-            query = parse_qs(split.query)
-            try:
-                max_n = int(query.get("max", ["8"])[0])
-            except ValueError:
-                max_n = 8
-            self._reply(
-                200, {"candidates": self.service.migration_candidates(max_n)}
-            )
-        elif path == "/shard/orphans":
-            self._reply(200, {"orphans": self.service.orphan_info()})
-        elif path == "/shard/workflows":
-            self._reply(200, {"workflows": sorted(self.service.workflow_ids())})
-        elif path == "/shard/owns":
-            query = parse_qs(split.query)
-            workflow_id = query.get("workflow", [""])[0]
-            if not workflow_id:
-                self._reply(400, {"error": "missing ?workflow=<id>"})
-            else:
-                self._reply(
-                    200,
-                    {
-                        "workflow_id": workflow_id,
-                        "owns": self.service.owns_workflow(workflow_id),
-                    },
-                )
-        elif path == "/healthz":
-            # Liveness: answering at all is the signal.
-            self._reply(200, {"ok": True})
-        elif path == "/readyz":
-            ready = self.service.running and not self.service.draining
-            self._reply(
-                200 if ready else 503,
-                {
-                    "ready": ready,
-                    "running": self.service.running,
-                    "draining": self.service.draining,
-                },
-            )
-        else:
-            self._reply(404, {"error": f"no such resource: {path}"})
-
-    def _post(self) -> None:
-        path = urlsplit(self.path).path.rstrip("/")
-        if path == "/workflows":
-            self._submit(workflow_from_dict, self.service.submit_workflow)
-        elif path == "/jobs":
-            self._submit(job_from_dict, self.service.submit_adhoc)
-        elif path.startswith("/shard/"):
-            self._shard_post(path)
-        else:
-            self._reply(404, {"error": f"no such resource: {path}"})
-
-    def _shard_post(self, path: str) -> None:
-        """Shard-to-shard migration endpoints (router/rebalancer traffic)."""
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            if path == "/shard/migrate-out":
-                handoff = self.service.migrate_out(
-                    str(body["workflow_id"]),
-                    dest=str(body.get("dest", "")),
-                    epoch=int(body.get("epoch", 0)),
-                )
-                self._reply(
-                    200,
-                    {
-                        "workflow": workflow_to_dict(handoff["workflow"]),
-                        "key": handoff["key"],
-                        "epoch": handoff["epoch"],
-                    },
-                )
-            elif path == "/shard/migrate-in":
-                result = self.service.migrate_in(
-                    workflow_from_dict(body["workflow"]),
-                    key=body.get("key"),
-                    epoch=int(body.get("epoch", 0)),
-                )
-                status = (
-                    200
-                    if result.accepted
-                    else _REJECT_STATUS.get(result.reason, 400)
-                )
-                self._reply(status, result.to_dict())
-            elif path == "/shard/restore":
-                if "workflow" in body:
-                    result = self.service.restore_workflow(
-                        workflow_from_dict(body["workflow"]),
-                        key=body.get("key"),
-                    )
-                else:
-                    result = self.service.restore_orphan(
-                        str(body["workflow_id"])
-                    )
-                self._reply(200, result.to_dict())
-            elif path == "/shard/confirm":
-                self._reply(
-                    200,
-                    self.service.confirm_migration(
-                        str(body["workflow_id"]),
-                        epoch=int(body.get("epoch", 0)),
-                    ),
-                )
-            else:
-                self._reply(404, {"error": f"no such resource: {path}"})
-        except (KeyError, TypeError) as error:
-            self._reply(400, {"error": f"malformed shard request: {error}"})
-        except ValueError as error:
-            # Unknown workflow / already started / no such orphan: the
-            # coordinator treats 409 as "this move cannot happen".
-            self._reply(409, {"error": str(error)})
-        except TimeoutError:
-            self._reply(504, {"error": "scheduler did not answer in time"})
-        except RuntimeError as error:  # service stopped
-            self._reply(503, {"error": str(error)})
-
-    def _request_id(self) -> str:
-        """The submission's correlation id: client-supplied or minted."""
-        supplied = (self.headers.get("X-Request-Id") or "").strip()
-        if supplied and _REQUEST_ID_OK.match(supplied):
-            return supplied
-        return new_request_id()
-
-    def _submit(self, parse, submit) -> None:
-        request_id = self._request_id()
-        id_header = {"X-Request-Id": request_id}
-        body = self._read_body(extra_headers=id_header)
-        if body is None:
-            return
-        try:
-            entity = parse(body)
-        except (KeyError, TypeError, ValueError) as error:
-            self._reply(
-                400,
-                {"error": f"malformed submission: {error}"},
-                headers=id_header,
-            )
-            return
-        key = self.headers.get("Idempotency-Key") or None
-        try:
-            result: SubmitResult = submit(
-                entity, idempotency_key=key, request_id=request_id
-            )
-        except ServiceSaturatedError as error:
-            # Control-path backpressure: the command queue is full.  Tell
-            # the client when to come back instead of queueing it blind.
-            self._reply(
-                503,
-                {"error": str(error), "retry_after_s": error.retry_after_s},
-                headers={
-                    "Retry-After": _retry_after(error.retry_after_s),
-                    **id_header,
-                },
-            )
-            return
-        except TimeoutError:
-            self._reply(
-                504,
-                {"error": "scheduler did not answer in time"},
-                headers=id_header,
-            )
-            return
-        except RuntimeError as error:  # service stopped
-            self._reply(503, {"error": str(error)}, headers=id_header)
-            return
-        status = 200 if result.accepted else _REJECT_STATUS.get(result.reason, 400)
-        # Echo the id the submission was actually processed under (an
-        # idempotent replay answers with the original submission's id).
-        headers = {"X-Request-Id": result.request_id or request_id}
-        if not result.accepted and result.reason in _RETRYABLE_REASONS:
-            headers["Retry-After"] = _retry_after(1.0)
-        self._reply(status, result.to_dict(), headers=headers)
-
-    # -- plumbing -------------------------------------------------------------------
-
-    def _read_body(self, extra_headers: dict | None = None) -> dict | None:
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            length = 0
-        if length <= 0 or length > _MAX_BODY_BYTES:
-            self._reply(
-                400,
-                {"error": "missing or oversized request body"},
-                headers=extra_headers,
-            )
-            return None
-        raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._reply(
-                400,
-                {"error": "request body is not valid JSON"},
-                headers=extra_headers,
-            )
-            return None
-        if not isinstance(body, dict):
-            self._reply(
-                400,
-                {"error": "request body must be a JSON object"},
-                headers=extra_headers,
-            )
-            return None
-        return body
-
-    def _reply(
-        self, status: int, payload: dict, headers: dict | None = None
-    ) -> None:
-        # allow_nan=False is load-bearing: it turns any non-finite float
-        # that slipped past json_safe into a loud 500 instead of silently
-        # emitting bare NaN that strict parsers reject.
-        data = json.dumps(payload, allow_nan=False).encode("utf-8")
-        self._send(status, data, "application/json", headers)
-
-    def _reply_text(
-        self,
-        status: int,
-        text: str,
-        content_type: str = "text/plain; charset=utf-8",
-        headers: dict | None = None,
-    ) -> None:
-        self._send(status, text.encode("utf-8"), content_type, headers)
-
-    def _send(
-        self,
-        status: int,
-        data: bytes,
-        content_type: str,
-        headers: dict | None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+    def __getattr__(self, name: str):
+        # http.server answers 501 when do_<METHOD> is missing; every
+        # method goes to the route table instead, which answers 405.
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
 
     def log_message(self, format: str, *args) -> None:
-        # Route access logs through the service's obs layer instead of
-        # stderr so quiet runs stay quiet.
-        import logging
-
-        self.service.obs.log(
+        # Route access logs through the obs layer instead of stderr so
+        # quiet runs stay quiet.
+        self.server.routes.obs.log(  # type: ignore[attr-defined]
             logging.DEBUG, "http %s " + format, self.client_address[0], *args
         )
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to one SchedulerService.
+    """ThreadingHTTPServer serving one route table (named for its first
+    backend, the single service).
 
-    ``port=0`` binds an ephemeral port; read it back from
-    :attr:`server_port`.  ``serve_forever()`` blocks, so typical use runs
-    it on a thread (see :func:`serve_http`) and calls :meth:`shutdown` from
-    the signal handler.
+    ``port=0`` binds an ephemeral port; read it back from :attr:`url`.
+    ``serve_forever()`` blocks; :meth:`start` runs it on a daemon thread.
+    The caller owns shutdown ordering: :meth:`shutdown` first (stop
+    accepting requests), then drain the backend.
     """
 
     daemon_threads = True
     allow_reuse_address = True
+    # The stdlib default of 5 refuses connections under a burst of
+    # one-connection-per-request clients long before the service is busy.
+    request_queue_size = 128
 
-    def __init__(self, service: SchedulerService, host: str = "127.0.0.1", port: int = 0):
-        self.service = service
+    def __init__(self, routes: Routes, host: str = "127.0.0.1", port: int = 0):
+        self.routes = routes
         super().__init__((host, port), _Handler)
+
+    def start(self) -> "ServiceHTTPServer":
+        # shutdown() waits out one poll: at the stdlib's 0.5 s that wait
+        # is the first half second of every drain.  The service's own
+        # loop idles at the same 50 ms.
+        threading.Thread(
+            target=self.serve_forever, args=(0.05,), name="repro-http", daemon=True
+        ).start()
+        return self
+
+    def shutdown(self) -> None:
+        """Stop accepting requests and release the port."""
+        super().shutdown()
+        self.server_close()
 
     @property
     def url(self) -> str:
@@ -419,16 +99,6 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 def serve_http(
     service: SchedulerService, host: str = "127.0.0.1", port: int = 0
 ) -> ServiceHTTPServer:
-    """Start an HTTP frontend on a daemon thread; returns the bound server.
-
-    The caller owns shutdown ordering: ``server.shutdown()`` first (stop
-    accepting requests), then ``service.drain()``.
-    """
-    import threading
-
-    server = ServiceHTTPServer(service, host=host, port=port)
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-service-http", daemon=True
-    )
-    thread.start()
-    return server
+    """Start the threaded frontend over *service* on a daemon thread;
+    returns the server."""
+    return ServiceHTTPServer(ServiceRoutes(service), host, port).start()

@@ -218,3 +218,40 @@ class TestErrorHandling:
     def test_missing_trace_file(self, capsys):
         assert main(["compare", "--trace", "/nonexistent/trace.json"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestServe:
+    def test_async_sharded_boots_answers_and_drains(self, tmp_path):
+        """``--async`` with ``--shards``: one route table, either transport."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from repro.service import HttpServiceClient
+        from tests.conftest import adhoc_job
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--async", "--shards", "2", "--journal", str(tmp_path / "wal"),
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        try:
+            banner = process.stdout.readline()
+            url = re.search(r"x2 shards behind router on (http://\S+)", banner)
+            assert url, banner
+            result = HttpServiceClient(url.group(1)).submit_adhoc(
+                adhoc_job("t/a", arrival=0)
+            )
+            assert result.accepted and result.shard in ("shard0", "shard1")
+            process.send_signal(signal.SIGTERM)
+            summary, _ = process.communicate(timeout=60)
+        finally:
+            process.kill()
+        assert process.returncode == 0, summary
+        assert "ad-hoc:    1 accepted, 0 shed" in summary
+        assert "conservation: verify: 3 checks, 0 violations" in summary

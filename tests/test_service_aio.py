@@ -1,311 +1,46 @@
-"""Tests for the asyncio JSON-over-HTTP frontend (``repro.service.aio``).
+"""The HTTP frontend suite (tests/http_suite.py) over the asyncio transport.
 
-The async frontend must be wire-compatible with the threaded one
-(:mod:`repro.service.http`): same routes, same status codes, same
-``X-Request-Id`` / ``Retry-After`` / idempotency semantics — the
-:class:`~repro.service.client.HttpServiceClient` cannot tell them apart.
-Each test binds an ephemeral port, drives the real socket, and shuts
-down in a fixture.
+Passing the same tests as tests/test_service_http.py IS the wire-compat
+statement: :class:`~repro.service.client.HttpServiceClient` cannot tell
+the transports apart.
 """
 
-from __future__ import annotations
-
-import http.client
-import json
-import urllib.error
-import urllib.request
-
-import pytest
-
-from repro.model.cluster import ClusterCapacity
-from repro.model.workflow import Workflow
-from repro.service import (
-    HttpServiceClient,
-    SchedulerService,
-    ServiceConfig,
-    serve_http_async,
-)
-from repro.workloads.traces import job_to_dict, workflow_to_dict
-from tests.conftest import adhoc_job, deadline_job
+from tests import http_suite as suite
+from tests.http_suite import Asyncio, Router
 
 
-def chain(wid: str, n: int = 3, start: int = 0, deadline: int = 60) -> Workflow:
-    jobs = [deadline_job(f"{wid}-j{i}", wid) for i in range(n)]
-    edges = [(f"{wid}-j{i}", f"{wid}-j{i+1}") for i in range(n - 1)]
-    return Workflow.from_jobs(wid, jobs, edges, start, deadline)
+class TestRouteParity(Asyncio, suite.Dialect, suite.ServiceViews, suite.Rejections):
+    pass
 
 
-@pytest.fixture
-def served():
-    cluster = ClusterCapacity.uniform(cpu=40, mem=80)
-    service = SchedulerService(
-        cluster, ServiceConfig(adhoc_queue_limit=2)
-    ).start()
-    server = serve_http_async(service)
-    client = HttpServiceClient(server.url, timeout=30)
-    yield service, server, client
-    server.shutdown()
-    if service.running:
-        service.drain(timeout=60)
+class TestRequestIds(Asyncio, suite.RequestIds):
+    pass
 
 
-def raw_request(url, method="GET", payload=None, headers=None):
-    data = json.dumps(payload).encode() if payload is not None else None
-    request = urllib.request.Request(url, data=data, method=method)
-    for key, value in (headers or {}).items():
-        request.add_header(key, value)
-    if data:
-        request.add_header("Content-Type", "application/json")
-    try:
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.loads(response.read()), response.headers
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read() or b"{}"), error.headers
+class TestIdempotency(Asyncio, suite.Idempotency):
+    pass
 
 
-class TestRouteParity:
-    """The client drives every route exactly as it drives the threaded
-    frontend — acceptance of these calls IS the wire-compat statement."""
-
-    def test_submit_workflow_and_job(self, served):
-        _, _, client = served
-        result = client.submit_workflow(chain("w"))
-        assert result.accepted and result.reason == "admitted"
-        result = client.submit_adhoc(adhoc_job("a", arrival=0))
-        assert result.accepted and result.reason == "queued"
-
-    def test_status_endpoint(self, served):
-        _, _, client = served
-        client.submit_workflow(chain("w"))
-        status = client.status()
-        assert status.running and not status.draining
-        assert status.accepted_workflows == 1
-        assert status.scheduler == "FlowTime"
-
-    def test_plan_endpoint(self, served):
-        service, _, client = served
-        client.submit_workflow(chain("w"))
-        service.drain(timeout=60)
-        plan = client.plan()
-        assert set(plan) >= {"origin_slot", "horizon", "jobs"}
-
-    def test_metrics_endpoint(self, served):
-        _, _, client = served
-        client.submit_workflow(chain("w"))
-        metrics = client.metrics()
-        assert metrics["service.submit.workflow.accepted"]["value"] == 1.0
-        # The frontend observes its own request counters, like the
-        # threaded server does (the /metrics request itself is counted
-        # only after its snapshot is taken — the submit is visible).
-        assert metrics["http.requests"]["value"] >= 1.0
-
-    def test_metrics_prometheus_endpoint(self, served):
-        from repro.obs import parse_prometheus
-
-        _, server, client = served
-        client.submit_workflow(chain("w"))
-        with urllib.request.urlopen(
-            server.url + "/metrics?format=prometheus", timeout=30
-        ) as r:
-            assert r.headers["Content-Type"].startswith(
-                "text/plain; version=0.0.4"
-            )
-            text = r.read().decode()
-        families = parse_prometheus(text)
-        assert "repro_service_submit_workflow_accepted_total" in families
-
-    def test_slo_and_health_endpoints(self, served):
-        _, server, client = served
-        client.submit_workflow(chain("w"))
-        slo = client.slo()
-        assert set(slo) == {"config", "deadline", "decide_latency", "healthy"}
-        status, body, _ = raw_request(server.url + "/healthz")
-        assert status == 200 and body["ok"] is True
-        status, body, _ = raw_request(server.url + "/readyz")
-        assert status == 200
-
-    def test_unknown_route_404(self, served):
-        _, server, _ = served
-        status, body, _ = raw_request(server.url + "/nope")
-        assert status == 404 and "error" in body
-
-    def test_duplicate_workflow_400(self, served):
-        _, server, client = served
-        client.submit_workflow(chain("w"))
-        status, body, _ = raw_request(
-            server.url + "/workflows", "POST", workflow_to_dict(chain("w"))
-        )
-        assert status == 400
-        assert body["accepted"] is False and body["reason"] == "invalid"
-
-    def test_malformed_and_non_json_bodies_400(self, served):
-        _, server, _ = served
-        status, body, _ = raw_request(
-            server.url + "/workflows", "POST", {"nope": 1}
-        )
-        assert status == 400 and "error" in body
-        request = urllib.request.Request(
-            server.url + "/workflows", data=b"not json", method="POST"
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
+class TestConnectionHandling(Asyncio, suite.ConnectionHandling):
+    pass
 
 
-class TestBackpressure:
-    def test_queue_full_429_with_retry_after(self):
-        # Realtime + a long slot keeps submissions live so the bounded
-        # queue really fills (virtual time would drain between requests).
-        cluster = ClusterCapacity.uniform(cpu=40, mem=80)
-        service = SchedulerService(
-            cluster,
-            ServiceConfig(
-                adhoc_queue_limit=2, realtime=True, slot_seconds=300.0
-            ),
-        ).start()
-        server = serve_http_async(service)
-        try:
-            outcomes = []
-            for i in range(4):  # limit is 2
-                status, body, headers = raw_request(
-                    server.url + "/jobs",
-                    "POST",
-                    job_to_dict(adhoc_job(f"a{i}", arrival=0)),
-                )
-                outcomes.append((status, body["reason"], headers))
-            assert [o[:2] for o in outcomes].count((200, "queued")) == 2
-            shed = [o for o in outcomes if o[0] == 429]
-            assert len(shed) == 2
-            for _, reason, headers in shed:
-                assert reason == "queue_full"
-                assert int(headers["Retry-After"]) >= 1
-        finally:
-            server.shutdown()
-            result = service.drain(timeout=60)
-        assert result.finished
+class TestLifecycle(Asyncio, suite.Lifecycle):
+    pass
 
 
-class TestRequestIds:
-    def test_header_echoed_and_minted(self, served):
-        _, server, _ = served
-        payload = {"workflow": "nonsense"}
-        status, _, headers = raw_request(
-            server.url + "/workflows", "POST", payload,
-            headers={"X-Request-Id": "client-id-7"},
-        )
-        assert status == 400
-        assert headers.get("X-Request-Id") == "client-id-7"
-        # No header → the server mints one.
-        status, _, headers = raw_request(
-            server.url + "/workflows", "POST", payload
-        )
-        assert status == 400
-        minted = headers.get("X-Request-Id")
-        assert minted and len(minted) == 32
-
-    def test_invalid_header_replaced_not_trusted(self, served):
-        _, server, _ = served
-        status, _, headers = raw_request(
-            server.url + "/workflows", "POST", {},
-            headers={"X-Request-Id": "bad id with spaces!"},
-        )
-        assert status == 400
-        echoed = headers.get("X-Request-Id")
-        assert echoed and echoed != "bad id with spaces!"
-
-    def test_result_body_carries_request_id(self, served):
-        _, _, client = served
-        result = client.submit_workflow(chain("w"), request_id="req-42")
-        assert result.request_id == "req-42"
+class TestEndToEnd(Asyncio, suite.EndToEnd):
+    pass
 
 
-class TestIdempotency:
-    def test_replayed_key_returns_first_decision(self, served):
-        _, _, client = served
-        first = client.submit_workflow(
-            chain("w"), idempotency_key="key-1", request_id="original"
-        )
-        assert first.accepted
-        replay = client.submit_workflow(
-            chain("w"), idempotency_key="key-1", request_id="second"
-        )
-        assert replay.accepted
-        assert replay.request_id == "original"
-
-    def test_distinct_keys_are_distinct_submissions(self, served):
-        _, _, client = served
-        assert client.submit_workflow(chain("w"), idempotency_key="k1").accepted
-        dup = client.submit_workflow(chain("w"), idempotency_key="k2")
-        assert not dup.accepted and dup.reason == "invalid"
-
-
-class TestConnectionHandling:
-    def test_keep_alive_serves_many_requests_per_connection(self, served):
-        _, server, _ = served
-        host, port = server.url.removeprefix("http://").split(":")
-        conn = http.client.HTTPConnection(host, int(port), timeout=30)
-        try:
-            for _ in range(5):
-                conn.request("GET", "/status")
-                response = conn.getresponse()
-                assert response.status == 200
-                json.loads(response.read())  # must drain to reuse
-        finally:
-            conn.close()
-
-    def test_connection_close_honoured(self, served):
-        _, server, _ = served
-        host, port = server.url.removeprefix("http://").split(":")
-        conn = http.client.HTTPConnection(host, int(port), timeout=30)
-        try:
-            conn.request("GET", "/status", headers={"Connection": "close"})
-            response = conn.getresponse()
-            assert response.status == 200
-            assert response.headers.get("Connection") == "close"
-            json.loads(response.read())
-        finally:
-            conn.close()
-
-    def test_oversized_body_rejected(self, served):
-        _, server, _ = served
-        host, port = server.url.removeprefix("http://").split(":")
-        conn = http.client.HTTPConnection(host, int(port), timeout=30)
-        try:
-            body = b"x" * (8 * 1024 * 1024 + 1)
-            with pytest.raises((ConnectionError, http.client.HTTPException, OSError)):
-                conn.request("POST", "/jobs", body=body,
-                             headers={"Content-Type": "application/json"})
-                response = conn.getresponse()
-                # A 413 answer (instead of a drop) is also acceptable.
-                assert response.status == 413
-                raise ConnectionError("rejected with 413")
-        finally:
-            conn.close()
-
-
-class TestLifecycle:
-    def test_shutdown_is_idempotent_and_releases_port(self):
-        cluster = ClusterCapacity.uniform(cpu=8, mem=16)
-        service = SchedulerService(cluster, ServiceConfig()).start()
-        server = serve_http_async(service)
-        port = int(server.url.rsplit(":", 1)[1])
-        server.shutdown()
-        server.shutdown()  # second call must be a no-op
-        # The port is free again: a new server can bind it.
-        second = serve_http_async(service, port=port)
-        try:
-            status, _, _ = raw_request(second.url + "/healthz")
-            assert status == 200
-        finally:
-            second.shutdown()
-            service.drain(timeout=60)
-
-    def test_submit_run_drain_end_to_end(self, served):
-        service, server, client = served
-        assert client.submit_workflow(chain("w", deadline=80)).accepted
-        assert client.submit_adhoc(adhoc_job("a", arrival=0)).accepted
-        server.shutdown()
-        result = service.drain(timeout=60)
-        assert result.finished
-        assert result.workflows["w"].met_deadline
-        assert result.jobs["a"].completion_slot is not None
+class TestRouter(
+    Asyncio,
+    Router,
+    suite.Dialect,
+    suite.RouterViews,
+    suite.Rejections,
+    suite.RequestIds,
+    suite.Idempotency,
+    suite.ConnectionHandling,
+):
+    """The submission dialect against two ``LocalShard`` s behind a router."""

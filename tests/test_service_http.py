@@ -1,206 +1,45 @@
-"""Tests for the JSON-over-HTTP frontend and client.
+"""The HTTP frontend suite (tests/http_suite.py) over the threaded transport."""
 
-Each test binds an ephemeral port (port=0), drives the server through the
-real socket with :class:`~repro.service.client.HttpServiceClient`, and
-shuts down in a fixture — no fixed ports, no leaked threads.
-"""
-
-import json
-import urllib.error
-import urllib.request
-
-import pytest
-
-from repro.model.cluster import ClusterCapacity
-from repro.service import (
-    HttpServiceClient,
-    SchedulerService,
-    ServiceConfig,
-    serve_http,
-)
-from tests.conftest import adhoc_job, deadline_job
-from repro.model.workflow import Workflow
+from tests import http_suite as suite
+from tests.http_suite import Router, Threaded
 
 
-def chain(wid: str, n: int = 3, start: int = 0, deadline: int = 60) -> Workflow:
-    jobs = [deadline_job(f"{wid}-j{i}", wid) for i in range(n)]
-    edges = [(f"{wid}-j{i}", f"{wid}-j{i+1}") for i in range(n - 1)]
-    return Workflow.from_jobs(wid, jobs, edges, start, deadline)
+class TestEndpoints(Threaded, suite.Dialect, suite.ServiceViews):
+    pass
 
 
-@pytest.fixture
-def served():
-    cluster = ClusterCapacity.uniform(cpu=40, mem=80)
-    service = SchedulerService(
-        cluster, ServiceConfig(adhoc_queue_limit=2)
-    ).start()
-    server = serve_http(service)
-    client = HttpServiceClient(server.url, timeout=30)
-    yield service, server, client
-    server.shutdown()
-    if service.running:
-        service.drain(timeout=60)
+class TestRejectionStatusCodes(Threaded, suite.Rejections):
+    pass
 
 
-def raw_request(url, method="GET", payload=None):
-    data = json.dumps(payload).encode() if payload is not None else None
-    request = urllib.request.Request(url, data=data, method=method)
-    if data:
-        request.add_header("Content-Type", "application/json")
-    try:
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read() or b"{}")
+class TestRequestIds(Threaded, suite.RequestIds):
+    pass
 
 
-class TestEndpoints:
-    def test_submit_workflow_and_job(self, served):
-        _, _, client = served
-        result = client.submit_workflow(chain("w"))
-        assert result.accepted and result.reason == "admitted"
-        result = client.submit_adhoc(adhoc_job("a", arrival=0))
-        assert result.accepted and result.reason == "queued"
-
-    def test_status_endpoint(self, served):
-        _, _, client = served
-        client.submit_workflow(chain("w"))
-        status = client.status()
-        assert status.running and not status.draining
-        assert status.accepted_workflows == 1
-        assert status.scheduler == "FlowTime"
-
-    def test_plan_endpoint(self, served):
-        service, _, client = served
-        client.submit_workflow(chain("w"))
-        service.drain(timeout=60)
-        plan = client.plan()
-        assert set(plan) >= {"origin_slot", "horizon", "jobs"}
-
-    def test_metrics_endpoint(self, served):
-        _, _, client = served
-        client.submit_workflow(chain("w"))
-        metrics = client.metrics()
-        assert metrics["service.submit.workflow.accepted"]["value"] == 1.0
-
-    def test_metrics_json_is_strict(self, served):
-        # Never-set gauges / empty histograms hold NaN internally; the
-        # endpoint must serialize them as null, not bare NaN (which
-        # json.loads tolerates but strict parsers reject).
-        _, server, client = served
-        client.submit_workflow(chain("w"))
-        with urllib.request.urlopen(server.url + "/metrics", timeout=30) as r:
-            raw = r.read().decode()
-        assert "NaN" not in raw
-        json.loads(raw, parse_constant=lambda token: pytest.fail(
-            f"non-strict JSON token {token!r} in /metrics"
-        ))
-
-    def test_metrics_prometheus_endpoint(self, served):
-        from repro.obs import parse_prometheus
-
-        _, server, client = served
-        client.submit_workflow(chain("w"))
-        with urllib.request.urlopen(
-            server.url + "/metrics?format=prometheus", timeout=30
-        ) as r:
-            assert r.headers["Content-Type"].startswith(
-                "text/plain; version=0.0.4"
-            )
-            text = r.read().decode()
-        families = parse_prometheus(text)  # strict: raises on violations
-        assert "repro_service_submit_workflow_accepted_total" in families
-
-    def test_slo_endpoint(self, served):
-        _, _, client = served
-        client.submit_workflow(chain("w"))
-        slo = client.slo()
-        assert set(slo) == {"config", "deadline", "decide_latency", "healthy"}
-        assert slo["deadline"]["objective"] == 0.99
-
-    def test_unknown_route_404(self, served):
-        _, server, _ = served
-        status, body = raw_request(server.url + "/nope")
-        assert status == 404 and "error" in body
+class TestIdempotency(Threaded, suite.Idempotency):
+    pass
 
 
-class TestRejectionStatusCodes:
-    def test_duplicate_workflow_400(self, served):
-        _, server, client = served
-        client.submit_workflow(chain("w"))
-        # Same id again through the raw socket: HTTP 400, body still a
-        # fully-formed SubmitResult the client can parse.
-        from repro.workloads.traces import workflow_to_dict
-
-        status, body = raw_request(
-            server.url + "/workflows", "POST", workflow_to_dict(chain("w"))
-        )
-        assert status == 400
-        assert body["accepted"] is False and body["reason"] == "invalid"
-        # The client surfaces it as a decision, not an exception.
-        result = client.submit_workflow(chain("w"))
-        assert not result.accepted and result.reason == "invalid"
-
-    def test_queue_full_429(self):
-        # Needs a paced clock: with virtual time the jobs would complete
-        # between HTTP round trips and the queue would never fill.  A
-        # realtime service with a long slot keeps all submissions live.
-        from repro.workloads.traces import job_to_dict
-
-        cluster = ClusterCapacity.uniform(cpu=40, mem=80)
-        service = SchedulerService(
-            cluster,
-            ServiceConfig(adhoc_queue_limit=2, realtime=True, slot_seconds=300.0),
-        ).start()
-        server = serve_http(service)
-        try:
-            codes = []
-            for i in range(4):  # limit is 2
-                status, body = raw_request(
-                    server.url + "/jobs",
-                    "POST",
-                    job_to_dict(adhoc_job(f"a{i}", arrival=0)),
-                )
-                codes.append((status, body["reason"]))
-            assert codes.count((200, "queued")) == 2
-            assert codes.count((429, "queue_full")) == 2
-        finally:
-            server.shutdown()
-            result = service.drain(timeout=60)
-        # Drain ignores pacing: the two accepted jobs still complete.
-        assert result.finished
-
-    def test_malformed_body_400(self, served):
-        _, server, _ = served
-        status, body = raw_request(server.url + "/workflows", "POST", {"nope": 1})
-        assert status == 400 and "error" in body
-
-    def test_non_json_body_400(self, served):
-        _, server, _ = served
-        request = urllib.request.Request(
-            server.url + "/workflows", data=b"not json", method="POST"
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
+class TestConnectionHandling(Threaded, suite.ConnectionHandling):
+    pass
 
 
-class TestEndToEnd:
-    def test_submit_run_drain_over_http(self, served):
-        service, server, client = served
-        assert client.submit_workflow(chain("w", deadline=80)).accepted
-        assert client.submit_adhoc(adhoc_job("a", arrival=0)).accepted
-        server.shutdown()
-        result = service.drain(timeout=60)
-        assert result.finished
-        assert result.workflows["w"].met_deadline
-        assert result.jobs["a"].completion_slot is not None
+class TestLifecycle(Threaded, suite.Lifecycle):
+    pass
 
-    def test_wire_format_round_trips_trace_entries(self, served):
-        # Anything save_trace wrote can be replayed against a live server.
-        from repro.workloads.traces import workflow_from_dict, workflow_to_dict
 
-        _, _, client = served
-        wire = json.loads(json.dumps(workflow_to_dict(chain("w"))))
-        result = client.submit_workflow(workflow_from_dict(wire))
-        assert result.accepted
+class TestEndToEnd(Threaded, suite.EndToEnd):
+    pass
+
+
+class TestRouter(
+    Threaded,
+    Router,
+    suite.Dialect,
+    suite.RouterViews,
+    suite.Rejections,
+    suite.RequestIds,
+    suite.Idempotency,
+    suite.ConnectionHandling,
+):
+    """The submission dialect against two ``LocalShard`` s behind a router."""
