@@ -22,9 +22,9 @@ argument):
   are restarted on their own journal (ordinary crash recovery).  A shard
   that *stays* dead past ``failover_after_s`` has its committed
   workflows **re-homed**: the supervisor reads the dead shard's journal
-  from disk, folds it exactly like the shard's own recovery would
-  (confirmed migrations gone, unconfirmed tombstones included), and
-  replays every still-owed workflow into surviving shards via the
+  from disk, folds it with the function the shard's own recovery uses
+  (:func:`repro.service.journal.fold`: confirmed migrations gone,
+  unconfirmed tombstones included), and replays every still-owed workflow into surviving shards via the
   existing two-phase ``migrate_in`` — original idempotency keys pinned,
   admission re-run against the destination slice, placement map updated,
   all under a migration epoch greater than any the fleet has used.
@@ -46,8 +46,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.cluster.periodic import PeriodicLoop
 from repro.obs import Observability
-from repro.service.journal import SubmissionJournal
+from repro.service.journal import SubmissionJournal, fold
 
 __all__ = [
     "DetectorConfig",
@@ -142,8 +143,10 @@ class FailureDetector:
         self._shards = list(shards)
         self._health = {shard.name: _Health() for shard in self._shards}
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        self._loop = PeriodicLoop(
+            "detector", self.probe_all, self.obs,
+            "cluster.detector.loop_errors", "repro-failure-detector",
+        )
 
     # -- probing -----------------------------------------------------------------
 
@@ -276,29 +279,11 @@ class FailureDetector:
 
     def start(self) -> "FailureDetector":
         """Probe once immediately, then every ``probe_interval_s``."""
-        if self._thread is not None:
-            raise RuntimeError("detector already started")
-        self._stop.clear()
-        self.probe_all()
-
-        def loop() -> None:
-            while not self._stop.wait(self.config.probe_interval_s):
-                try:
-                    self.probe_all()
-                except Exception:
-                    self.obs.counter("cluster.detector.loop_errors").inc()
-
-        self._thread = threading.Thread(
-            target=loop, name="repro-failure-detector", daemon=True
-        )
-        self._thread.start()
+        self._loop.start(self.config.probe_interval_s, immediately=True)
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        self._loop.stop()
 
 
 @dataclass(frozen=True)
@@ -357,8 +342,10 @@ class Supervisor:
         self._failed_over: dict[str, dict[str, int]] = {}
         self._vetoed: set[str] = set()
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        self._loop = PeriodicLoop(
+            "supervisor", self.cycle, self.obs,
+            "supervisor.cycle_errors", "repro-supervisor",
+        )
 
     # -- epochs ------------------------------------------------------------------
 
@@ -466,17 +453,11 @@ class Supervisor:
             self.obs.counter("supervisor.failover.no_journal").inc()
             return out
         records, _ = SubmissionJournal.read(journal_path)
-        # Final disposition per workflow, exactly as the shard's own
-        # recovery folds it: the last workflow/migrate_out record wins,
-        # a migrate_confirm settles the id away.  Unconfirmed tombstones
-        # are included — the handoff may never have landed, and if it
-        # did, the destination's idempotency key / owned check dedupes.
-        disposition: dict[str, object] = {}
-        for record in records:
-            if record.kind in ("workflow", "migrate_out"):
-                disposition[record.entity.workflow_id] = record
-            elif record.kind == "migrate_confirm":
-                disposition.pop(record.workflow_id, None)
+        # The same fold the shard's own recovery reads.  Unconfirmed
+        # tombstones are owed too — the handoff may never have landed, and
+        # if it did, the destination's idempotency key / owned check
+        # dedupes.
+        disposition = fold(records).owed_workflows
         if not disposition:
             return out
         survivors = [
@@ -627,27 +608,8 @@ class Supervisor:
     # -- background loop ---------------------------------------------------------
 
     def start(self, interval_s: float) -> "Supervisor":
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
-        if self._thread is not None:
-            raise RuntimeError("supervisor already started")
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(interval_s):
-                try:
-                    self.cycle()
-                except Exception:
-                    self.obs.counter("supervisor.cycle_errors").inc()
-
-        self._thread = threading.Thread(
-            target=loop, name="repro-supervisor", daemon=True
-        )
-        self._thread.start()
+        self._loop.start(interval_s)
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        self._loop.stop()

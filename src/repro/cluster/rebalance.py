@@ -28,9 +28,9 @@ blindly here is exactly how a workflow gets duplicated.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
+from repro.cluster.periodic import PeriodicLoop
 from repro.cluster.router import ShardRouter
 from repro.obs import Observability
 
@@ -83,8 +83,12 @@ class Rebalancer:
         self.config = config or RebalanceConfig()
         self.obs = obs if obs is not None else router.obs
         self._epoch = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        # A failed cycle must not kill the loop; the next one starts from
+        # reconcile anyway.
+        self._loop = PeriodicLoop(
+            "rebalancer", self.cycle, self.obs,
+            "rebalance.cycle_errors", "repro-rebalancer",
+        )
 
     @property
     def epoch(self) -> int:
@@ -199,29 +203,8 @@ class Rebalancer:
 
     def start(self, interval_s: float) -> "Rebalancer":
         """Run :meth:`cycle` every *interval_s* seconds on a daemon thread."""
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
-        if self._thread is not None:
-            raise RuntimeError("rebalancer already started")
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(interval_s):
-                try:
-                    self.cycle()
-                except Exception:
-                    # A failed cycle must not kill the loop; the next one
-                    # starts from reconcile anyway.
-                    self.obs.counter("rebalance.cycle_errors").inc()
-
-        self._thread = threading.Thread(
-            target=loop, name="repro-rebalancer", daemon=True
-        )
-        self._thread.start()
+        self._loop.start(interval_s)
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        self._loop.stop()

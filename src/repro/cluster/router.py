@@ -42,11 +42,11 @@ wins, so an interrupted migration never loses or duplicates a workflow
 
 from __future__ import annotations
 
-import threading
 import zlib
 from dataclasses import replace
 from typing import Optional, Sequence
 
+from repro.cluster.periodic import PeriodicLoop
 from repro.model.job import Job
 from repro.model.workflow import Workflow
 from repro.obs import Observability, json_safe
@@ -99,8 +99,10 @@ class ShardRouter:
         self._placement_epochs: dict[str, int] = {}
         self.obs = obs if obs is not None else Observability()
         self.detector = detector
-        self._reconcile_stop = threading.Event()
-        self._reconcile_thread: threading.Thread | None = None
+        self._reconcile_loop = PeriodicLoop(
+            "reconcile loop", self.reconcile, self.obs,
+            "router.reconcile.loop_errors", "repro-reconcile",
+        )
 
     def attach_detector(self, detector) -> None:
         """Use *detector*'s cached verdicts for every liveness question."""
@@ -499,26 +501,7 @@ class ShardRouter:
         so held orphans (unreachable source or destination) settle as
         soon as the missing shard returns — no manual ``POST /reconcile``
         required."""
-        if interval_s <= 0:
-            raise ValueError("interval_s must be > 0")
-        if self._reconcile_thread is not None:
-            raise RuntimeError("reconcile loop already started")
-        self._reconcile_stop.clear()
-
-        def loop() -> None:
-            while not self._reconcile_stop.wait(interval_s):
-                try:
-                    self.reconcile()
-                except Exception:
-                    self.obs.counter("router.reconcile.loop_errors").inc()
-
-        self._reconcile_thread = threading.Thread(
-            target=loop, name="repro-reconcile", daemon=True
-        )
-        self._reconcile_thread.start()
+        self._reconcile_loop.start(interval_s)
 
     def stop_reconcile_loop(self) -> None:
-        self._reconcile_stop.set()
-        if self._reconcile_thread is not None:
-            self._reconcile_thread.join(timeout=5.0)
-            self._reconcile_thread = None
+        self._reconcile_loop.stop()

@@ -2,8 +2,9 @@
 
 The batch :class:`~repro.simulator.engine.Simulation` replays a canned
 workload; this package serves a *dynamic* one.  A single event-loop thread
-(:class:`~repro.service.core.SchedulerService`) owns the clock and the
-scheduler; submissions arrive through a thread-safe API — in-process
+(:class:`~repro.service.core.SchedulerService`) owns the clock and drives
+the thread-free :class:`~repro.service.state.ServiceState` (engine core +
+ledger); submissions arrive through a thread-safe API — in-process
 (:class:`~repro.service.client.InProcessClient`) or over stdlib JSON/HTTP
 (one route table, :mod:`repro.service.routes`, behind a threaded or an
 asyncio transport; :class:`~repro.service.client.HttpServiceClient`) —
@@ -37,6 +38,7 @@ from repro.service.core import SchedulerService
 from repro.service.http import ServiceHTTPServer, serve_http
 from repro.service.journal import JournalRecord, SubmissionJournal, read_journal
 from repro.service.routes import Request, Response, Routes, ServiceRoutes
+from repro.service.state import ServiceState
 from repro.service.top import render_dashboard, run_top
 
 __all__ = [
@@ -54,6 +56,7 @@ __all__ = [
     "ServiceHTTPServer",
     "ServiceRoutes",
     "ServiceSaturatedError",
+    "ServiceState",
     "ServiceStatus",
     "ServiceUnavailableError",
     "SubmissionJournal",

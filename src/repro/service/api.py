@@ -89,10 +89,10 @@ class ServiceConfig:
             (:func:`repro.core.admission.check_admission`) on every
             workflow submission and reject workloads that provably cannot
             meet their deadlines.  False admits everything (paper
-            behaviour).
-        cluster_aware_decomposition: how candidate workflows are
-            decomposed — once, for the admission proof and the committed
-            windows alike (matches the FlowTime scheduler's default).
+            behaviour).  The candidate is decomposed once — proof and
+            committed windows alike — the way the scheduler itself
+            decomposes (``scheduler_kwargs["cluster_aware_decomposition"]``
+            for FlowTime), so there is no second knob to keep in step.
         strict: engine grant validation (see
             :class:`~repro.simulator.engine.SimulationConfig`).
         record_execution: keep per-slot executed-unit rows (Gantt support).
@@ -138,7 +138,6 @@ class ServiceConfig:
     batch_window_s: float = 0.0
     adhoc_queue_limit: int = 256
     admission: bool = True
-    cluster_aware_decomposition: bool = True
     strict: bool = True
     record_execution: bool = False
     drain_max_slots: int = 50_000

@@ -21,22 +21,14 @@ journal is the durability layer:
   against the restarted service and get the original decision instead of
   a double admission.
 
-Recovery (:meth:`SubmissionJournal.read` + ``SchedulerService`` replay)
-re-registers every journaled submission at service start: admission is
-*not* re-run — an accepted submission stays accepted; the service owes it
-completion, not a second opinion.  Execution progress is not journaled
-(this is a submission log, not a state-machine checkpoint), so recovered
-jobs restart from zero executed units — conservative, never lossy.
-
-Shard migration (docs/SHARDING.md) adds two record kinds on top of the
-submission records: ``migrate_out`` — a tombstone embedding the full
-workflow entity, the receiving shard, and a migration epoch, written when
-a not-yet-started workflow is withdrawn for handoff — and
-``migrate_confirm``, written once the destination durably owns it.
-Recovery folds these in order: a confirmed handoff is simply gone, an
-*unconfirmed* one is held as an orphan (never unilaterally re-admitted,
-so the destination holding it too cannot produce a duplicate) until the
-router's reconcile step settles it.
+Reading it back: :meth:`SubmissionJournal.read` parses the records
+(submissions, plus the shard-migration kinds documented on
+:class:`JournalRecord`), and :func:`fold` is the one place that says what
+a sequence of them *means* — the shard's own recovery
+(``ServiceState.recover``) and the supervisor's failover
+(:mod:`repro.cluster.failover`) both read its result.  Execution progress
+is not journaled: this is a submission log, not a state-machine
+checkpoint.
 
 Records are versioned (``"v": 1``); unknown versions and trailing
 truncated lines (a crash mid-append) are skipped with a count, never a
@@ -50,7 +42,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Iterable, Optional
 
 from repro.model.job import Job
 from repro.model.workflow import Workflow
@@ -61,7 +53,13 @@ from repro.workloads.traces import (
     workflow_to_dict,
 )
 
-__all__ = ["JournalRecord", "SubmissionJournal", "read_journal"]
+__all__ = [
+    "JournalFold",
+    "JournalRecord",
+    "SubmissionJournal",
+    "fold",
+    "read_journal",
+]
 
 _VERSION = 1
 
@@ -86,7 +84,9 @@ class JournalRecord:
     entity: "Workflow | Job | None"
     ts: float
     dest: Optional[str] = None  # migrate_out: receiving shard name
-    epoch: int = 0  # migrate_out / migrate_confirm: migration epoch
+    #: Migration epoch of a ``migrate_out`` / ``migrate_confirm``, and of a
+    #: ``workflow`` record written for a handoff landing here (0 otherwise).
+    epoch: int = 0
     workflow_id: Optional[str] = None  # migrate_confirm: settled workflow
 
 
@@ -107,8 +107,13 @@ class SubmissionJournal:
 
     # -- writing -----------------------------------------------------------------
 
-    def append_workflow(self, workflow: Workflow, key: str | None = None) -> None:
-        self._append("workflow", workflow_to_dict(workflow), key)
+    def append_workflow(
+        self, workflow: Workflow, key: str | None = None, epoch: int = 0
+    ) -> None:
+        """An accepted workflow; *epoch* is set when it arrived by handoff,
+        so the stale-epoch watermark it raised survives a restart."""
+        extra = {"epoch": epoch} if epoch else {}
+        self._append("workflow", workflow_to_dict(workflow), key, **extra)
 
     def append_adhoc(self, job: Job, key: str | None = None) -> None:
         self._append("adhoc", job_to_dict(job), key)
@@ -224,6 +229,79 @@ class SubmissionJournal:
                 except (KeyError, TypeError, ValueError):
                     skipped += 1
         return records, skipped
+
+
+@dataclass(frozen=True)
+class JournalFold:
+    """What a journal means, with no engine attached (see :func:`fold`)."""
+
+    #: Records to re-register, in order: every ad-hoc job's record, and per
+    #: still-owned workflow its final ``workflow`` record, each placed
+    #: where its id first appears.
+    replay: list[JournalRecord]
+    #: Unsettled handoffs: workflow id -> its unconfirmed ``migrate_out``.
+    orphans: dict[str, JournalRecord]
+    #: Every accepted idempotency key -> ``(kind, entity id)``, latest use
+    #: last — also of workflows since handed off: the decision was made
+    #: here, so a retry is answered here.
+    keys: dict[str, tuple[str, str]]
+    #: Highest migration epoch recorded per workflow id.
+    epochs: dict[str, int]
+
+    @property
+    def owed_workflows(self) -> dict[str, JournalRecord]:
+        """Workflow id -> record (entity + key) of everything the journal's
+        shard still answers for: owned, or handed off but unconfirmed."""
+        owned = {
+            record.entity.workflow_id: record
+            for record in self.replay
+            if record.kind == "workflow"
+        }
+        return {**owned, **self.orphans}
+
+
+def fold(records: Iterable[JournalRecord]) -> JournalFold:
+    """Fold journal records, in order, into their final meaning.
+
+    Per workflow the last ``workflow`` / ``migrate_out`` record decides: a
+    ``workflow`` record owns it (a restore or a handoff back supersedes an
+    earlier tombstone); a ``migrate_out`` leaves it an orphan — held for
+    the router's reconcile, never re-admitted unilaterally, so a
+    destination that did journal it cannot be duplicated; a
+    ``migrate_confirm`` settles a pending tombstone (the workflow is
+    gone) and, with none pending, nothing — as on the live shard.
+    """
+    # (kind, id) -> deciding record (None: confirmed away); dict order
+    # keeps every entity at its first position.
+    final: dict[tuple[str, str], Optional[JournalRecord]] = {}
+    keys: dict[str, tuple[str, str]] = {}
+    epochs: dict[str, int] = {}
+    for record in records:
+        if record.kind == "adhoc":
+            ident = ("adhoc", record.entity.job_id)
+            final.setdefault(ident, record)
+        else:
+            wid = record.workflow_id or record.entity.workflow_id
+            ident = ("workflow", wid)
+            pending = final.get(ident)
+            if record.kind != "migrate_confirm":
+                final[ident] = record
+            elif pending is not None and pending.kind == "migrate_out":
+                final[ident] = None
+            if record.epoch > epochs.get(wid, 0):
+                epochs[wid] = record.epoch
+        if record.key is not None:
+            keys.pop(record.key, None)
+            keys[record.key] = ident
+    decided = [record for record in final.values() if record is not None]
+    return JournalFold(
+        replay=[r for r in decided if r.kind != "migrate_out"],
+        orphans={
+            r.entity.workflow_id: r for r in decided if r.kind == "migrate_out"
+        },
+        keys=keys,
+        epochs=epochs,
+    )
 
 
 def read_journal(path: str | Path) -> tuple[list[JournalRecord], int]:

@@ -8,7 +8,8 @@ DAGs, ad-hoc stream) and pushes it through one production path —
 * ``degraded``: with injected solver faults (:mod:`repro.chaos`), so the
   fallback ladder and EDF degraded mode are exercised;
 * ``journal``: through the online service with a write-ahead journal, a
-  mid-run kill, and a journal-replay restart.
+  seeded subset of workflows handed off to another shard, a kill, and a
+  journal-replay restart that must bring back the killed ledger exactly.
 
 Every result is checked by the independent :class:`~repro.verify.
 ScheduleValidator` (capacity, precedence, conservation, windows) and its
@@ -28,7 +29,7 @@ import itertools
 import json
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -172,24 +173,24 @@ def _run_batch(trace, capacity, seed: int, *, replan: bool) -> list[str]:
 
 
 def _run_degraded(trace, capacity, seed: int) -> list[str]:
-    from repro.analysis.experiments import run_one
     from repro.chaos import ChaosConfig, chaos_solver
-    from repro.simulator.engine import SimulationConfig
 
     with chaos_solver(ChaosConfig(solver_fault_prob=0.25, seed=seed)):
-        outcome = run_one(
-            "FlowTime",
-            trace,
-            capacity,
-            config=SimulationConfig(record_execution=True),
-        )
-    return _validate_outcome(trace, capacity, outcome.result)
+        return _run_batch(trace, capacity, seed, replan=False)
 
 
 def _run_journal(trace, capacity, seed: int) -> list[str]:
-    """Submit, kill, journal-replay restart, drain — then validate."""
+    """Submit, hand off, kill, journal-replay restart, drain — validate.
+
+    The first life only has to write the journal the kill keeps, so its
+    clock is frozen: every workflow is still unstarted when a seeded
+    subset of them is handed off (half of those left unconfirmed).  The
+    restarted service must hold exactly the ledger the killed one held,
+    and run everything it still owns to a valid schedule.
+    """
     from repro.service import SchedulerService, ServiceConfig
 
+    rng = np.random.default_rng(seed)
     with tempfile.TemporaryDirectory(prefix="fuzz-journal-") as tmp:
         journal = str(Path(tmp) / "journal.jsonl")
         config = ServiceConfig(
@@ -198,21 +199,41 @@ def _run_journal(trace, capacity, seed: int) -> list[str]:
             journal_path=journal,
             journal_fsync=False,
         )
-        service = SchedulerService(capacity, config).start()
+        service = SchedulerService(
+            capacity, replace(config, realtime=True, slot_seconds=3600.0)
+        ).start()
         try:
-            for workflow in trace.workflows:
-                if not service.submit_workflow(workflow).accepted:
+            for index, workflow in enumerate(trace.workflows):
+                if not service.submit_workflow(
+                    workflow, idempotency_key=f"wf-{index}"
+                ).accepted:
                     return [f"journal: workflow {workflow.workflow_id} rejected"]
             for job in trace.adhoc_jobs:
                 if not service.submit_adhoc(job).accepted:
                     return [f"journal: ad-hoc {job.job_id} rejected"]
+            moved = [
+                wf.workflow_id for wf in trace.workflows if rng.random() < 0.3
+            ]
+            for wid in moved:
+                service.migrate_out(wid, dest="elsewhere", epoch=1)
+                if rng.random() < 0.5:
+                    service.confirm_migration(wid, epoch=1)
             service.kill(timeout=60)
-            service = SchedulerService(capacity, config).start()
-            result = service.drain(timeout=300)
+            ledger = service.state.ledger()
+            service = SchedulerService(capacity, config)
+            if service.state.ledger() != ledger:
+                return ["journal: recovered ledger differs from the killed one"]
+            result = service.start().drain(timeout=300)
         finally:
             if not service.draining:
                 service.kill(timeout=60)
-    return _validate_outcome(trace, capacity, result)
+    kept = SyntheticTrace(
+        workflows=tuple(
+            wf for wf in trace.workflows if wf.workflow_id not in moved
+        ),
+        adhoc_jobs=trace.adhoc_jobs,
+    )
+    return _validate_outcome(kept, capacity, result)
 
 
 def run_case(

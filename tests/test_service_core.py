@@ -12,7 +12,7 @@ import math
 import pytest
 
 import repro.core.admission as admission_module
-import repro.service.core as service_module
+import repro.service.state as service_module
 from repro.core.admission import check_admission
 from repro.core.decomposition import decompose_deadline
 from repro.model.cluster import ClusterCapacity
@@ -176,19 +176,25 @@ class TestAdmission:
         monkeypatch.setattr(admission_module, "decompose_deadline", counted)
         monkeypatch.setattr(service_module, "decompose_deadline", counted)
         monkeypatch.setattr(service_module, "check_admission", recorded)
+        # One setting — the scheduler's — decides proof, commit and plan.
         service = SchedulerService(
             cluster,
             ServiceConfig(
-                cluster_aware_decomposition=False, realtime=True, slot_seconds=3600.0
+                scheduler_kwargs={"cluster_aware_decomposition": False},
+                realtime=True,
+                slot_seconds=3600.0,
             ),
         ).start()
         try:
             assert service.submit_workflow(workflow).accepted
-            committed = {job_id: service._windows[job_id] for job_id in paper}
+            committed = {job_id: service.state.windows[job_id] for job_id in paper}
+            submission_path = len(decompositions)
         finally:
+            # The drain delivers the arrival: the scheduler decomposes too.
             service.drain(timeout=60)
-        assert len(decompositions) == 1
-        assert committed == paper == decisions[0].windows
+        planned = {job_id: service.scheduler.windows[job_id] for job_id in paper}
+        assert submission_path == 1
+        assert planned == committed == paper == decisions[0].windows
 
     def test_admitted_set_is_jointly_feasible(self, cluster):
         # Saturating stream: whatever subset gets in must all meet its

@@ -125,6 +125,40 @@ class TestCrashRecovery:
         assert restarted.status().accepted_workflows == 1
         restarted.drain(timeout=120)
 
+    @pytest.mark.parametrize("confirmed", [True, False])
+    def test_key_of_a_handed_off_workflow_survives_restart(
+        self, cluster, tmp_path, confirmed
+    ):
+        # The decision under key K was made here; the workflow then moved
+        # to another shard.  A retry of K that straddles a crash still
+        # gets the original decision — never a second admission.
+        path = str(tmp_path / "j.jsonl")
+        config = ServiceConfig(  # frozen clock: w must not start before it moves
+            journal_path=path, realtime=True, slot_seconds=3600.0
+        )
+        service = SchedulerService(cluster, config).start()
+        assert service.submit_workflow(chain("w"), idempotency_key="K").accepted
+        service.migrate_out("w", dest="s1", epoch=1)
+        if confirmed:
+            service.confirm_migration("w", epoch=1)
+        live = service.submit_workflow(chain("w"), idempotency_key="K")
+        assert live.accepted and not service.owns_workflow("w")
+        service.kill(timeout=30)
+        n_records = len(read_journal(path)[0])
+
+        obs = Observability()
+        restarted = SchedulerService(cluster, config, obs=obs).start()
+        retry = restarted.submit_workflow(chain("w"), idempotency_key="K")
+        assert retry.accepted and retry.reason == "admitted"
+        assert not restarted.owns_workflow("w")
+        held = {} if confirmed else {"w": {"dest": "s1", "epoch": 1}}
+        assert restarted.orphan_info() == held
+        assert restarted.status().accepted_workflows == 0
+        hits = obs.registry.snapshot()["service.idempotent.hits"]
+        assert hits["value"] == 1
+        restarted.kill(timeout=30)
+        assert len(read_journal(path)[0]) == n_records  # nothing re-admitted
+
     def test_journal_survives_graceful_drain_too(self, cluster, tmp_path):
         path = str(tmp_path / "j.jsonl")
         service = SchedulerService(cluster, ServiceConfig(journal_path=path))
@@ -166,7 +200,7 @@ class TestIdempotency:
         assert service.submit_adhoc(adhoc_job("a0", arrival=0)).accepted
         shed = service.submit_adhoc(adhoc_job("a1", arrival=0), idempotency_key="k")
         assert not shed.accepted and shed.reason == "queue_full"
-        assert "k" not in service._idempotency
+        assert "k" not in service.state.keys
         service.drain(timeout=120)
 
     def test_no_key_no_dedup(self, cluster):
