@@ -126,15 +126,21 @@ def quantize_coupled(
     )
     frac: list[np.ndarray] = list(frac_matrix)
 
-    grants = [np.zeros(horizon, dtype=int) for _ in problem.entries]
-    for e_index, entry in enumerate(problem.entries):
-        floor = np.floor(frac[e_index] + 1e-6).astype(int)
-        cap = min(entry.max_parallel, entry.units)
-        floor = np.minimum(floor, cap)
-        grants[e_index] = floor
-        for slot in range(entry.release, entry.deadline):
-            if floor[slot]:
-                _apply(residual, slot, entry.unit_demand * int(floor[slot]), r_index, +1)
+    # Floor every variable (capped by the job's parallelism) and charge the
+    # floored units to the residual capacity in one product: all amounts
+    # are integers, so the sum is exact in any order.
+    parallel_cap = np.array(
+        [min(entry.max_parallel, entry.units) for entry in problem.entries]
+    )
+    floor_matrix = np.minimum(
+        np.floor(frac_matrix + 1e-6).astype(int), parallel_cap[:, None]
+    )
+    unit_demand = np.array(
+        [[entry.unit_demand[name] for name in problem.resources]
+         for entry in problem.entries]
+    )
+    residual -= floor_matrix.T @ unit_demand
+    grants = list(floor_matrix)
 
     if np.any(residual < -1e-6):
         raise IntegralizationError("floored solution exceeds capacity")

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.allocation import (
     AllocationPlan,
@@ -39,14 +41,15 @@ from repro.core.allocation import (
     greedy_fill,
     quantize_coupled,
 )
-from repro.core.lexmin import LexminResult, LexminWarmHint, lexmin_schedule
+from repro.core.lexmin import LexminWarmHint, lexmin_schedule
 from repro.core.lp_formulation import (
     Mode,
     ScheduleEntry,
-    ScheduleProblem,
     build_schedule_problem,
 )
 from repro.core.replan import CachedPlan, PlanCache, PlanRequest
+from repro.lp.problem import LinearProgram
+from repro.lp.solver import SolverFailure, solve_lp
 from repro.model.cluster import ClusterCapacity
 from repro.model.resources import ResourceVector
 from repro.obs import current_obs
@@ -57,12 +60,26 @@ def caps_array(
 ) -> np.ndarray:
     """Per-slot capacity matrix ``C[k, r] = capacity.at(now + k)[r]``."""
     resources = capacity.resources
-    caps = np.zeros((horizon, len(resources)))
-    for k in range(horizon):
-        cap_vec = capacity.at(now_slot + k)
-        for r, name in enumerate(resources):
-            caps[k, r] = cap_vec[name]
+    caps = np.tile(
+        np.array([capacity.base[name] for name in resources], dtype=float),
+        (horizon, 1),
+    )
+    for slot, cap_vec in capacity.overrides.items():
+        if now_slot <= slot < now_slot + horizon:
+            caps[slot - now_slot] = [cap_vec[name] for name in resources]
     return caps
+
+
+def _clamp(entries: list[ScheduleEntry], horizon: int) -> list[ScheduleEntry]:
+    """Entries with their windows cut to ``[0, horizon)``."""
+    return [
+        replace(
+            e,
+            release=min(e.release, horizon - 1),
+            deadline=min(max(e.deadline, e.release + 1), horizon),
+        )
+        for e in entries
+    ]
 
 
 @dataclass(frozen=True)
@@ -161,9 +178,9 @@ class FlowTimePlanner:
     def __init__(self, config: PlannerConfig | None = None):
         self.config = config or PlannerConfig()
         self.plan_cache = PlanCache(maxsize=self.config.plan_cache_size)
-        # Previous cold solve's skyline in absolute coordinates:
-        # (resources, theta, {(absolute_slot, r_index): utilisation}).
-        self._skyline: tuple[tuple[str, ...], float, dict] | None = None
+        # Previous solve's skyline in absolute coordinates: (resources,
+        # theta, absolute slot / r_index / utilisation of every cell).
+        self._skyline: tuple | None = None
 
     # -- window preparation ---------------------------------------------------
 
@@ -189,11 +206,6 @@ class FlowTimePlanner:
             unit_demand=demand.unit_demand,
             max_parallel=demand.max_parallel,
         )
-
-    def _caps_array(
-        self, capacity: ClusterCapacity, now: int, horizon: int
-    ) -> np.ndarray:
-        return caps_array(capacity, now, horizon)
 
     # -- planning ----------------------------------------------------------------
 
@@ -223,106 +235,83 @@ class FlowTimePlanner:
 
     # -- warm-start memory -------------------------------------------------------
 
-    def _remember_skyline(
-        self,
-        now_slot: int,
-        resources: tuple[str, ...],
-        problem: ScheduleProblem,
-        result: LexminResult,
-    ) -> None:
-        """Store the solve's utilisation skyline in absolute coordinates."""
-        if result.utilisation is None:
-            return
-        levels = {
-            (now_slot + slot, r): float(result.utilisation[k])
-            for k, (slot, r) in enumerate(problem.util_cells)
-        }
-        self._skyline = (resources, result.minimax, levels)
-
     def _warm_hint(
         self, now_slot: int, resources: tuple[str, ...]
     ) -> LexminWarmHint | None:
         """Previous skyline re-anchored at ``now_slot``, if compatible."""
         if self._skyline is None:
             return None
-        stored_resources, theta, levels = self._skyline
+        stored_resources, theta, slots, r_index, levels = self._skyline
         if stored_resources != resources:
             return None
-        relative = {
-            (slot - now_slot, r): level
-            for (slot, r), level in levels.items()
-            if slot >= now_slot
-        }
-        if not relative:
+        keep = slots >= now_slot
+        if not keep.any():
             return None
-        return LexminWarmHint(theta=theta, levels=relative)
+        relative = slots[keep] - now_slot
+        dense = np.full((int(relative.max()) + 1, len(resources)), np.nan)
+        dense[relative, r_index[keep]] = levels[keep]
+        return LexminWarmHint(theta=theta, levels=dense)
 
     def _plan(self, request: PlanRequest, config: PlannerConfig) -> AllocationPlan:
         now_slot = request.now_slot
-        demands = request.demands
         capacity = request.capacity
         resources = capacity.resources
-        if not demands:
+        if not request.demands:
             return AllocationPlan.empty(now_slot, 1, resources)
 
-        def clamp(entries: list[ScheduleEntry], horizon: int) -> list[ScheduleEntry]:
-            return [
-                replace(
-                    e,
-                    release=min(e.release, horizon - 1),
-                    deadline=min(max(e.deadline, e.release + 1), horizon),
-                )
-                for e in entries
-            ]
-
-        slacked = [
-            self._entry_for(d, now_slot, slack=config.slack_slots)
-            for d in demands
-        ]
-        plain = [self._entry_for(d, now_slot, slack=0) for d in demands]
+        plain = [self._entry_for(d, now_slot, slack=0) for d in request.demands]
         horizon = max(entry.deadline for entry in plain)
         if config.horizon_slots is not None:
             horizon = min(horizon, config.horizon_slots)
-        # An incremental relaxation ladder: drop the slack first, then — if
-        # the cluster is jointly over-committed — extend *only* the windows
-        # that a max-placement LP proves cannot hold their work (optimal
-        # triage: feasible jobs keep their urgency, like EDF sacrificing the
-        # least-urgent work, but chosen by an LP), and finally stretch
-        # everything.  A relax-everything jump would schedule like there
-        # were no deadlines at all.
         stretched = int(horizon * 3 / 2) + 1
-        ladder: list[tuple[list[ScheduleEntry], int]] = []
-        if config.slack_slots:
-            ladder.append((clamp(slacked, horizon), horizon))
-        ladder.append((clamp(plain, horizon), horizon))
-        relaxed, relaxed_horizon = self._shortfall_relax(
-            clamp(plain, horizon), now_slot, capacity, horizon, config
-        )
-        ladder.append((relaxed, relaxed_horizon))
-        relaxed2, relaxed2_horizon = self._shortfall_relax(
-            relaxed, now_slot, capacity, relaxed_horizon, config
-        )
-        ladder.append((relaxed2, relaxed2_horizon))
-        ladder.append(
-            ([replace(e, deadline=stretched) for e in clamp(plain, stretched)], stretched)
-        )
 
-        for rung, (attempt_entries, attempt_horizon) in enumerate(ladder):
-            caps = caps_array(capacity, now_slot, attempt_horizon)
+        def ladder() -> Iterator[tuple[int, list[ScheduleEntry], int]]:
+            """The relaxation ladder as ``(rung, entries, horizon)``.
+
+            It is lazy: a rung is built, and its max-placement LP solved,
+            only once every rung before it has failed, so a plan that fits
+            its windows costs one problem build and no max-placement solve.
+            In order: 0 the slacked windows; 1 the plain windows; 2 and 3
+            only the windows a max-placement LP proves cannot hold their
+            work, extended once and then once more (optimal triage:
+            feasible jobs keep their urgency, like EDF sacrificing the
+            least-urgent work, but chosen by an LP); 4 everything
+            stretched.  A relax-everything jump would schedule like there
+            were no deadlines at all.
+            """
+            if config.slack_slots:
+                slacked = [
+                    self._entry_for(d, now_slot, slack=config.slack_slots)
+                    for d in request.demands
+                ]
+                yield 0, _clamp(slacked, horizon), horizon
+            relaxed, relaxed_horizon = _clamp(plain, horizon), horizon
+            yield 1, relaxed, relaxed_horizon
+            for rung in (2, 3):
+                relaxed, relaxed_horizon = self._shortfall_relax(
+                    relaxed, now_slot, capacity, relaxed_horizon, config
+                )
+                yield rung, relaxed, relaxed_horizon
+            everyone = [replace(e, deadline=stretched) for e in _clamp(plain, stretched)]
+            yield 4, everyone, stretched
+
+        obs = current_obs()
+        # The stored skyline came from whichever rung produced the last
+        # plan — almost always the first — so only the first rung can
+        # meaningfully reuse it; relaxed rungs see different windows.
+        hint = self._warm_hint(now_slot, resources) if config.warm_start else None
+        failed = None
+        for rung, entries, rung_horizon in ladder():
+            if (entries, rung_horizon) == failed:
+                # A relaxation that changed no window (a slack that shaved
+                # nothing) is the LP that just failed: same answer.
+                continue
             problem = build_schedule_problem(
-                attempt_entries,
-                caps,
+                entries,
+                caps_array(capacity, now_slot, rung_horizon),
                 resources,
                 mode=config.formulation,
                 per_slot_caps=config.per_slot_caps,
-            )
-            # The stored skyline came from whichever rung produced the last
-            # plan — almost always the first — so only the first rung can
-            # meaningfully reuse it; relaxed rungs see different windows.
-            hint = (
-                self._warm_hint(now_slot, resources)
-                if config.warm_start and rung == 0
-                else None
             )
             result = lexmin_schedule(
                 problem,
@@ -332,33 +321,42 @@ class FlowTimePlanner:
                 warm_hint=hint,
                 solve_budget_s=config.solve_budget_s,
             )
+            hint = None
+            grants = None
             if result.is_optimal:
                 grants = self._quantize(problem, result.x, config)
-                if grants is not None:
-                    if result.warm:
-                        current_obs().counter("sched.plan.warm").inc()
-                    if config.warm_start:
-                        self._remember_skyline(
-                            now_slot, resources, problem, result
-                        )
-                    return AllocationPlan(
-                        origin_slot=now_slot,
-                        horizon=attempt_horizon,
-                        resources=resources,
-                        grants=grants,
-                        unit_demands={
-                            e.job_id: e.unit_demand for e in attempt_entries
-                        },
-                        degraded=False,
-                        minimax=result.minimax,
-                    )
+            if grants is None:
+                if not result.warm:  # a cold re-solve could still differ
+                    failed = (entries, rung_horizon)
+                continue
+            obs.counter(f"sched.plan.rung.{rung}").inc()
+            if result.warm:
+                obs.counter("sched.plan.warm").inc()
+            if config.warm_start:  # the skyline, in absolute coordinates
+                cells = problem.cell_array()
+                self._skyline = (
+                    resources,
+                    result.minimax,
+                    now_slot + cells[:, 0],
+                    cells[:, 1],
+                    result.utilisation,
+                )
+            return AllocationPlan(
+                origin_slot=now_slot,
+                horizon=rung_horizon,
+                resources=resources,
+                grants=grants,
+                unit_demands={e.job_id: e.unit_demand for e in entries},
+                degraded=False,
+                minimax=result.minimax,
+            )
 
         # The cluster is over-committed beyond what window relaxation can
         # absorb: EDF water-filling over the *original* windows keeps the
         # most urgent work first and always makes progress.
-        current_obs().counter("sched.plan.degraded").inc()
+        obs.counter("sched.plan.degraded").inc()
         caps = caps_array(capacity, now_slot, stretched)
-        grants = greedy_fill(clamp(plain, stretched), caps, resources)
+        grants = greedy_fill(_clamp(plain, stretched), caps, resources)
         return AllocationPlan(
             origin_slot=now_slot,
             horizon=stretched,
@@ -374,7 +372,7 @@ class FlowTimePlanner:
         now_slot: int,
         capacity: ClusterCapacity,
         horizon: int,
-        config: PlannerConfig | None = None,
+        config: PlannerConfig,
     ) -> tuple[list[ScheduleEntry], int]:
         """Extend only the windows that provably cannot hold their work.
 
@@ -385,10 +383,6 @@ class FlowTimePlanner:
         at full parallelism; everyone else keeps their window.  Returns the
         relaxed entries and the (possibly grown) horizon.
         """
-        from repro.lp.problem import LinearProgram
-        from repro.lp.solver import SolverFailure, solve_lp
-
-        config = config or self.config
         caps = caps_array(capacity, now_slot, horizon)
         problem = build_schedule_problem(
             entries,
@@ -398,8 +392,6 @@ class FlowTimePlanner:
             per_slot_caps=True,
         )
         cap_rows = problem.cell_caps()
-        from scipy import sparse
-
         lp = LinearProgram(
             c=-np.ones(problem.n_vars),
             a_ub=sparse.vstack([problem.a_util, problem.a_eq]).tocsr(),
@@ -409,7 +401,10 @@ class FlowTimePlanner:
         )
         try:
             sol = solve_lp(
-                lp, backend=config.backend, time_budget_s=config.solve_budget_s
+                lp,
+                backend=config.backend,
+                tag="relax",
+                time_budget_s=config.solve_budget_s,
             )
         except SolverFailure:
             # Window relaxation is best-effort triage: without the shortfall
@@ -433,10 +428,9 @@ class FlowTimePlanner:
         return relaxed, new_horizon
 
     def _quantize(
-        self, problem, x, config: PlannerConfig | None = None
+        self, problem, x, config: PlannerConfig
     ) -> dict[str, np.ndarray] | None:
         """Integral grants from the fractional solution, or None on failure."""
-        config = config or self.config
         if config.formulation == "coupled":
             try:
                 return quantize_coupled(problem, x)

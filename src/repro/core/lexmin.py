@@ -27,13 +27,13 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.lp_formulation import ScheduleProblem
-from repro.lp.problem import LinearProgram, LPStatus
+from repro.lp.problem import LinearProgram, LPSolution, LPStatus
 from repro.lp.solver import SolverFailure, solve_lp
 from repro.obs import current_obs
 
@@ -55,13 +55,14 @@ class LexminWarmHint:
 
     Attributes:
         theta: the previous solve's minimax ``max z/C``.
-        levels: per-cell utilisation ``z/C`` keyed by ``(slot, r_index)``
-            in the *problem's* relative coordinates (callers re-anchor
-            absolute slots before building the hint).
+        levels: per-cell utilisation ``z/C`` as a dense ``[slot, r_index]``
+            array in the *problem's* relative coordinates (callers
+            re-anchor absolute slots before building the hint); NaN where
+            the previous solve had no cell.
     """
 
     theta: float
-    levels: Mapping[tuple[int, int], float]
+    levels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,33 @@ class LexminResult:
         return self.status == "optimal"
 
 
-def _cell_caps(problem: ScheduleProblem) -> np.ndarray:
-    return problem.cell_caps()
+class RoundPieces(NamedTuple):
+    """What every round LP of one ladder shares, assembled once."""
+
+    #: ``[[a_util | -C], [a_util | 0]]``: row ``k`` is cell ``k`` while
+    #: active (``load - theta * C``), row ``n_cells + k`` the same cell
+    #: under a fixed cap (frozen value or hard capacity).
+    rows: sparse.csr_matrix
+    #: ``[a_eq | 0]``: the demand equalities with the theta column.
+    a_eq: sparse.csr_matrix
+
+
+def _zero_column(a: sparse.csr_matrix) -> sparse.csr_matrix:
+    """``[a | 0]``: a CSR matrix widens without touching its arrays."""
+    return sparse.csr_matrix(
+        (a.data, a.indices, a.indptr), shape=(a.shape[0], a.shape[1] + 1)
+    )
+
+
+def assemble_round_pieces(problem: ScheduleProblem, caps: np.ndarray) -> RoundPieces:
+    """The round-invariant blocks of :func:`build_round_lp` for *problem*."""
+    theta_col = sparse.csr_matrix(-caps[:, None])
+    active_form = sparse.hstack([problem.a_util, theta_col], format="csr")
+    capped_form = _zero_column(problem.a_util)
+    return RoundPieces(
+        rows=sparse.vstack([active_form, capped_form], format="csr"),
+        a_eq=_zero_column(problem.a_eq),
+    )
 
 
 def build_round_lp(
@@ -102,6 +128,7 @@ def build_round_lp(
     active: Sequence[int],
     frozen_value: np.ndarray,
     caps: np.ndarray,
+    pieces: RoundPieces | None = None,
 ) -> LinearProgram:
     """One lexmin round subproblem: ``min theta`` over the active cells.
 
@@ -112,42 +139,26 @@ def build_round_lp(
     :func:`repro.lp.unimodular.detect_interval_structure` certifies and the
     ``fastsolve`` backend lowers to a max-flow; it is public so tests and
     benchmarks can generate round subproblems without running the ladder.
+    A ladder passes its :class:`RoundPieces` so that a round only gathers
+    rows; without them they are assembled here.
     """
+    if pieces is None:
+        pieces = assemble_round_pieces(problem, caps)
     n_vars = problem.n_vars
     n_cells = len(problem.util_cells)
-    active = list(active)
-    active_mat = problem.a_util[active]
-    theta_col = sparse.csr_matrix(
-        (-caps[active], (range(len(active)), [0] * len(active))),
-        shape=(len(active), 1),
-    )
-    blocks = [sparse.hstack([active_mat, theta_col])]
-    b_rows = [np.zeros(len(active))]
-
+    active = np.asarray(active, dtype=np.intp)
     frozen_idx = np.flatnonzero(np.isfinite(frozen_value))
-    if frozen_idx.size:
-        frozen_mat = sparse.hstack(
-            [
-                problem.a_util[frozen_idx],
-                sparse.csr_matrix((frozen_idx.size, 1)),
-            ]
-        )
-        blocks.append(frozen_mat)
-        b_rows.append(frozen_value[frozen_idx])
-
-    # Hard capacity rows (constraint (4)): z <= C for every cell.
-    hard = sparse.hstack([problem.a_util, sparse.csr_matrix((n_cells, 1))])
-    blocks.append(hard)
-    b_rows.append(caps)
-
-    eq_with_theta = sparse.hstack(
-        [problem.a_eq, sparse.csr_matrix((problem.a_eq.shape[0], 1))]
-    ).tocsr()
+    # Hard capacity rows (constraint (4)) close the block: z <= C per cell.
+    rows = np.concatenate(
+        [active, n_cells + frozen_idx, np.arange(n_cells, 2 * n_cells)]
+    )
     return LinearProgram(
         c=np.concatenate([np.zeros(n_vars), [1.0]]),
-        a_ub=sparse.vstack(blocks).tocsr(),
-        b_ub=np.concatenate(b_rows),
-        a_eq=eq_with_theta,
+        a_ub=pieces.rows[rows],
+        b_ub=np.concatenate(
+            [np.zeros(active.size), frozen_value[frozen_idx], caps]
+        ),
+        a_eq=pieces.a_eq,
         b_eq=problem.b_eq,
         lb=np.zeros(n_vars + 1),
         ub=np.concatenate([problem.var_ub, [np.inf]]),
@@ -187,7 +198,16 @@ def _balancing_solve(
         lb=np.zeros(problem.n_vars),
         ub=problem.var_ub,
     )
-    return solve_lp(lp_final, backend=backend, time_budget_s=solve_budget_s)
+    return solve_lp(
+        lp_final, backend=backend, tag="balance", time_budget_s=solve_budget_s
+    )
+
+
+def _cap_at(theta: float | np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Frozen value of cells saturated at level *theta* (one for all, or
+    one per cell): ``theta * C`` with the numerical-safety slack, never
+    above the hard capacity."""
+    return np.minimum(theta * caps * (1.0 + _FREEZE_RELAX) + _FREEZE_RELAX, caps)
 
 
 def _warm_frozen_caps(
@@ -210,15 +230,13 @@ def _warm_frozen_caps(
         return None
     if abs(theta - hint.theta) > tol * max(abs(theta), 1.0):
         return None
-    cap_at_theta = theta * caps * (1.0 + _FREEZE_RELAX) + _FREEZE_RELAX
-    frozen = np.empty(len(caps))
-    for k, cell in enumerate(problem.util_cells):
-        level = hint.levels.get(cell)
-        if level is None:
-            return None
-        cap_at_level = level * caps[k] * (1.0 + _FREEZE_RELAX) + _FREEZE_RELAX
-        frozen[k] = min(cap_at_level, cap_at_theta[k], caps[k])
-    return frozen
+    cells = problem.cell_array()
+    if cells[:, 0].max(initial=-1) >= hint.levels.shape[0]:
+        return None
+    levels = hint.levels[cells[:, 0], cells[:, 1]]
+    if np.isnan(levels).any():
+        return None
+    return np.minimum(_cap_at(levels, caps), _cap_at(theta, caps))
 
 
 def _finish_warm(
@@ -226,29 +244,20 @@ def _finish_warm(
     caps: np.ndarray,
     theta: float,
     hint: LexminWarmHint,
-    *,
     tol: float,
-    backend: str,
-    front_load: bool,
-    solve_budget_s: float | None = None,
+    balance: Callable[[np.ndarray], LPSolution],
 ) -> LexminResult | None:
     """Attempt to finish the solve from a warm hint after the exact round 1.
 
     Returns the warm :class:`LexminResult` when the hinted skyline is
     feasible for the current demands and exact (no cell exceeds theta), or
-    None to continue the cold ladder.
+    None to continue the cold ladder.  ``balance`` is the ladder's
+    balancing solve under given frozen caps.
     """
     frozen = _warm_frozen_caps(problem, caps, theta, hint, tol)
     if frozen is None:
         return None
-    sol = _balancing_solve(
-        problem,
-        frozen,
-        caps,
-        backend=backend,
-        front_load=front_load,
-        solve_budget_s=solve_budget_s,
-    )
+    sol = balance(frozen)
     if sol.status is not LPStatus.OPTIMAL:
         return None
     x = sol.x
@@ -263,6 +272,20 @@ def _finish_warm(
         rounds=1,
         utilisation=utilisation,
         warm=True,
+    )
+
+
+def _answered(sol: LPSolution, stage: str, backend: str) -> bool:
+    """True for an optimal *sol*, False for an infeasible one."""
+    if sol.status is LPStatus.OPTIMAL:
+        return True
+    if sol.status is LPStatus.INFEASIBLE:
+        return False
+    raise SolverFailure(  # pragma: no cover - solve_lp raises first
+        f"lexmin {stage} failed: {sol.message}",
+        backend=backend,
+        reason="error",
+        elapsed=0.0,
     )
 
 
@@ -310,101 +333,68 @@ def lexmin_schedule(
     """
     n_cells = len(problem.util_cells)
     n_vars = problem.n_vars
-    caps = _cell_caps(problem)
+    caps = problem.cell_caps()
     if np.any(caps <= 0):
         raise ValueError("every utilisation cell must have positive capacity")
 
-    active = list(range(n_cells))
+    def balance(frozen: np.ndarray) -> LPSolution:
+        return _balancing_solve(
+            problem,
+            frozen,
+            caps,
+            backend=backend,
+            front_load=front_load,
+            solve_budget_s=solve_budget_s,
+        )
+
+    pieces = assemble_round_pieces(problem, caps)
+    active = np.arange(n_cells)
     frozen_value = np.full(n_cells, np.inf)
     thetas: list[float] = []
     rounds = 0
 
-    while active:
+    while active.size:
         if max_rounds is not None and rounds >= max_rounds:
             break
-        lp = build_round_lp(problem, active, frozen_value, caps)
-        sol = solve_lp(lp, backend=backend, time_budget_s=solve_budget_s)
-        if sol.status is not LPStatus.OPTIMAL:
-            if sol.status is LPStatus.INFEASIBLE:
-                return LexminResult(status="infeasible")
-            raise SolverFailure(  # pragma: no cover - solve_lp raises first
-                f"lexmin round failed: {sol.message}",
-                backend=backend,
-                reason="error",
-                elapsed=0.0,
-            )
+        lp = build_round_lp(problem, active, frozen_value, caps, pieces)
+        sol = solve_lp(
+            lp, backend=backend, tag="round", time_budget_s=solve_budget_s
+        )
+        if not _answered(sol, "round", backend):
+            return LexminResult(status="infeasible")
         x_full = sol.x
         theta = float(x_full[-1])
         thetas.append(theta)
         rounds += 1
 
         if rounds == 1 and warm_hint is not None:
-            warm = _finish_warm(
-                problem,
-                caps,
-                theta,
-                warm_hint,
-                tol=tol,
-                backend=backend,
-                front_load=front_load,
-                solve_budget_s=solve_budget_s,
-            )
+            warm = _finish_warm(problem, caps, theta, warm_hint, tol, balance)
             if warm is not None:
                 return warm
             current_obs().counter("lexmin.warm.fallback").inc()
 
-        loads = np.asarray(problem.a_util[active] @ x_full[:n_vars]).ravel()
-        utilisation = loads / caps[active]
-
-        to_freeze: list[int] = []
+        to_freeze = active[:0]
         if sol.duals_ub is not None:
-            duals = sol.duals_ub[: len(active)]
-            to_freeze = [
-                active[j] for j in range(len(active)) if abs(duals[j]) > _DUAL_TOL
-            ]
-        if not to_freeze:
-            to_freeze = [
-                active[j]
-                for j in range(len(active))
-                if utilisation[j] >= theta - tol * max(theta, 1.0)
-            ]
-        if not to_freeze:  # defensive: never loop without progress
-            to_freeze = list(active)
-
-        cap_at_theta = theta * caps * (1.0 + _FREEZE_RELAX) + _FREEZE_RELAX
-        for cell in to_freeze:
-            frozen_value[cell] = min(cap_at_theta[cell], caps[cell])
-        active = [k for k in active if not np.isfinite(frozen_value[k])]
+            to_freeze = active[np.abs(sol.duals_ub[: active.size]) > _DUAL_TOL]
+        if not to_freeze.size:  # degeneracy hid the duals: saturation decides
+            loads = np.asarray(problem.a_util[active] @ x_full[:n_vars]).ravel()
+            saturated = loads / caps[active] >= theta - tol * max(theta, 1.0)
+            to_freeze = active[saturated]
+        if not to_freeze.size:  # defensive: never loop without progress
+            to_freeze = active
         if theta <= _THETA_TOL:
-            for cell in active:
-                frozen_value[cell] = min(cap_at_theta[cell], caps[cell])
-            active = []
+            to_freeze = active
 
-    if active:  # max_rounds exhausted: freeze the rest at the last theta
+        frozen_value[to_freeze] = _cap_at(theta, caps)[to_freeze]
+        active = active[~np.isfinite(frozen_value[active])]
+
+    if active.size:  # max_rounds exhausted: freeze the rest at the last theta
         last = thetas[-1] if thetas else 1.0
-        for cell in active:
-            frozen_value[cell] = min(
-                last * caps[cell] * (1.0 + _FREEZE_RELAX) + _FREEZE_RELAX,
-                caps[cell],
-            )
+        frozen_value[active] = _cap_at(last, caps)[active]
 
-    sol = _balancing_solve(
-        problem,
-        frozen_value,
-        caps,
-        backend=backend,
-        front_load=front_load,
-        solve_budget_s=solve_budget_s,
-    )
-    if sol.status is not LPStatus.OPTIMAL:
-        if sol.status is LPStatus.INFEASIBLE:
-            return LexminResult(status="infeasible")
-        raise SolverFailure(  # pragma: no cover - solve_lp raises first
-            f"lexmin final solve failed: {sol.message}",
-            backend=backend,
-            reason="error",
-            elapsed=0.0,
-        )
+    sol = balance(frozen_value)
+    if not _answered(sol, "final solve", backend):
+        return LexminResult(status="infeasible")
 
     x = sol.x
     utilisation = np.asarray(problem.a_util @ x).ravel() / caps

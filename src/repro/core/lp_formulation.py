@@ -112,15 +112,17 @@ class ScheduleProblem:
         slot, r_index = self.util_cells[cell_index]
         return float(self.caps[slot, r_index])
 
+    def cell_array(self) -> np.ndarray:
+        """``util_cells`` as an ``[n_cells, 2]`` int array of (slot, r)."""
+        return np.asarray(self.util_cells, dtype=np.int64).reshape(-1, 2)
+
     def cell_caps(self) -> np.ndarray:
         """Per-utilisation-row capacity vector (vectorised ``cap_of_cell``).
 
         The lexmin ladder reads this once per rung; a single fancy-index
         gather replaces the per-cell Python loop on the hot path.
         """
-        if not self.util_cells:
-            return np.zeros(0)
-        cells = np.asarray(self.util_cells)
+        cells = self.cell_array()
         return self.caps[cells[:, 0], cells[:, 1]].astype(float)
 
     def utilisation(self, x: np.ndarray) -> np.ndarray:

@@ -175,7 +175,13 @@ class ServiceState:
 
     def _pin(self, key: str, result: SubmitResult) -> None:
         """Only accepted decisions are pinned: a rejection (full queue,
-        infeasible now) may legitimately succeed on retry."""
+        infeasible now) may legitimately succeed on retry.  A key that is
+        re-pointed (a handoff landing under a key pinned here) leaves its
+        previous entity keyless, as :func:`~repro.service.journal.fold`
+        reads it: that entity's tombstone must not carry the key away."""
+        previous = self.keys.get(key)
+        if previous is not None and self._key_of.get(previous.id) == key:
+            del self._key_of[previous.id]
         self.keys[key] = result
         self._key_of[result.id] = key
 

@@ -163,11 +163,11 @@ class TestDegradedMode:
 
         def transient(backend, problem):
             calls["n"] += 1
-            # The first plan attempt is 3 solves (2 shortfall-relax probes,
-            # whose failures are swallowed as best-effort triage, then the
-            # first lexmin rung) x 2 backend attempts each: failing all 6
+            # The ladder is lazy, so the first plan attempt is one solve
+            # (round 1 of the first rung; no shortfall-relax probe runs
+            # before a rung has failed) x 2 backend attempts: failing both
             # fails exactly one whole plan, then the solver comes back.
-            if calls["n"] <= 6:
+            if calls["n"] <= 2:
                 raise InjectedSolverError("transient")
 
         sink = MemorySink()

@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.service.state as state_module
@@ -126,6 +126,9 @@ operations = st.one_of(
 
 class TestLiveEqualsReplay:
     @given(st.lists(operations, min_size=1, max_size=14))
+    # A handoff lands under a key pinned to another workflow, which is then
+    # handed off: its tombstone must not carry the re-pointed key.
+    @example([("workflow", 2, 1), ("in", 0, 1, 0), ("out", 2, 1)])
     @settings(max_examples=250, deadline=None, print_blob=True)
     def test_recovered_ledger_equals_the_live_one(self, stream):
         with tempfile.TemporaryDirectory(prefix="state-") as tmp:
