@@ -38,7 +38,6 @@ from typing import Sequence
 
 from repro.analysis.experiments import run_one
 from repro.model.cluster import ClusterCapacity
-from repro.simulator.engine import SimulationConfig
 from repro.model.job import TaskSpec
 from repro.model.resources import CPU, MEM, ResourceVector
 from repro.workloads.dag_generators import chain_workflow, fork_join_workflow
@@ -197,18 +196,18 @@ def run_scale(
 ) -> dict:
     """Run the scale's modes over its trace and collect the comparison."""
     trace = build_trace(scale)
+    backend = {"backend": lp_backend} if lp_backend else {}
     runs: dict[str, dict] = {}
     for mode in scale.modes:
         outcome = run_one(
             "FlowTime",
             trace,
             capacity,
-            config=SimulationConfig(lp_backend=lp_backend),
             # work_conserving soak depends on leftover capacity, which an
             # ad-hoc-free steady state keeps periodic anyway; disabling it
             # removes the one coupling that could differ across modes.
             scheduler_kwargs={
-                "planner": MODES[mode],
+                "planner": {**MODES[mode], **backend},
                 "work_conserving": False,
             },
         )

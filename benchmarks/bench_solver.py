@@ -46,7 +46,6 @@ from repro.model.cluster import ClusterCapacity
 from repro.model.job import TaskSpec
 from repro.model.resources import ResourceVector
 from repro.obs import Observability, use_obs
-from repro.simulator.engine import SimulationConfig
 from repro.simulator.metrics import summarize
 from repro.verify.oracle import run_oracle
 from repro.workloads.dag_generators import chain_workflow, fork_join_workflow
@@ -238,11 +237,14 @@ def run_e2e(lp_backend: str | None) -> dict:
         "FlowTime",
         trace,
         capacity,
-        config=SimulationConfig(lp_backend=lp_backend),
         # Cold planner: no plan cache, no warm starts — every replan pays
         # full ladder price, which is what the backend comparison measures.
         scheduler_kwargs={
-            "planner": {"plan_cache": False, "warm_start": False},
+            "planner": {
+                "plan_cache": False,
+                "warm_start": False,
+                **({"backend": lp_backend} if lp_backend else {}),
+            },
             "work_conserving": False,
         },
         obs=obs,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.flowtime import PlannerConfig
+from repro.core.placement import PlannerConfig
 from repro.model.cluster import ClusterCapacity
 from repro.model.job import Job, JobKind, TaskSpec
 from repro.model.resources import CPU, MEM, ResourceVector

@@ -64,7 +64,6 @@ __all__ = [
 PHASE_ORDER: tuple[str, ...] = (
     "decompose",
     "lp.build",
-    "lp.presolve",
     "lp.solve",
     "sched.plan",
     "sched.decide",

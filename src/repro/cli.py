@@ -111,6 +111,47 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_planner_args(parser: argparse.ArgumentParser) -> None:
+    """The FlowTime planner's flags (``run`` and ``serve``); read back by
+    :func:`_planner_kwargs`."""
+    parser.add_argument(
+        "--solve-budget",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-LP-solve wall-time budget; a blown budget triggers the "
+        "scheduler's degraded mode instead of stalling the loop "
+        "(FlowTime only)",
+    )
+    parser.add_argument(
+        # Choices come from the live solver registry, mirroring --scheduler:
+        # backends added via repro.lp.register_backend() appear here.
+        "--lp-backend",
+        default=None,
+        choices=sorted(available_backends()),
+        help="LP solver backend for planner-based schedulers (default: the "
+        "planner's own default, highs; 'fastsolve' lowers structured round "
+        "subproblems to a combinatorial flow solve)",
+    )
+
+
+def _planner_kwargs(args: argparse.Namespace) -> dict:
+    """``make_scheduler`` kwargs carrying the planner flags that were set
+    (none for schedulers without a planner)."""
+    planner = {}
+    if getattr(args, "no_plan_cache", False):
+        planner["plan_cache"] = False
+    if getattr(args, "no_warm_start", False):
+        planner["warm_start"] = False
+    if args.solve_budget is not None:
+        planner["solve_budget_s"] = args.solve_budget
+    if args.lp_backend:
+        planner["backend"] = args.lp_backend
+    if planner and args.scheduler.startswith("FlowTime"):
+        return {"planner": planner}
+    return {}
+
+
 def _fault_models(args: argparse.Namespace):
     """(FailureModel | None, ErrorModel | None) from the fault flags."""
     from repro.estimation.errors import ErrorModel
@@ -226,25 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the per-phase timing table (decompose, lp.build, "
         "lp.solve, sched.decide, sim.slot, ...)",
     )
-    run.add_argument(
-        "--solve-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-LP-solve wall-time budget; a blown budget triggers the "
-        "scheduler's degraded mode instead of stalling the loop "
-        "(FlowTime only)",
-    )
-    run.add_argument(
-        # Choices come from the live solver registry, mirroring --scheduler:
-        # backends added via repro.lp.register_backend() appear here.
-        "--lp-backend",
-        default=None,
-        choices=sorted(available_backends()),
-        help="LP solver backend for planner-based schedulers (default: the "
-        "planner's own default, highs; 'fastsolve' lowers structured round "
-        "subproblems to a combinatorial flow solve)",
-    )
+    _add_planner_args(run)
     run.add_argument(
         "--verify",
         action="store_true",
@@ -377,13 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards; see BENCH_throughput.json)",
     )
     serve.add_argument(
-        "--lp-backend",
-        default=None,
-        choices=sorted(available_backends()),
-        help="LP solver backend for planner-based schedulers (see "
-        "`repro run --lp-backend`)",
-    )
-    serve.add_argument(
         "--realtime",
         action="store_true",
         help="advance one slot per --slot-seconds of wall time (live "
@@ -460,14 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "accept); an existing journal is replayed on start, so a killed "
         "service restarts with zero lost accepted work",
     )
-    serve.add_argument(
-        "--solve-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-LP-solve wall-time budget; a blown budget triggers "
-        "degraded mode instead of stalling the loop (FlowTime only)",
-    )
+    _add_planner_args(serve)
     chaos = serve.add_argument_group(
         "chaos injection",
         "seeded solver-fault injection for robustness experiments "
@@ -646,18 +655,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     obs = Observability(
         sink=sink, level=verbosity_to_level(args.quiet, args.verbose)
     )
-    planner_opts = {}
-    if args.no_plan_cache:
-        planner_opts["plan_cache"] = False
-    if args.no_warm_start:
-        planner_opts["warm_start"] = False
-    if args.solve_budget is not None:
-        planner_opts["solve_budget_s"] = args.solve_budget
-    scheduler_kwargs = (
-        {"planner": planner_opts}
-        if planner_opts and args.scheduler.startswith("FlowTime")
-        else None
-    )
     from repro.verify import VerificationError
 
     try:
@@ -671,9 +668,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     record_execution=args.gantt,
                     failures=failures,
                     verify=args.verify,
-                    lp_backend=args.lp_backend,
                 ),
-                scheduler_kwargs=scheduler_kwargs,
+                scheduler_kwargs=_planner_kwargs(args),
                 obs=obs,
             )
     except VerificationError as error:
@@ -854,13 +850,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
-    scheduler_kwargs = {}
-    if args.solve_budget is not None and args.scheduler.startswith("FlowTime"):
-        scheduler_kwargs["planner"] = {"solve_budget_s": args.solve_budget}
     config = ServiceConfig(
         scheduler=args.scheduler,
-        scheduler_kwargs=scheduler_kwargs,
-        lp_backend=args.lp_backend,
+        scheduler_kwargs=_planner_kwargs(args),
         slot_seconds=args.slot_seconds,
         realtime=args.realtime,
         batch_window_s=args.batch_window,

@@ -10,6 +10,8 @@ normalised per-slot resource usage — :mod:`repro.core.lp_formulation` builds
 the LP, :mod:`repro.core.lexmin` runs the iterative minimax,
 :mod:`repro.core.allocation` re-quantises to integers, and
 :mod:`repro.core.flowtime` packages it all as a re-plannable planner.
+:mod:`repro.core.placement` is the kernel under both the planner and
+:mod:`repro.core.admission`: demand -> window -> capacity -> "does it fit?".
 """
 
 from repro.core.admission import AdmissionDecision, check_admission
@@ -20,9 +22,10 @@ from repro.core.decomposition import (
     JobWindow,
     decompose_deadline,
 )
-from repro.core.flowtime import FlowTimePlanner, JobDemand, PlannerConfig, caps_array
+from repro.core.flowtime import FlowTimePlanner
 from repro.core.lexmin import LexminResult, LexminWarmHint, lexmin_schedule
 from repro.core.lp_formulation import ScheduleProblem, build_schedule_problem
+from repro.core.placement import JobDemand, PlannerConfig, caps_array
 from repro.core.replan import CachedPlan, PlanCache, PlanRequest
 from repro.core.scalarization import g_scalarization, lex_leq, scalarized_schedule
 from repro.core.toposort import grouped_topological_sets

@@ -4,16 +4,14 @@ This is the paper's Sec. V/VI engine.  Every time the job mix changes (a job
 arrives, becomes ready, or completes) the scheduler calls :meth:`plan` with
 the *remaining* demands of all live deadline-aware jobs.  The planner:
 
-1. applies the **deadline slack** (Sec. VII-2): demands are required
-   ``slack_slots`` before the decomposed deadline whenever the tightened
-   window can still hold the job;
-2. repairs per-job infeasibility (overdue jobs, windows too small for the
-   remaining work) by extending windows just enough — the dynamic-replanning
-   answer to estimation errors;
-3. solves the lexicographic minimax LP (Sec. V-B) to get the flattest
+1. applies the **deadline slack** (Sec. VII-2) and repairs per-job
+   infeasibility (overdue jobs, windows too small for the remaining work) —
+   :func:`~repro.core.placement.entries_from_demands`, the
+   dynamic-replanning answer to estimation errors;
+2. solves the lexicographic minimax LP (Sec. V-B) to get the flattest
    possible deadline-work skyline, so ad-hoc jobs get the most leftover
    capacity as early as possible;
-4. re-quantises to an integral plan; if the LP is infeasible even after
+3. re-quantises to an integral plan; if the LP is infeasible even after
    relaxing all windows (the cluster is over-committed) it degrades to EDF
    water-filling rather than failing.
 
@@ -29,11 +27,10 @@ solve's skyline warm-starts the lexmin ladder on near-identical ones; see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.allocation import (
     AllocationPlan,
@@ -42,32 +39,16 @@ from repro.core.allocation import (
     quantize_coupled,
 )
 from repro.core.lexmin import LexminWarmHint, lexmin_schedule
-from repro.core.lp_formulation import (
-    Mode,
-    ScheduleEntry,
-    build_schedule_problem,
+from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
+from repro.core.placement import (
+    PlannerConfig,
+    caps_array,
+    entries_from_demands,
+    max_placement,
 )
 from repro.core.replan import CachedPlan, PlanCache, PlanRequest
-from repro.lp.problem import LinearProgram
-from repro.lp.solver import SolverFailure, solve_lp
-from repro.model.cluster import ClusterCapacity
-from repro.model.resources import ResourceVector
+from repro.lp.solver import SolverFailure
 from repro.obs import current_obs
-
-
-def caps_array(
-    capacity: ClusterCapacity, now_slot: int, horizon: int
-) -> np.ndarray:
-    """Per-slot capacity matrix ``C[k, r] = capacity.at(now + k)[r]``."""
-    resources = capacity.resources
-    caps = np.tile(
-        np.array([capacity.base[name] for name in resources], dtype=float),
-        (horizon, 1),
-    )
-    for slot, cap_vec in capacity.overrides.items():
-        if now_slot <= slot < now_slot + horizon:
-            caps[slot - now_slot] = [cap_vec[name] for name in resources]
-    return caps
 
 
 def _clamp(entries: list[ScheduleEntry], horizon: int) -> list[ScheduleEntry]:
@@ -82,82 +63,38 @@ def _clamp(entries: list[ScheduleEntry], horizon: int) -> list[ScheduleEntry]:
     ]
 
 
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Tunables of the FlowTime planner.
+def _extend_short_windows(
+    entries: list[ScheduleEntry], caps: np.ndarray, resources, config: PlannerConfig
+) -> list[ScheduleEntry]:
+    """Extend only the windows that provably cannot hold their work.
 
-    Attributes:
-        slack_slots: deadline slack in slots (the paper's default is 60 s =
-            6 slots of 10 s).  0 disables slack (the Fig. 5 ablation).
-        formulation: "coupled" (default; task-slot variables, executable) or
-            "paper" (per-resource variables, Lemma-2-faithful).
-        per_slot_caps: bound per-slot grants by the job's parallelism.
-        backend: LP backend name from the solver registry
-            (``repro.lp.available_backends()``; default "highs").
-            "fastsolve" lowers structured round subproblems to a
-            combinatorial parametric max-flow and falls back to "highs"
-            for instances without the interval structure.
-        max_lexmin_rounds: minimax refinement rounds (None = exact lexmin;
-            small values keep re-planning fast with near-identical plans).
-        horizon_slots: hard cap on the planning horizon (None = plan until
-            the latest adjusted deadline).
-        front_load: tie-break balanced optima toward earlier slots (see
-            :func:`repro.core.lexmin.lexmin_schedule`); False is the
-            paper-faithful behaviour where only the deadline slack guards
-            against last-minute allocations.
-        plan_cache: memoise solved plans by a canonical fingerprint of
-            (remaining demands, capacity, config) so unchanged job mixes —
-            in particular recurring-workflow instances — skip the LP ladder
-            entirely.  Plans are deterministic functions of the fingerprint,
-            so cached plans are identical to cold solves.
-        plan_cache_size: LRU capacity of the plan cache.
-        warm_start: on a cache miss, seed the lexmin ladder from the
-            previous solve's utilisation skyline (see
-            :class:`repro.core.lexmin.LexminWarmHint`).  The minimax theta
-            is still solved exactly and a failed exactness check falls back
-            to the cold ladder, so plans stay minimax-optimal.
-        solve_budget_s: optional wall-time budget per LP solve (the solver
-            guardrail).  A solve that exceeds it — or fails on every
-            backend — raises :class:`~repro.lp.solver.SolverFailure` out of
-            :meth:`FlowTimePlanner.plan`; the FlowTime scheduler catches it
-            and enters degraded mode.  None (default) never times out,
-            which is the pre-guardrail behaviour.
+    Each job's shortfall is the work :func:`max_placement` could not place
+    under the current windows and *caps*; such a job's deadline is pushed
+    out just far enough to absorb it at full parallelism, everyone else
+    keeps their window.
     """
-
-    slack_slots: int = 6
-    formulation: Mode = "coupled"
-    per_slot_caps: bool = True
-    backend: str = "highs"
-    max_lexmin_rounds: int | None = 4
-    horizon_slots: int | None = None
-    front_load: bool = True
-    plan_cache: bool = True
-    plan_cache_size: int = 128
-    warm_start: bool = True
-    solve_budget_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.slack_slots < 0:
-            raise ValueError("slack_slots must be >= 0")
-        if self.horizon_slots is not None and self.horizon_slots < 1:
-            raise ValueError("horizon_slots must be >= 1")
-        if self.plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class JobDemand:
-    """Remaining demand of one live deadline-aware job (absolute slots)."""
-
-    job_id: str
-    release_slot: int
-    deadline_slot: int
-    units: int
-    unit_demand: ResourceVector
-    max_parallel: int
-
-    def min_slots_needed(self) -> int:
-        return math.ceil(self.units / self.max_parallel)
+    try:
+        short, _, _ = max_placement(
+            entries,
+            caps,
+            resources,
+            tag="relax",
+            backend=config.backend,
+            time_budget_s=config.solve_budget_s,
+        )
+    except SolverFailure:
+        # Window relaxation is best-effort triage: without the shortfall
+        # oracle we keep the windows as-is and let the ladder's blanket
+        # stretch (or degraded mode) take over.
+        return entries
+    return [
+        replace(
+            e, deadline=e.deadline + math.ceil(short[e.job_id] / e.max_parallel) + 1
+        )
+        if e.job_id in short
+        else e
+        for e in entries
+    ]
 
 
 class FlowTimePlanner:
@@ -181,31 +118,6 @@ class FlowTimePlanner:
         # Previous solve's skyline in absolute coordinates: (resources,
         # theta, absolute slot / r_index / utilisation of every cell).
         self._skyline: tuple | None = None
-
-    # -- window preparation ---------------------------------------------------
-
-    def _entry_for(
-        self, demand: JobDemand, now: int, *, slack: int
-    ) -> ScheduleEntry:
-        """Relative-slot entry with slack applied and feasibility repaired."""
-        release = max(demand.release_slot - now, 0)
-        deadline = demand.deadline_slot - now
-        need = demand.min_slots_needed()
-
-        if slack and deadline - slack - release >= need:
-            deadline -= slack
-        # Overdue or too-tight windows are extended just enough: the paper's
-        # robustness story is that re-planning absorbs estimation drift
-        # instead of dropping jobs.
-        deadline = max(deadline, release + need, release + 1)
-        return ScheduleEntry(
-            job_id=demand.job_id,
-            release=release,
-            deadline=deadline,
-            units=demand.units,
-            unit_demand=demand.unit_demand,
-            max_parallel=demand.max_parallel,
-        )
 
     # -- planning ----------------------------------------------------------------
 
@@ -259,7 +171,7 @@ class FlowTimePlanner:
         if not request.demands:
             return AllocationPlan.empty(now_slot, 1, resources)
 
-        plain = [self._entry_for(d, now_slot, slack=0) for d in request.demands]
+        plain = entries_from_demands(request.demands, now_slot, 0, repair=True)
         horizon = max(entry.deadline for entry in plain)
         if config.horizon_slots is not None:
             horizon = min(horizon, config.horizon_slots)
@@ -268,29 +180,32 @@ class FlowTimePlanner:
         def ladder() -> Iterator[tuple[int, list[ScheduleEntry], int]]:
             """The relaxation ladder as ``(rung, entries, horizon)``.
 
-            It is lazy: a rung is built, and its max-placement LP solved,
+            It is lazy: a rung is built, and its max-placement solved,
             only once every rung before it has failed, so a plan that fits
-            its windows costs one problem build and no max-placement solve.
+            its windows costs one problem build and no max-placement.
             In order: 0 the slacked windows; 1 the plain windows; 2 and 3
-            only the windows a max-placement LP proves cannot hold their
+            only the windows :func:`max_placement` proves cannot hold their
             work, extended once and then once more (optimal triage:
             feasible jobs keep their urgency, like EDF sacrificing the
-            least-urgent work, but chosen by an LP); 4 everything
+            least-urgent work, but chosen by the optimum); 4 everything
             stretched.  A relax-everything jump would schedule like there
             were no deadlines at all.
             """
             if config.slack_slots:
-                slacked = [
-                    self._entry_for(d, now_slot, slack=config.slack_slots)
-                    for d in request.demands
-                ]
+                slacked = entries_from_demands(
+                    request.demands, now_slot, config.slack_slots, repair=True
+                )
                 yield 0, _clamp(slacked, horizon), horizon
             relaxed, relaxed_horizon = _clamp(plain, horizon), horizon
             yield 1, relaxed, relaxed_horizon
             for rung in (2, 3):
-                relaxed, relaxed_horizon = self._shortfall_relax(
-                    relaxed, now_slot, capacity, relaxed_horizon, config
+                relaxed = _extend_short_windows(
+                    relaxed,
+                    caps_array(capacity, now_slot, relaxed_horizon),
+                    resources,
+                    config,
                 )
+                relaxed_horizon = max(relaxed_horizon, *(e.deadline for e in relaxed))
                 yield rung, relaxed, relaxed_horizon
             everyone = [replace(e, deadline=stretched) for e in _clamp(plain, stretched)]
             yield 4, everyone, stretched
@@ -365,67 +280,6 @@ class FlowTimePlanner:
             unit_demands={e.job_id: e.unit_demand for e in plain},
             degraded=True,
         )
-
-    def _shortfall_relax(
-        self,
-        entries: list[ScheduleEntry],
-        now_slot: int,
-        capacity: ClusterCapacity,
-        horizon: int,
-        config: PlannerConfig,
-    ) -> tuple[list[ScheduleEntry], int]:
-        """Extend only the windows that provably cannot hold their work.
-
-        Solves a *max-placement* LP (demands relaxed to ``<=``, maximise the
-        total placed) under the current windows and caps; each job's
-        shortfall is the work the optimum could not place.  Jobs with a
-        shortfall get their deadline pushed out just far enough to absorb it
-        at full parallelism; everyone else keeps their window.  Returns the
-        relaxed entries and the (possibly grown) horizon.
-        """
-        caps = caps_array(capacity, now_slot, horizon)
-        problem = build_schedule_problem(
-            entries,
-            caps,
-            capacity.resources,
-            mode="coupled",
-            per_slot_caps=True,
-        )
-        cap_rows = problem.cell_caps()
-        lp = LinearProgram(
-            c=-np.ones(problem.n_vars),
-            a_ub=sparse.vstack([problem.a_util, problem.a_eq]).tocsr(),
-            b_ub=np.concatenate([cap_rows, problem.b_eq]),
-            lb=np.zeros(problem.n_vars),
-            ub=problem.var_ub,
-        )
-        try:
-            sol = solve_lp(
-                lp,
-                backend=config.backend,
-                tag="relax",
-                time_budget_s=config.solve_budget_s,
-            )
-        except SolverFailure:
-            # Window relaxation is best-effort triage: without the shortfall
-            # oracle we keep the windows as-is and let the ladder's blanket
-            # stretch (or degraded mode) take over.
-            return entries, horizon
-        if not sol.is_optimal:  # defensive: max-placement is always feasible
-            return entries, horizon
-        placed = np.asarray(problem.a_eq @ sol.x).ravel()
-        relaxed: list[ScheduleEntry] = []
-        new_horizon = horizon
-        for entry, got, want in zip(problem.entries, placed, problem.b_eq):
-            shortfall = want - got
-            if shortfall > 0.5:
-                extra = math.ceil(shortfall / entry.max_parallel) + 1
-                deadline = entry.deadline + extra
-                new_horizon = max(new_horizon, deadline)
-                relaxed.append(replace(entry, deadline=deadline))
-            else:
-                relaxed.append(entry)
-        return relaxed, new_horizon
 
     def _quantize(
         self, problem, x, config: PlannerConfig

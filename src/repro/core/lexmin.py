@@ -303,7 +303,7 @@ def lexmin_schedule(
 
     Args:
         problem: pre-assembled LP structure.
-        backend: LP backend name ("highs" or "simplex").
+        backend: LP backend name (``repro.lp.available_backends()``).
         max_rounds: cap on minimax rounds; ``None`` means run until every
             utilisation cell is frozen (exact lexicographic optimum).
         tol: relative tolerance for saturation detection.

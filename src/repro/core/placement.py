@@ -1,0 +1,322 @@
+"""The placement kernel: demand -> window -> capacity -> "does this set fit?".
+
+Admission and the planner's relaxation rungs ask one question of one
+pipeline, and each step of it is written here once:
+
+1. :class:`JobDemand` — the remaining work of a live deadline job inside its
+   decomposed window (absolute slots);
+2. :func:`entries_from_demands` — the demands as plan-relative
+   :class:`~repro.core.lp_formulation.ScheduleEntry` windows: clamped at
+   ``now``, shaved by the deadline slack (Sec. VII-2), and — for the planner
+   only — repaired when too small for their own work;
+3. :func:`caps_array` — the per-slot capacity matrix ``C[t, r]``;
+4. :func:`max_placement` — the most work those windows can hold under those
+   capacities, over the coupled polytope (``y[i,t]`` task-slots of job ``i``
+   in slot ``t``, every row ``sum_i d[i,r]*y[i,t] <= C[t,r]``): one integer
+   max-flow when a resource binds (:func:`binding_resource`; Lemma 2's
+   transportation network, integer equality, no tolerance), otherwise the
+   max-placement LP, which is also the reference the flow is tested against.
+   The route is chosen from the input alone.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Literal, Sequence
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import maximum_flow
+
+from repro.core.decomposition_types import JobWindow
+from repro.core.lp_formulation import Mode, ScheduleEntry, build_schedule_problem
+from repro.lp.problem import LinearProgram
+from repro.lp.solver import DEFAULT_BACKEND, solve_lp
+from repro.model.cluster import ClusterCapacity
+from repro.model.job import TaskSpec
+from repro.model.resources import ResourceVector
+
+#: scipy's max-flow carries int32 capacities.
+_INT32_MAX = 2**31 - 1
+#: An LP-route job is short when it misses more than this share of its units.
+_LP_SHORT_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class PlannerConfig:
+    """Tunables of the FlowTime planner.
+
+    Attributes:
+        slack_slots: deadline slack in slots (the paper's default is 60 s =
+            6 slots of 10 s).  0 disables slack (the Fig. 5 ablation).
+        formulation: "coupled" (default; task-slot variables, executable) or
+            "paper" (per-resource variables, Lemma-2-faithful).
+        per_slot_caps: bound per-slot grants by the job's parallelism.
+        backend: LP backend name from the solver registry
+            (``repro.lp.available_backends()``; default "highs").
+            "fastsolve" lowers structured round subproblems to a
+            combinatorial parametric max-flow and falls back to "highs"
+            for instances without the interval structure.
+        max_lexmin_rounds: minimax refinement rounds (None = exact lexmin;
+            small values keep re-planning fast with near-identical plans).
+        horizon_slots: hard cap on the planning horizon (None = plan until
+            the latest adjusted deadline).
+        front_load: tie-break balanced optima toward earlier slots (see
+            :func:`repro.core.lexmin.lexmin_schedule`); False is the
+            paper-faithful behaviour where only the deadline slack guards
+            against last-minute allocations.
+        plan_cache: memoise solved plans by a canonical fingerprint of
+            (remaining demands, capacity, config) so unchanged job mixes —
+            in particular recurring-workflow instances — skip the LP ladder
+            entirely.  Plans are deterministic functions of the fingerprint,
+            so cached plans are identical to cold solves.
+        plan_cache_size: LRU capacity of the plan cache.
+        warm_start: on a cache miss, seed the lexmin ladder from the
+            previous solve's utilisation skyline (see
+            :class:`repro.core.lexmin.LexminWarmHint`).  The minimax theta
+            is still solved exactly and a failed exactness check falls back
+            to the cold ladder, so plans stay minimax-optimal.
+        solve_budget_s: optional wall-time budget per LP solve (the solver
+            guardrail).  A solve that exceeds it — or fails on every
+            backend — raises :class:`~repro.lp.solver.SolverFailure` out of
+            :meth:`FlowTimePlanner.plan`; the FlowTime scheduler catches it
+            and enters degraded mode.  None (default) never times out,
+            which is the pre-guardrail behaviour.
+    """
+
+    slack_slots: int = 6
+    formulation: Mode = "coupled"
+    per_slot_caps: bool = True
+    backend: str = DEFAULT_BACKEND
+    max_lexmin_rounds: int | None = 4
+    horizon_slots: int | None = None
+    front_load: bool = True
+    plan_cache: bool = True
+    plan_cache_size: int = 128
+    warm_start: bool = True
+    solve_budget_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.slack_slots < 0:
+            raise ValueError("slack_slots must be >= 0")
+        if self.horizon_slots is not None and self.horizon_slots < 1:
+            raise ValueError("horizon_slots must be >= 1")
+        if self.plan_cache_size < 1:
+            raise ValueError("plan_cache_size must be >= 1")
+
+
+@dataclass(frozen=True)
+class JobDemand:
+    """Remaining demand of one live deadline-aware job (absolute slots)."""
+
+    job_id: str
+    release_slot: int
+    deadline_slot: int
+    units: int
+    unit_demand: ResourceVector
+    max_parallel: int
+
+    @classmethod
+    def in_window(cls, window: JobWindow, tasks: TaskSpec, units: int) -> "JobDemand":
+        """*units* task-slots of a job with (estimated) structure *tasks*,
+        due inside its decomposed *window*."""
+        return cls(
+            job_id=window.job_id,
+            release_slot=window.release_slot,
+            deadline_slot=window.deadline_slot,
+            units=units,
+            unit_demand=tasks.demand,
+            max_parallel=tasks.count,
+        )
+
+    def min_slots_needed(self) -> int:
+        return math.ceil(self.units / self.max_parallel)
+
+
+def entries_from_demands(
+    demands: Sequence[JobDemand], now_slot: int, slack: int, *, repair: bool
+) -> list[ScheduleEntry]:
+    """The demands as plan-relative, slack-shaved windows.
+
+    A window is shaved by *slack* only while it still holds ``need`` slots.
+    With *repair* (the planner) ``need`` is the job's own minimum runtime,
+    and overdue or too-tight windows are extended just that far: re-planning
+    absorbs estimation drift instead of dropping jobs.  Without it
+    (admission) ``need`` is 1 — a window too small for its own work is
+    precisely a reason to reject, so it must not be repaired.
+    """
+    entries = []
+    for demand in demands:
+        release = max(demand.release_slot - now_slot, 0)
+        deadline = demand.deadline_slot - now_slot
+        need = demand.min_slots_needed() if repair else 1
+        if slack and deadline - slack - release >= need:
+            deadline -= slack
+        entries.append(
+            ScheduleEntry(
+                job_id=demand.job_id,
+                release=release,
+                deadline=max(deadline, release + need),
+                units=demand.units,
+                unit_demand=demand.unit_demand,
+                max_parallel=demand.max_parallel,
+            )
+        )
+    return entries
+
+
+def caps_array(capacity: ClusterCapacity, now_slot: int, horizon: int) -> np.ndarray:
+    """Per-slot capacity matrix ``C[k, r] = capacity.at(now + k)[r]``."""
+    resources = capacity.resources
+    caps = np.tile(
+        np.array([capacity.base[name] for name in resources], dtype=float),
+        (horizon, 1),
+    )
+    for slot, cap_vec in capacity.overrides.items():
+        if now_slot <= slot < now_slot + horizon:
+            caps[slot - now_slot] = [cap_vec[name] for name in resources]
+    return caps
+
+
+def binding_resource(
+    entries: Sequence[ScheduleEntry], caps: np.ndarray, resources: Sequence[str]
+) -> int | None:
+    """Index of a resource whose capacity row implies every other one's.
+
+    ``r*`` binds when every job demands it and, for every job ``i``,
+    resource ``r`` and slot ``t``, ``d[i,r]*C[t,r*] <= d[i,r*]*C[t,r]``:
+    any per-slot placement within ``C[t,r*]`` is then within ``C[t,r]``
+    too.  Evaluated over the distinct demand vectors and capacity rows (a
+    handful of each), in Python integers so no product overflows.
+    """
+    vectors = {entry.unit_demand for entry in entries}
+    known = set(resources)
+    if not all(known.issuperset(vector) for vector in vectors):
+        return None  # the LP route names the unknown resource
+    demand_rows = [[vector[name] for name in resources] for vector in vectors]
+    cap_rows = set(map(tuple, caps.astype(np.int64).tolist()))
+    columns = range(len(resources))
+    for star in columns:
+        if all(
+            d[star] > 0 and d[r] * c[star] <= d[star] * c[r]
+            for d in demand_rows
+            for c in cap_rows
+            for r in columns
+        ):
+            return star
+    return None
+
+
+def max_placement(
+    entries: Sequence[ScheduleEntry],
+    caps: np.ndarray,
+    resources: Sequence[str],
+    *,
+    tag: str,
+    backend: str = DEFAULT_BACKEND,
+    time_budget_s: float | None = None,
+) -> tuple[dict[str, int], float, Literal["flow", "lp"]]:
+    """Place as much of *entries*' work as their windows and *caps* allow.
+
+    Returns ``(shortfall_units, utilisation, route)``: the per-job
+    task-slots that cannot be placed inside the job's window (empty when
+    everything fits; one witness — which jobs of an over-full set come up
+    short is not unique), the max normalised load of that witness placement,
+    and which method answered.  *tag*, *backend* and *time_budget_s* reach
+    :func:`~repro.lp.solver.solve_lp` on the LP route only, whose
+    :class:`~repro.lp.solver.SolverFailure` propagates.
+    """
+    binding = binding_resource(entries, caps, resources)
+    if binding is not None:
+        found = _place_by_flow(entries, caps[:, binding], resources[binding])
+        if found is not None:
+            return found
+
+    problem = build_schedule_problem(
+        entries, caps, resources, mode="coupled", per_slot_caps=True
+    )
+    lp = LinearProgram(
+        c=-np.ones(problem.n_vars),
+        a_ub=sparse.vstack([problem.a_util, problem.a_eq]).tocsr(),
+        b_ub=np.concatenate([problem.cell_caps(), problem.b_eq]),
+        lb=np.zeros(problem.n_vars),
+        ub=problem.var_ub,
+    )
+    x = solve_lp(
+        lp, backend=backend, tag=tag, time_budget_s=time_budget_s
+    ).require_optimal()  # zero placement is feasible, the optimum bounded
+    placed = np.asarray(problem.a_eq @ x).ravel()
+
+    shortfalls: dict[str, int] = {}
+    for entry, got, want in zip(problem.entries, placed, problem.b_eq):
+        tolerance = _LP_SHORT_TOL * want
+        if want - got > tolerance:
+            shortfalls[entry.job_id] = math.ceil(want - got - tolerance)
+    return shortfalls, float(problem.utilisation(x).max(initial=0.0)), "lp"
+
+
+def _place_by_flow(
+    entries: Sequence[ScheduleEntry], slot_caps: np.ndarray, resource: str
+) -> tuple[dict[str, int], float, Literal["flow"]] | None:
+    """Max-placement as one integer max-flow on the binding *resource*.
+
+    Network, in units of that resource: source -> job ``units*d``, job ->
+    each slot of its window ``min(max_parallel, units)*d``, slot -> sink
+    ``slot_caps[t]``.  None when the total supply does not fit the solver's
+    int32 capacities.
+    """
+    n = len(entries)
+    horizon = slot_caps.size
+    release, deadline, units, parallel, demand = np.array(
+        [
+            (e.release, e.deadline, e.units, e.max_parallel, e.unit_demand[resource])
+            for e in entries
+        ],
+        dtype=np.int64,
+    ).T
+    supply = units * demand
+    total = int(supply.sum())
+    if total > _INT32_MAX:
+        return None
+    window = deadline - release
+    # One arc per (job, slot of its window), job-major: exactly CSR order.
+    first_arc = np.cumsum(window) - window
+    arc_slot = np.arange(window.sum()) - np.repeat(first_arc - release, window)
+    # No slot can carry more than everything there is to place.
+    sink_caps = np.minimum(slot_caps.astype(np.int64), total)
+
+    # Nodes: 0 = source, 1..n = jobs, then the horizon's slots, then sink.
+    sink = 1 + n + horizon
+    row_len = np.concatenate([[n], window, np.ones(horizon, dtype=np.int64), [0]])
+    graph = sparse.csr_matrix(
+        (
+            np.concatenate(
+                [supply, np.repeat(np.minimum(parallel, units) * demand, window), sink_caps]
+            ).astype(np.int32),
+            np.concatenate(
+                [np.arange(1, n + 1), 1 + n + arc_slot, np.full(horizon, sink)]
+            ).astype(np.int32),
+            np.concatenate([[0], np.cumsum(row_len)]).astype(np.int32),
+        ),
+        shape=(sink + 1, sink + 1),
+    )
+    result = maximum_flow(graph, 0, sink)
+
+    shortfalls: dict[str, int] = {}
+    if result.flow_value != total:
+        missing = supply - result.flow[0, 1 : n + 1].toarray().ravel()
+        for index in np.flatnonzero(missing):
+            # Task-slots that cannot complete: ceil(missing / d).
+            shortfalls[entries[index].job_id] = int(
+                -(-missing[index] // demand[index])
+            )
+    # The flow matrix is antisymmetric: the sink's row holds minus each
+    # slot's load.  Every other resource's utilisation is dominated by the
+    # binding one's, so this is the max over resources too.
+    loads = -result.flow[sink, 1 + n : sink].toarray().ravel()
+    open_slots = slot_caps > 0
+    utilisation = float(
+        (loads[open_slots] / slot_caps[open_slots]).max(initial=0.0)
+    )
+    return shortfalls, utilisation, "flow"

@@ -33,26 +33,24 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable
+from typing import Hashable
 
 import numpy as np
 
 from repro.core.allocation import AllocationPlan
+from repro.core.placement import JobDemand, PlannerConfig
 from repro.model.cluster import ClusterCapacity
-
-if TYPE_CHECKING:  # real imports would cycle through repro.core.flowtime
-    from repro.core.flowtime import JobDemand, PlannerConfig
 
 __all__ = ["CachedPlan", "PlanCache", "PlanRequest"]
 
 
-def _demand_key(demand: "JobDemand", now_slot: int) -> tuple:
+def _demand_key(demand: JobDemand, now_slot: int) -> tuple:
     """Anonymous, sortable, time-relative identity of one demand.
 
     Matches exactly what the planner's window preparation consumes: the
-    effective relative release (clamped at 0 like ``_entry_for``), the
-    relative deadline, remaining units, the per-unit resource shape, and
-    the parallelism bound.  The job id is deliberately absent.
+    effective relative release (clamped at 0 like
+    ``entries_from_demands``), the relative deadline, remaining units, the
+    per-unit resource shape, and the parallelism bound.  The job id is deliberately absent.
     """
     return (
         max(demand.release_slot - now_slot, 0),
@@ -89,20 +87,20 @@ class PlanRequest:
         demands: remaining demands of the live deadline jobs.
         capacity: the cluster's (possibly time-varying) capacity.
         config: optional per-request override of the planner's
-            :class:`~repro.core.flowtime.PlannerConfig` (None = use the
+            :class:`~repro.core.placement.PlannerConfig` (None = use the
             planner's own).
     """
 
     now_slot: int
-    demands: tuple["JobDemand", ...]
+    demands: tuple[JobDemand, ...]
     capacity: ClusterCapacity
-    config: "PlannerConfig | None" = None
+    config: PlannerConfig | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.demands, tuple):
             object.__setattr__(self, "demands", tuple(self.demands))
 
-    def fingerprint(self, config: "PlannerConfig") -> Hashable:
+    def fingerprint(self, config: PlannerConfig) -> Hashable:
         """Canonical cache key under the *effective* planner config."""
         return (
             tuple(sorted(_demand_key(d, self.now_slot) for d in self.demands)),
@@ -110,7 +108,7 @@ class PlanRequest:
             config,
         )
 
-    def canonical_demands(self) -> list["JobDemand"]:
+    def canonical_demands(self) -> list[JobDemand]:
         """Demands in deterministic (anonymous key, job_id) order.
 
         This is the row order of :class:`CachedPlan` grant arrays; ties on

@@ -18,7 +18,6 @@ interchangeable backends behind one registry (:mod:`repro.lp.solver`):
 generated instances and hosts the public structure-detection API.
 """
 
-from repro.lp.presolve import presolve, solve_with_presolve
 from repro.lp.problem import LinearProgram, LPSolution, LPStatus
 from repro.lp.solver import (
     DEFAULT_BACKEND,
@@ -56,9 +55,7 @@ __all__ = [
     "has_consecutive_ones_columns",
     "install_fault_injector",
     "is_totally_unimodular",
-    "presolve",
     "register_backend",
     "solve_lp",
-    "solve_with_presolve",
     "unregister_backend",
 ]

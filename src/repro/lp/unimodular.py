@@ -19,8 +19,7 @@ Three checks are provided:
   whole :class:`~repro.lp.problem.LinearProgram`, decide whether it is a
   *theta-form interval transportation LP* (the shape of every lexmin round
   subproblem) and, when it is, return the lowered network description that
-  :mod:`repro.lp.fastsolve` solves combinatorially and
-  :mod:`repro.lp.presolve` uses to skip structure-destroying reductions.
+  :mod:`repro.lp.fastsolve` solves combinatorially.
 
 The detected class, precisely: minimise a single non-negative variable
 ``theta`` subject to

@@ -34,7 +34,8 @@ from typing import Optional, Sequence
 from repro.core.allocation import AllocationPlan
 from repro.core.decomposition import decompose_deadline
 from repro.core.decomposition_types import JobWindow
-from repro.core.flowtime import FlowTimePlanner, JobDemand, PlannerConfig
+from repro.core.flowtime import FlowTimePlanner
+from repro.core.placement import JobDemand, PlannerConfig
 from repro.core.replan import PlanRequest
 from repro.lp.solver import SolverFailure
 from repro.model.events import Event, EventKind
@@ -128,14 +129,7 @@ class FlowTimeScheduler(Scheduler):
             if window is None:  # defensive: workflow decomposed on arrival
                 continue
             demands.append(
-                JobDemand(
-                    job_id=job.job_id,
-                    release_slot=window.release_slot,
-                    deadline_slot=window.deadline_slot,
-                    units=job.believed_remaining_units,
-                    unit_demand=job.unit_demand,
-                    max_parallel=job.max_parallel,
-                )
+                JobDemand.in_window(window, job.est_spec, job.believed_remaining_units)
             )
         return demands
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.allocation import AllocationPlan
 from repro.core.decomposition_types import JobWindow
+from repro.core.placement import caps_array
 from repro.estimation.estimator import estimate_job_offsets, estimated_makespan
 from repro.estimation.history import RunHistory, local_job_id
 from repro.model.events import Event, EventKind
@@ -140,11 +141,7 @@ class MorpheusScheduler(Scheduler):
             horizon = max(horizon, need + 1)
 
         resources = view.capacity.resources
-        caps = np.zeros((horizon, len(resources)))
-        for k in range(horizon):
-            cap = view.capacity.at(now + k)
-            for r, name in enumerate(resources):
-                caps[k, r] = cap[name]
+        caps = caps_array(view.capacity, now, horizon)
         load = np.zeros_like(caps)
         grants: dict[str, np.ndarray] = {}
         unit_demands: dict[str, ResourceVector] = {}

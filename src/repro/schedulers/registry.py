@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.flowtime import PlannerConfig
+from repro.core.placement import PlannerConfig
 from repro.estimation.history import RunHistory
 from repro.schedulers.base import Scheduler
 from repro.schedulers.cora import CoraScheduler

@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.allocation import AllocationPlan
 from repro.core.decomposition import decompose_deadline
 from repro.core.decomposition_types import JobWindow
+from repro.core.placement import caps_array
 from repro.model.events import Event, EventKind
 from repro.model.resources import ResourceVector
 from repro.schedulers.base import Assignment, Scheduler
@@ -83,11 +84,7 @@ class TetriSchedScheduler(Scheduler):
             return AllocationPlan.empty(now, 1, resources)
 
         horizon = self.plan_ahead_slots
-        caps = np.zeros((horizon, len(resources)))
-        for k in range(horizon):
-            cap = view.capacity.at(now + k)
-            for r, name in enumerate(resources):
-                caps[k, r] = cap[name]
+        caps = caps_array(view.capacity, now, horizon)
         load = np.zeros_like(caps)
         grants: dict[str, np.ndarray] = {}
         unit_demands: dict[str, ResourceVector] = {}

@@ -62,13 +62,8 @@ class ServiceConfig:
     Attributes:
         scheduler: registry name of the scheduling policy to run.
         scheduler_kwargs: forwarded to the registry factory (e.g.
-            ``{"planner": {"plan_cache": False}}`` for ablations).
-        lp_backend: LP solver backend name for planner-based schedulers
-            (``repro serve --lp-backend``; see
-            ``repro.lp.available_backends``).  Folded into the FlowTime
-            planner kwargs at scheduler construction; ``None`` keeps the
-            planner's default, and an explicit
-            ``scheduler_kwargs["planner"]["backend"]`` wins.
+            ``{"planner": {"backend": "fastsolve"}}``, which is what
+            ``repro serve --lp-backend`` sets).
         slot_seconds: modelled duration of one slot (metrics conversion;
             the paper's deployment used 10 s).
         realtime: when True the event loop advances one slot per
@@ -132,7 +127,6 @@ class ServiceConfig:
 
     scheduler: str = "FlowTime"
     scheduler_kwargs: Mapping = field(default_factory=dict)
-    lp_backend: Optional[str] = None
     slot_seconds: float = 10.0
     realtime: bool = False
     batch_window_s: float = 0.0

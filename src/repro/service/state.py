@@ -37,7 +37,7 @@ import zlib
 from repro.core.admission import check_admission
 from repro.core.decomposition import decompose_deadline
 from repro.core.decomposition_types import JobWindow
-from repro.core.flowtime import JobDemand, PlannerConfig
+from repro.core.placement import JobDemand, PlannerConfig, caps_array
 from repro.estimation.errors import (
     apply_estimation_errors,
     apply_workflow_estimation_errors,
@@ -102,12 +102,7 @@ class ServiceState:
         self.config = config = config or ServiceConfig()
         self.obs = obs if obs is not None else Observability()
         if scheduler is None:
-            scheduler_kwargs = dict(config.scheduler_kwargs)
-            if config.lp_backend and config.scheduler.startswith("FlowTime"):
-                planner = dict(scheduler_kwargs.get("planner", {}))
-                planner.setdefault("backend", config.lp_backend)
-                scheduler_kwargs["planner"] = planner
-            scheduler = make_scheduler(config.scheduler, **scheduler_kwargs)
+            scheduler = make_scheduler(config.scheduler, **config.scheduler_kwargs)
         self.scheduler = scheduler
         self.core = make_engine_core(
             cluster,
@@ -353,16 +348,7 @@ class ServiceState:
             units = run.believed_remaining_units()
             if units <= 0:
                 continue
-            demands.append(
-                JobDemand(
-                    job_id=job.job_id,
-                    release_slot=window.release_slot,
-                    deadline_slot=window.deadline_slot,
-                    units=units,
-                    unit_demand=job.tasks.demand,
-                    max_parallel=job.tasks.count,
-                )
-            )
+            demands.append(JobDemand.in_window(window, job.tasks, units))
         return demands
 
     def _reject(self, workflow: Workflow, reason: str, **detail) -> SubmitResult:
@@ -541,10 +527,9 @@ class ServiceState:
         horizon = max(
             max((d.deadline_slot for d in demands), default=now + 1) - now, 1
         )
-        base = self.cluster.base
+        caps = caps_array(self.cluster, now, horizon).sum(axis=0)
         per_resource: dict[str, float] = {}
-        for resource in self.cluster.resources:
-            cap = base[resource] * horizon
+        for resource, cap in zip(self.cluster.resources, caps.tolist()):
             load = float(
                 sum(d.units * d.unit_demand[resource] for d in demands)
             )

@@ -66,12 +66,6 @@ class SimulationConfig:
             :class:`~repro.verify.VerificationError` on any violation
             (``repro run --verify``).  Off by default — it costs a
             per-slot recheck and turns on execution recording.
-        lp_backend: LP solver backend name (``repro.lp.available_backends``)
-            for planner-based schedulers.  The engine never constructs
-            schedulers itself, so this is a *plumbing* field: run harnesses
-            (:func:`repro.analysis.experiments.run_one`, the golden-trace
-            corpus) read it and fold it into the FlowTime planner kwargs.
-            ``None`` keeps each scheduler's own default.
     """
 
     slot_seconds: float = 10.0
@@ -81,7 +75,6 @@ class SimulationConfig:
     failures: FailureModel | None = None
     node_cluster: NodeCluster | None = None
     verify: bool = False
-    lp_backend: str | None = None
 
 
 class Simulation:

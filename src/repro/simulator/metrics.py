@@ -18,6 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.decomposition_types import JobWindow
+from repro.core.placement import caps_array
 from repro.model.cluster import ClusterCapacity
 from repro.model.job import JobKind
 from repro.simulator.result import JobRecord, SimulationResult
@@ -113,11 +114,7 @@ def utilization_timeline(
 ) -> np.ndarray:
     """Per-slot max-over-resources utilisation of *used* resources."""
     n_slots, n_resources = result.usage.shape
-    caps = np.zeros((n_slots, n_resources))
-    for slot in range(n_slots):
-        cap = cluster.at(slot)
-        for r, name in enumerate(result.resources):
-            caps[slot, r] = cap[name]
+    caps = caps_array(cluster, 0, n_slots)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(caps > 0, result.usage / caps, 0.0)
     return ratio.max(axis=1) if n_resources else np.zeros(n_slots)

@@ -193,7 +193,8 @@ def run_golden(
         "FlowTime",
         trace,
         capacity,
-        config=SimulationConfig(record_execution=True, lp_backend=lp_backend),
+        config=SimulationConfig(record_execution=True),
+        scheduler_kwargs={"planner": {"backend": lp_backend}} if lp_backend else None,
         obs=Observability(sink=sink),
     )
     windows = canonical_windows(trace, capacity)

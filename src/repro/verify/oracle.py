@@ -309,7 +309,8 @@ def integral_feasible(
 
 def _production_plan(instance: OracleInstance, *, backend: str = "highs"):
     """Plan the instance through the production FlowTime path."""
-    from repro.core.flowtime import FlowTimePlanner, JobDemand, PlannerConfig
+    from repro.core.flowtime import FlowTimePlanner
+    from repro.core.placement import JobDemand, PlannerConfig
     from repro.core.replan import PlanRequest
     from repro.model.cluster import ClusterCapacity
     from repro.model.resources import ResourceVector

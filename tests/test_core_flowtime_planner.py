@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.flowtime import FlowTimePlanner, JobDemand, PlannerConfig
+from repro.core.flowtime import FlowTimePlanner
+from repro.core.placement import JobDemand, PlannerConfig
 from repro.core.replan import PlanRequest
 from repro.model.cluster import ClusterCapacity
 from repro.model.resources import CPU, MEM, ResourceVector

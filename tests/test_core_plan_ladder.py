@@ -1,12 +1,15 @@
 """The plan path solves only the LPs whose answers it uses.
 
 Three contracts: a plan that fits its windows costs one problem build and
-no max-placement solve; the lazy relaxation ladder returns, grant array for
-grant array, the plan of an eager ladder that builds every rung up front
-(written here as a test-only oracle); and a round LP gathered from a
-ladder's pre-assembled pieces is the LP the block-by-block assembly gives.
+no max-placement, and an over-committed one whose jobs share a binding
+resource still no max-placement *LP*; the lazy relaxation ladder returns,
+grant array for grant array, the plan of an eager ladder that builds every
+rung up front (written here as a test-only oracle); and a round LP gathered
+from a ladder's pre-assembled pieces is the LP the block-by-block assembly
+gives.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,19 +17,20 @@ import pytest
 from scipy import sparse
 
 from repro.core.allocation import greedy_fill
-from repro.core.flowtime import (
-    FlowTimePlanner,
-    JobDemand,
-    PlannerConfig,
-    _clamp,
-    caps_array,
-)
+from repro.core.flowtime import FlowTimePlanner, _clamp
 from repro.core.lexmin import (
     assemble_round_pieces,
     build_round_lp,
     lexmin_schedule,
 )
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
+from repro.core.placement import (
+    JobDemand,
+    PlannerConfig,
+    caps_array,
+    entries_from_demands,
+    max_placement,
+)
 from repro.core.replan import PlanRequest
 from repro.model.cluster import ClusterCapacity
 from repro.model.resources import ResourceVector
@@ -72,20 +76,31 @@ def counters(obs: Observability, prefix: str) -> dict[str, int]:
 
 def eager_plan(planner: FlowTimePlanner, request: PlanRequest):
     """The ladder before it was lazy: all five rungs (and both
-    max-placement LPs) built up front, then tried in order."""
+    max-placements) built up front from the public kernel, then tried in
+    order."""
     config, now, capacity = planner.config, request.now_slot, request.capacity
     slacked, plain = (
-        [planner._entry_for(d, now, slack=s) for d in request.demands]
-        for s in (config.slack_slots, 0)
+        entries_from_demands(request.demands, now, slack, repair=True)
+        for slack in (config.slack_slots, 0)
     )
     horizon = max(entry.deadline for entry in plain)
     stretched = int(horizon * 3 / 2) + 1
     ladder = [(_clamp(slacked, horizon), horizon), (_clamp(plain, horizon), horizon)]
     for _ in range(2):
         entries, rung_horizon = ladder[-1]
-        ladder.append(
-            planner._shortfall_relax(entries, now, capacity, rung_horizon, config)
+        short, _, _ = max_placement(
+            entries,
+            caps_array(capacity, now, rung_horizon),
+            capacity.resources,
+            tag="relax",
         )
+        entries = [
+            replace(e, deadline=e.deadline + math.ceil(short[e.job_id] / e.max_parallel) + 1)
+            if e.job_id in short
+            else e
+            for e in entries
+        ]
+        ladder.append((entries, max(rung_horizon, *(e.deadline for e in entries))))
     ladder.append(
         ([replace(e, deadline=stretched) for e in _clamp(plain, stretched)], stretched)
     )
@@ -119,12 +134,13 @@ class TestFeasiblePlanCost:
         assert tags["balance"] == 1 and tags["round"] >= 1
         assert tags["round"] + tags["balance"] == obs.histogram("lp.solve").count
 
-    def test_an_unshaved_slack_is_not_solved_twice(self):
-        # The window is too tight for any slack, so the slacked and plain
-        # rungs are one LP; it fails, and the ladder moves straight on.
+    @staticmethod
+    def unshaved(vectors):
+        """Plan two jobs whose window is too tight for any slack, so the
+        slacked and plain rungs are one LP; it fails, and the ladder moves
+        straight on.  Returns (rung that planned, relax LPs, builds)."""
         demands = tuple(
-            JobDemand(f"j{i}", 0, 3, 12, ResourceVector(cpu=2, mem=2), 4)
-            for i in range(2)
+            JobDemand(f"j{i}", 0, 3, 12, vector, 4) for i, vector in enumerate(vectors)
         )
         obs = Observability()
         with use_obs(obs):
@@ -133,11 +149,25 @@ class TestFeasiblePlanCost:
             )
         rung = counters(obs, "sched.plan.rung.")
         assert rung and "0" not in rung and "1" not in rung
-        # Built: rung 0, one problem per max-placement LP, one per later rung
-        # tried — never the plain rung.
-        relax = counters(obs, "lp.solve.tag.")["relax"]
-        later_rungs = int(next(iter(rung))) - 1
-        assert obs.histogram("lp.build").count == 1 + relax + later_rungs
+        relax = counters(obs, "lp.solve.tag.").get("relax", 0)
+        return int(next(iter(rung))), relax, obs.histogram("lp.build").count
+
+    def test_an_unshaved_slack_is_not_solved_twice(self):
+        # A cpu-heavy beside a mem-heavy job: nothing binds, so each
+        # max-placement is an LP.  Built: rung 0, one problem per
+        # max-placement LP, one per later rung tried — never the plain rung.
+        rung, relax, builds = self.unshaved(
+            [ResourceVector(cpu=3, mem=2), ResourceVector(cpu=1, mem=4)]
+        )
+        assert relax >= 1
+        assert builds == 1 + relax + (rung - 1)
+
+    def test_a_binding_resource_reaches_rung_2_without_a_relax_lp(self):
+        # The CPU binds on a 10/20 cluster: rungs 2-3 get their shortfalls
+        # from a max-flow, which builds and solves no LP at all.
+        rung, relax, builds = self.unshaved([ResourceVector(cpu=2, mem=2)] * 2)
+        assert rung >= 2 and relax == 0
+        assert builds == 1 + (rung - 1)
 
 
 class TestLazyEqualsEager:

@@ -9,7 +9,7 @@ turnaround), and the Fig. 5 slack story.
 import pytest
 
 from repro.analysis.experiments import run_comparison
-from repro.core.flowtime import PlannerConfig
+from repro.core.placement import PlannerConfig
 from repro.model.cluster import ClusterCapacity
 from repro.model.job import Job, JobKind, TaskSpec
 from repro.model.resources import CPU, MEM, ResourceVector

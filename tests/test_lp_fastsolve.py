@@ -382,7 +382,8 @@ def _run(trace, capacity, lp_backend):
         "FlowTime",
         trace,
         capacity,
-        config=SimulationConfig(record_execution=True, lp_backend=lp_backend),
+        config=SimulationConfig(record_execution=True),
+        scheduler_kwargs={"planner": {"backend": lp_backend}} if lp_backend else None,
         obs=obs,
     )
     return outcome, obs
@@ -419,43 +420,3 @@ class TestEndToEnd:
         for key in ("jobs_missed", "workflows_missed", "jobs_completed"):
             if key in base_summary:
                 assert fast_summary[key] == base_summary[key], key
-
-    def test_lp_backend_reaches_directly_constructed_scheduler(self):
-        # SimulationConfig.lp_backend must take effect even when the
-        # scheduler object is built by hand and handed straight to
-        # Simulation — not only on the build-by-name paths (CLI, run_one,
-        # the service).
-        from repro.schedulers.flowtime_sched import FlowTimeScheduler
-        from repro.simulator.engine import Simulation
-
-        trace, capacity = _single_resource_workload()
-        obs = Observability()
-        sim = Simulation(
-            capacity,
-            FlowTimeScheduler(),
-            workflows=trace.workflows,
-            adhoc_jobs=trace.adhoc_jobs,
-            config=SimulationConfig(lp_backend="fastsolve"),
-            obs=obs,
-        )
-        sim.run()
-        snapshot = obs.registry.snapshot()
-        assert snapshot.get("lp.fastsolve.hit", {"value": 0})["value"] > 0
-
-    def test_explicit_planner_backend_wins_over_lp_backend(self):
-        # A planner explicitly pinned to a non-default backend is not
-        # overridden by SimulationConfig.lp_backend.
-        from repro.core.flowtime import PlannerConfig
-        from repro.schedulers.flowtime_sched import FlowTimeScheduler
-        from repro.simulator.engine import Simulation
-
-        trace, capacity = _single_resource_workload()
-        scheduler = FlowTimeScheduler(PlannerConfig(backend="simplex"))
-        Simulation(
-            capacity,
-            scheduler,
-            workflows=trace.workflows,
-            adhoc_jobs=trace.adhoc_jobs,
-            config=SimulationConfig(lp_backend="fastsolve"),
-        )
-        assert scheduler.planner.config.backend == "simplex"

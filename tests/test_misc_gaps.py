@@ -1,69 +1,16 @@
-"""Remaining coverage gaps: reporting edges, presolve-on-scheduling-LP,
-engine ordering details, registry kwargs plumbing."""
+"""Remaining coverage gaps: reporting edges, engine ordering details,
+registry kwargs plumbing."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import run_comparison
 from repro.analysis.reporting import turnaround_ratios
-from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
-from repro.lp.presolve import presolve
-from repro.lp.problem import LinearProgram
-from repro.model.resources import CPU, MEM, ResourceVector
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.simulator.engine import Simulation
 from repro.workloads.dag_generators import chain_workflow
 from repro.workloads.traces import generate_trace
 from tests.conftest import adhoc_job
-
-
-class TestPresolveOnSchedulingLP:
-    def test_nearly_done_job_fixes_variables(self):
-        """A job with 1 remaining unit and parallelism 1 in a 1-slot window
-        has its variable squeezed to a point the presolve can exploit."""
-        entries = [
-            ScheduleEntry(
-                job_id="tail",
-                release=0,
-                deadline=1,
-                units=1,
-                unit_demand=ResourceVector({CPU: 1, MEM: 1}),
-                max_parallel=1,
-            ),
-            ScheduleEntry(
-                job_id="big",
-                release=0,
-                deadline=4,
-                units=6,
-                unit_demand=ResourceVector({CPU: 1, MEM: 1}),
-                max_parallel=2,
-            ),
-        ]
-        caps = np.zeros((4, 2))
-        caps[:, 0], caps[:, 1] = 4, 8
-        problem = build_schedule_problem(entries, caps, (CPU, MEM))
-        # min total load subject to eq demands and capacity rows.
-        cap_rows = np.array(
-            [problem.cap_of_cell(k) for k in range(len(problem.util_cells))]
-        )
-        lp = LinearProgram(
-            c=np.ones(problem.n_vars),
-            a_ub=problem.a_util,
-            b_ub=cap_rows,
-            a_eq=problem.a_eq,
-            b_eq=problem.b_eq,
-            lb=np.zeros(problem.n_vars),
-            ub=problem.var_ub,
-        )
-        reduced, restorer = presolve(lp)
-        assert reduced.n_variables <= lp.n_variables
-        from repro.lp.presolve import solve_with_presolve
-        from repro.lp.solver import solve_lp
-
-        assert solve_with_presolve(lp).objective == pytest.approx(
-            solve_lp(lp).objective, abs=1e-6
-        )
 
 
 class TestReportingEdges:
@@ -115,7 +62,7 @@ class TestEngineOrdering:
 
     def test_simplex_backend_end_to_end(self, small_cluster):
         """FlowTime driven entirely by the from-scratch simplex backend."""
-        from repro.core.flowtime import PlannerConfig
+        from repro.core.placement import PlannerConfig
         from repro.schedulers.flowtime_sched import FlowTimeScheduler
         from repro.simulator.metrics import missed_workflows
 

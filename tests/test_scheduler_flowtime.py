@@ -1,6 +1,6 @@
 """Tests for the full FlowTime scheduler (decomposition + LP + leftovers)."""
 
-from repro.core.flowtime import PlannerConfig
+from repro.core.placement import PlannerConfig
 from repro.schedulers.flowtime_sched import FlowTimeScheduler
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.metrics import missed_jobs, missed_workflows

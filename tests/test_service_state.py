@@ -20,6 +20,7 @@ import repro.service.state as state_module
 from repro.cluster import FailureDetector, ShardRouter, Supervisor
 from repro.cluster.failover import LIVE
 from repro.model.cluster import ClusterCapacity
+from repro.model.resources import ResourceVector
 from repro.model.workflow import Workflow
 from repro.service import ServiceConfig, ServiceState, SubmitResult
 from repro.service.journal import JournalRecord, fold, read_journal
@@ -262,6 +263,31 @@ class TestAdmissionWithoutAClock:
         assert state.submit("adhoc", ADHOC[1]).reason == "draining"
         result = state.run_out()
         assert result.finished and result.workflows["w0"].met_deadline
+
+
+def test_skyline_prices_load_against_the_capacity_actually_there():
+    """Overrides halve the cluster over the whole committed horizon: the same
+    commitments are twice as saturating, and the rebalancer must see that."""
+    workflow = chain("w", deadline=20)
+    horizon = range(workflow.deadline_slot)
+    halved = ClusterCapacity(
+        base=CLUSTER.base,
+        overrides={slot: ResourceVector(cpu=8, mem=16) for slot in horizon},
+    )
+    skylines = []
+    for cluster in (CLUSTER, halved):
+        state = ServiceState(
+            cluster, ServiceConfig(scheduler="FIFO", admission=False)
+        )
+        assert state.submit("workflow", workflow).accepted
+        skylines.append(state.skyline())
+    full, half = skylines
+    assert full["horizon_slots"] == half["horizon_slots"] == len(horizon)
+    assert full["saturation"] > 0
+    assert half["per_resource"] == {
+        name: pytest.approx(2 * share) for name, share in full["per_resource"].items()
+    }
+    assert half["saturation"] == pytest.approx(2 * full["saturation"])
 
 
 def test_state_module_imports_no_thread_queue_or_clock():
