@@ -19,26 +19,21 @@ class FifoScheduler(Scheduler):
     def assign(self, view: ClusterView) -> Assignment:
         leftover = view.capacity_now()
         grants: dict[str, int] = {}
-        queue: list[tuple[int, int, str]] = []
-        # (submission slot, tie-break class, job id); deadline jobs enqueue at
-        # their workflow's submission, ad-hoc jobs at their own arrival.
-        for job in view.runnable_deadline_jobs():
-            queue.append((job.arrival_slot, 0, job.job_id))
-        for job in view.waiting_adhoc_jobs():
-            queue.append((job.arrival_slot, 1, job.job_id))
-        queue.sort()
-        for _, klass, job_id in queue:
-            if klass == 0:
-                job = view.deadline_job(job_id)
-                units = self.grant_deadline_job(job, leftover)
-                demand = job.unit_demand
-            else:
-                job = next(
-                    j for j in view.adhoc_jobs if j.job_id == job_id
-                )
-                units = self.grant_adhoc_job(job, leftover)
-                demand = job.unit_demand
+        # (submission slot, tie-break class, job id, view): deadline jobs enqueue
+        # at their workflow's submission, ad-hoc jobs at their own arrival.
+        queue = [
+            (job.arrival_slot, 0, job.job_id, job)
+            for job in view.runnable_deadline_jobs()
+        ]
+        queue += [
+            (job.arrival_slot, 1, job.job_id, job)
+            for job in view.waiting_adhoc_jobs()
+        ]
+        queue.sort(key=lambda entry: entry[:3])
+        for _, klass, job_id, job in queue:
+            grant = self.grant_adhoc_job if klass else self.grant_deadline_job
+            units = grant(job, leftover)
             if units:
                 grants[job_id] = units
-                leftover = leftover.saturating_sub(demand * units)
+                leftover = leftover.saturating_sub(job.unit_demand * units)
         return grants

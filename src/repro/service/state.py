@@ -333,21 +333,19 @@ class ServiceState:
     def committed_demands(self) -> list[JobDemand]:
         """Remaining demands of every admitted, unfinished deadline job.
 
-        Built from the engine's registered runs (not the slot view) so
+        Built from the engine's incomplete runs (not the slot view) so
         workflows admitted seconds ago but starting in the future already
         count against headroom.
         """
         demands = []
-        for run in self.core.job_runs():
+        for run in self.core.incomplete_runs():
             job = run.job
-            if job.kind is not JobKind.DEADLINE or run.done:
+            if job.kind is not JobKind.DEADLINE:
                 continue
             window = self.windows.get(job.job_id)
             if window is None:  # defensive: admitted => decomposed
                 continue
-            units = run.believed_remaining_units()
-            if units <= 0:
-                continue
+            units = run.believed_remaining_units()  # > 0: the run is incomplete
             demands.append(JobDemand.in_window(window, job.tasks, units))
         return demands
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -78,10 +79,12 @@ class JobRun:
         "completion_slot",
         "executed_units",
         "unmet_parents",
+        "seq",
     )
 
-    def __init__(self, job: Job, arrival_slot: int, unmet_parents: int):
+    def __init__(self, job: Job, arrival_slot: int, unmet_parents: int, seq: int):
         self.job = job
+        self.seq = seq  # registration ordinal: the order views list jobs in
         self.arrival_slot = arrival_slot
         self.ready_slot: Optional[int] = None
         self.completion_slot: Optional[int] = None
@@ -185,15 +188,20 @@ class EngineCore:
         # the most wall-clock time, and how much of it was the scheduler.
         self._slowest = (-1.0, -1, 0.0)  # (seconds, slot, decide_seconds)
         self._prev_running: set[str] = set()
-        self._remaining_jobs = 0
+        # Registered, not completed, not withdrawn runs, in registration order.
+        self._incomplete: dict[str, JobRun] = {}
         self._live_adhoc = 0
         # Arrival index: slot -> (workflow ids, ad-hoc job ids) arriving
         # then, each in registration order.  ``step`` pops its slot's
         # bucket, ``skip_idle`` reads the smallest key, so every key is
         # >= ``self.slot`` and an empty bucket is never kept.
         self._arrivals: dict[int, tuple[list[str], list[str]]] = {}
-        # Jobs delivered by a step and not yet completed or withdrawn.
-        self._live = 0
+        # Live-run index, all ``view`` reads: runs delivered by a step and not
+        # yet completed or withdrawn, in registration order (``JobRun.seq``:
+        # a workflow registered first may arrive later), and their workflows.
+        self._live_runs: list[JobRun] = []
+        self._arrived: dict[str, Workflow] = {}
+        self._seq = count()
         self._skipped_counter = obs.counter("sim.slots.skipped")
         # Prefer the span-wrapped ``decide`` of repro schedulers; duck-typed
         # stand-ins (test doubles) only need ``assign``.
@@ -249,12 +257,12 @@ class EngineCore:
         self._workflow_completion[workflow.workflow_id] = None
         self._workflow_remaining[workflow.workflow_id] = len(workflow)
         for job in workflow.jobs:
-            self._runs[job.job_id] = JobRun(
+            self._runs[job.job_id] = self._incomplete[job.job_id] = JobRun(
                 job,
                 arrival_slot=arrival,
                 unmet_parents=len(workflow.parents_of(job.job_id)),
+                seq=next(self._seq),
             )
-        self._remaining_jobs += len(workflow)
         self._arrivals.setdefault(arrival, ([], []))[0].append(
             workflow.workflow_id
         )
@@ -271,8 +279,9 @@ class EngineCore:
             raise ValueError(f"duplicate job id {job.job_id}")
         self._validate_job(job)
         arrival = max(job.arrival_slot, self.slot)
-        self._runs[job.job_id] = JobRun(job, arrival_slot=arrival, unmet_parents=0)
-        self._remaining_jobs += 1
+        self._runs[job.job_id] = self._incomplete[job.job_id] = JobRun(
+            job, arrival_slot=arrival, unmet_parents=0, seq=next(self._seq)
+        )
         self._live_adhoc += 1
         self._arrivals.setdefault(arrival, ([], []))[1].append(job.job_id)
         if request_id is not None:
@@ -308,15 +317,20 @@ class EngineCore:
             if not any(bucket):
                 del self._arrivals[arrival]
         else:
-            self._live -= len(workflow)
+            del self._arrived[workflow_id]
+            self._live_runs = [
+                run for run in self._live_runs
+                if run.job.workflow_id != workflow_id
+            ]
+            # A job that ran and lost it all to a setback is withdrawable.
+            self._prev_running.difference_update(j.job_id for j in workflow.jobs)
         del self.workflows[workflow_id]
         del self._workflow_completion[workflow_id]
         del self._workflow_remaining[workflow_id]
         self._request_ids.pop(workflow_id, None)
         for job in workflow.jobs:
-            del self._runs[job.job_id]
+            del self._runs[job.job_id], self._incomplete[job.job_id]
             self._request_ids.pop(job.job_id, None)
-        self._remaining_jobs -= len(workflow)
         self._pending_events.append(
             WorkflowWithdrawn(slot=self.slot, workflow_id=workflow_id)
         )
@@ -368,7 +382,7 @@ class EngineCore:
     @property
     def finished(self) -> bool:
         """True when every registered job has completed."""
-        return self._remaining_jobs == 0
+        return not self._incomplete
 
     @property
     def n_jobs(self) -> int:
@@ -376,7 +390,7 @@ class EngineCore:
 
     @property
     def remaining_jobs(self) -> int:
-        return self._remaining_jobs
+        return len(self._incomplete)
 
     def live_adhoc_count(self) -> int:
         """Ad-hoc jobs registered but not yet completed (queue depth).
@@ -398,16 +412,20 @@ class EngineCore:
     def has_job(self, job_id: str) -> bool:
         return job_id in self._runs
 
+    def incomplete_runs(self):
+        """Registered runs that are not complete — not yet delivered, or
+        live — in registration order."""
+        return self._incomplete.values()
+
     # -- views -------------------------------------------------------------------
 
-    def view(self, slot: int | None = None) -> ClusterView:
-        slot = self.slot if slot is None else slot
+    def view(self) -> ClusterView:
+        """The scheduler's snapshot of the current slot (the live-run index)."""
+        slot = self.slot
         deadline_views = []
         adhoc_views = []
-        for run in self._runs.values():
+        for run in self._live_runs:
             job = run.job
-            if run.arrival_slot > slot:
-                continue  # not submitted/arrived yet
             if job.kind is JobKind.DEADLINE:
                 deadline_views.append(
                     DeadlineJobView(
@@ -415,7 +433,6 @@ class EngineCore:
                         workflow_id=job.workflow_id or "",
                         arrival_slot=run.arrival_slot,
                         ready=run.ready_at(slot),
-                        completed=run.done,
                         est_spec=job.tasks,
                         executed_units=run.executed_units,
                         believed_remaining_units=run.believed_remaining_units(),
@@ -433,20 +450,14 @@ class EngineCore:
                         arrival_slot=run.arrival_slot,
                         unit_demand=job.execution_tasks.demand,
                         pending_units=pending,
-                        completed=run.done,
                     )
                 )
-        visible_workflows = {
-            wid: wf
-            for wid, wf in self.workflows.items()
-            if self._workflow_arrival[wid] <= slot
-        }
         return ClusterView(
             slot=slot,
             capacity=self.cluster,
             deadline_jobs=tuple(deadline_views),
             adhoc_jobs=tuple(adhoc_views),
-            workflows=visible_workflows,
+            workflows=self._arrived,
         )
 
     # -- stepping ------------------------------------------------------------------
@@ -466,7 +477,7 @@ class EngineCore:
         no ``sim.slot`` span, no decide call and no ``planning_calls``
         tick; ``sim.slots.skipped`` counts them instead.
         """
-        if self._live or self._pending_events or not self._arrivals:
+        if self._live_runs or self._pending_events or not self._arrivals:
             return 0
         skipped = min(min(self._arrivals), limit) - self.slot
         if skipped <= 0:
@@ -503,23 +514,25 @@ class EngineCore:
 
         workflow_ids, adhoc_ids = self._arrivals.pop(slot, ((), ()))
         for workflow_id in workflow_ids:
-            workflow = self.workflows[workflow_id]
+            workflow = self._arrived[workflow_id] = self.workflows[workflow_id]
             events.append(WorkflowArrived(slot=slot, workflow_id=workflow_id))
             for job_id in workflow.roots():
                 self._runs[job_id].ready_slot = slot
                 events.append(
                     JobReady(slot=slot, job_id=job_id, workflow_id=workflow_id)
                 )
-            self._live += len(workflow)
+            self._live_runs.extend(self._runs[j.job_id] for j in workflow.jobs)
         for job_id in adhoc_ids:
             self._runs[job_id].ready_slot = slot
             events.append(JobArrived(slot=slot, job_id=job_id))
-        self._live += len(adhoc_ids)
+            self._live_runs.append(self._runs[job_id])
+        if workflow_ids or adhoc_ids:
+            self._live_runs.sort(key=lambda run: run.seq)  # nearly sorted
 
         if tracing:
             self.trace_events(events)
 
-        view = self.view(slot)
+        view = self.view()
         start = time.perf_counter()
         if events:
             self.scheduler.on_events(events, view)
@@ -590,7 +603,7 @@ class EngineCore:
         # Completions propagate readiness and workflow completion events
         # delivered at the start of the next slot.
         for job_id in completions:
-            run = self._runs[job_id]
+            run = self._incomplete.pop(job_id)
             if run.job.kind is JobKind.ADHOC:
                 self._live_adhoc -= 1
             workflow_id = run.job.workflow_id
@@ -629,8 +642,8 @@ class EngineCore:
                                 workflow_id=workflow_id,
                             )
                         )
-        self._remaining_jobs -= len(completions)
-        self._live -= len(completions)
+        if completions:
+            self._live_runs = [r for r in self._live_runs if not r.done]
         self.slot = slot + 1
         slot_span.__exit__(None, None, None)
         if slot_span.elapsed > self._slowest[0]:
@@ -651,7 +664,7 @@ class EngineCore:
         pending, self._pending_events = self._pending_events, []
         if self.obs.tracing:
             self.trace_events(pending)
-        self.scheduler.on_events(pending, self.view(self.slot))
+        self.scheduler.on_events(pending, self.view())
 
     def trace_events(self, events: list[Event]) -> None:
         """Mirror engine events into the trace (types match EventKind values).

@@ -32,7 +32,6 @@ class DeadlineJobView:
     workflow_id: str
     arrival_slot: int
     ready: bool
-    completed: bool
     est_spec: TaskSpec
     executed_units: int
     believed_remaining_units: int
@@ -54,12 +53,17 @@ class AdhocJobView:
     arrival_slot: int
     unit_demand: ResourceVector
     pending_units: int
-    completed: bool
 
 
 @dataclass(frozen=True)
 class ClusterView:
-    """Read-only snapshot handed to schedulers each slot."""
+    """Read-only snapshot handed to schedulers each slot.
+
+    ``deadline_jobs`` / ``adhoc_jobs`` are the jobs that had arrived and were
+    not complete when the slot began, in registration order (a job is absent
+    before its arrival slot and after the slot it completes in);
+    ``workflows`` maps every arrived, not withdrawn workflow by id.
+    """
 
     slot: int
     capacity: ClusterCapacity
@@ -70,26 +74,16 @@ class ClusterView:
     def capacity_now(self) -> ResourceVector:
         return self.capacity.at(self.slot)
 
-    def deadline_job(self, job_id: str) -> DeadlineJobView:
-        for job in self.deadline_jobs:
-            if job.job_id == job_id:
-                return job
-        raise KeyError(job_id)
-
     def live_deadline_jobs(self) -> tuple[DeadlineJobView, ...]:
         """Deadline jobs whose workflow arrived and that are not done."""
-        return tuple(j for j in self.deadline_jobs if not j.completed)
+        return self.deadline_jobs
 
     def runnable_deadline_jobs(self) -> tuple[DeadlineJobView, ...]:
-        return tuple(
-            j for j in self.deadline_jobs if j.ready and not j.completed
-        )
+        return tuple(j for j in self.deadline_jobs if j.ready)
 
     def waiting_adhoc_jobs(self) -> tuple[AdhocJobView, ...]:
         """Ad-hoc jobs with outstanding requests, in arrival (FIFO) order."""
-        waiting = [
-            j for j in self.adhoc_jobs if not j.completed and j.pending_units > 0
-        ]
+        waiting = [j for j in self.adhoc_jobs if j.pending_units > 0]
         waiting.sort(key=lambda j: (j.arrival_slot, j.job_id))
         return tuple(waiting)
 

@@ -10,7 +10,7 @@ from repro.model.resources import CPU, MEM, ResourceVector
 from repro.schedulers.fifo import FifoScheduler
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.workloads.dag_generators import chain_workflow
-from tests.conftest import adhoc_job
+from tests.conftest import adhoc_job, spec
 
 RES = (CPU, MEM)
 
@@ -111,9 +111,7 @@ class TestEngineEdges:
             def assign(self, view):
                 # Grants to everything, ready or not; the engine should
                 # drop the invalid ones instead of raising.
-                grants = {
-                    j.job_id: 1 for j in view.deadline_jobs if not j.completed
-                }
+                grants = {j.job_id: 1 for j in view.deadline_jobs}
                 for j in view.waiting_adhoc_jobs():
                     grants[j.job_id] = 1
                 return grants
@@ -141,17 +139,32 @@ class TestEngineEdges:
 
 
 class TestClusterViewConsistency:
-    def test_unarrived_workflow_hidden_from_view(self, small_cluster):
-        seen_jobs = []
+    @staticmethod
+    def _seen_per_slot(cluster, workflows):
+        """slot -> deadline job ids in that slot's view, and the result."""
+        seen = {}
 
         class Spy(FifoScheduler):
             def assign(self, view):
-                seen_jobs.append(len(view.deadline_jobs))
+                seen[view.slot] = [j.job_id for j in view.deadline_jobs]
                 return super().assign(view)
 
-        early = chain_workflow("e", 1, 0, 50)
-        late = chain_workflow("l", 1, 3, 60)
-        Simulation(small_cluster, Spy(), workflows=[early, late]).run()
-        # In the first slots only the early workflow's job is visible.
-        assert seen_jobs[0] == 1
-        assert max(seen_jobs) == 2
+        return seen, Simulation(cluster, Spy(), workflows=workflows).run()
+
+    def test_unarrived_workflow_hidden_from_view(self, small_cluster):
+        # ``l`` is registered first and arrives later: views list jobs in
+        # registration order once both are there.
+        late = chain_workflow("l", 1, 3, 60, spec(count=1, duration=8))
+        early = chain_workflow("e", 1, 0, 50, spec(count=1, duration=8))
+        seen, _ = self._seen_per_slot(small_cluster, [late, early])
+        assert seen[0] == ["e-j0"]
+        assert all("l-j0" not in seen[slot] for slot in range(3))
+        assert seen[3] == ["l-j0", "e-j0"]
+
+    def test_completed_job_absent_from_next_view(self, small_cluster):
+        chain = chain_workflow("c", 2, 0, 50)
+        seen, result = self._seen_per_slot(small_cluster, [chain])
+        done = result.jobs["c-j0"].completion_slot
+        assert "c-j0" in seen[done]
+        assert all("c-j0" not in ids for slot, ids in seen.items() if slot > done)
+        assert seen[done + 1] == ["c-j1"]

@@ -23,7 +23,7 @@ normalised trace stream on a batch subset) and structural equivalence
 everywhere.  What is *excluded* from comparison — ``planning_calls``,
 ``planning_seconds``, ``sim.slot`` span counts — is exactly the intended
 saving; `TestEventCoreRegressions` pins that saving so it cannot silently
-regress, and pins the arrival index and live counter the skip reads.
+regress, and pins the arrival index and live-run index the skip reads.
 
 A failing seed is persisted under ``artifacts/equivalence/`` (override
 with ``EQUIV_ARTIFACT_DIR``) so the CI ``test`` job can upload it for
@@ -51,12 +51,14 @@ from repro.model.cluster import ClusterCapacity
 from repro.model.job import Job, JobKind, TaskSpec
 from repro.model.resources import CPU, MEM, ResourceVector
 from repro.model.workflow import Workflow
-from repro.model.events import WorkflowWithdrawn
+from repro.model.events import JobSetback, WorkflowWithdrawn
 from repro.obs import Observability
 from repro.obs.trace import MemorySink
+from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.registry import available_schedulers, make_scheduler
 from repro.service import SchedulerService, ServiceConfig
 from repro.simulator.engine import Simulation, SimulationConfig
+from repro.simulator.failures import FailureModel
 from repro.simulator.metrics import summarize
 from repro.simulator.runtime import EngineCore
 from repro.verify import ScheduleValidator
@@ -515,8 +517,9 @@ class TestEventCoreRegressions:
 
     def test_live_counter_and_arrival_index_match_a_scan(self):
         """At every step of a mixed jumping run — with a withdrawal on the
-        way — the live counter equals a scan of arrived-and-incomplete
-        runs and the index equals a scan of future arrivals."""
+        way — the live-run index is as long as a scan of arrived-and-
+        incomplete runs and the arrival index equals a scan of future
+        arrivals."""
         trace, _ = make_workload(17)
         core = _tiny_core("FIFO")
         for workflow in trace.workflows:
@@ -528,7 +531,7 @@ class TestEventCoreRegressions:
 
         def check():
             runs = list(core.job_runs())
-            assert core._live == sum(
+            assert len(core._live_runs) == sum(
                 1 for run in runs
                 if run.arrival_slot < core.slot and not run.done
             )
@@ -553,7 +556,7 @@ class TestEventCoreRegressions:
             if not core.skip_idle(limit):
                 core.step()
         check()
-        assert core.finished and core._live == 0 and not core._arrivals
+        assert core.finished and not core._live_runs and not core._arrivals
         assert core.result().counter_value("sim.slots.skipped") > 0
 
 
@@ -595,15 +598,47 @@ class TestWithdrawal:
         core.add_workflow(_tiny_workflow("w", 0))
         core.add_adhoc(self._late(30))
         core.step()
-        assert core._live == 2
+        assert len(core._live_runs) == 2
         core.remove_workflow("w")
-        assert core._live == 0
+        assert not core._live_runs
         # Nothing is live, yet the withdrawal is still pending: no jump
         # until a step has handed it to the scheduler.
         assert core.skip_idle(1000) == 0
         outcome = core.step()
         assert [type(event) for event in outcome.events] == [WorkflowWithdrawn]
         assert core.skip_idle(1000) == 28 and core.slot == 30
+
+    def test_withdrawing_a_job_that_ran_and_lost_it_all_to_a_setback(self):
+        """Its executed units are back to 0, so it is withdrawable — but it
+        ran last slot, and the traced preemption scan of the next step
+        looked it up (``KeyError``).  The queued setback still reaches
+        the scheduler, ahead of the withdrawal."""
+        delivered = []
+
+        class Recording(FifoScheduler):
+            def on_events(self, events, view):
+                delivered.extend(events)
+                super().on_events(events, view)
+
+        sink = MemorySink()
+        core = EngineCore(
+            _TINY_CLUSTER,
+            Recording(),
+            SimulationConfig(
+                failures=FailureModel(setback_prob=1.0, max_setback_units=10)
+            ),
+            Observability(sink=sink),
+        )
+        job = Job(job_id="w-j0", tasks=_tiny_spec(3), workflow_id="w")
+        core.add_workflow(Workflow.from_jobs("w", [job], [], 0, 40))
+        assert core.step().executed == {"w-j0": 1}
+        core.remove_workflow("w")
+        core.step()
+        assert [type(event) for event in delivered[-2:]] == [
+            JobSetback, WorkflowWithdrawn,
+        ]
+        assert delivered[-2].job_id == "w-j0" and core.finished
+        assert not sink.of_type("job_preempted")
 
     def test_reregistering_a_withdrawn_id(self):
         """Withdraw + re-register the same id: it arrives once, at the

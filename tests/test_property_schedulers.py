@@ -53,17 +53,15 @@ def random_views(draw):
         )
         total = spec.total_task_slots
         executed = draw(st.integers(min_value=0, max_value=total))
-        completed = executed == total and draw(st.booleans())
         deadline_views.append(
             DeadlineJobView(
                 job_id=f"w-j{i}",
                 workflow_id="w",
                 arrival_slot=0,
                 ready=draw(st.booleans()),
-                completed=completed,
                 est_spec=spec,
                 executed_units=executed,
-                believed_remaining_units=0 if completed else max(total - executed, 1),
+                believed_remaining_units=max(total - executed, 1),
             )
         )
     adhoc_views = []
@@ -75,7 +73,6 @@ def random_views(draw):
                 arrival_slot=draw(st.integers(min_value=0, max_value=slot)),
                 unit_demand=ResourceVector({CPU: cores, MEM: cores * 2}),
                 pending_units=draw(st.integers(min_value=0, max_value=8)),
-                completed=draw(st.booleans()),
             )
         )
     return ClusterView(
@@ -112,13 +109,12 @@ def check_assignment(view: ClusterView, grants) -> None:
             continue
         if job_id in deadline:
             job = deadline[job_id]
-            assert job.ready and not job.completed, f"grant to unrunnable {job_id}"
+            assert job.ready, f"grant to unrunnable {job_id}"
             assert units <= job.max_parallel
             assert units <= job.believed_remaining_units
             used = used + job.unit_demand * units
         elif job_id in adhoc:
             job = adhoc[job_id]
-            assert not job.completed
             assert units <= job.pending_units
             used = used + job.unit_demand * units
         else:

@@ -126,7 +126,7 @@ class TestValidation:
 
             def assign(self, view):
                 # Grants to every deadline job, ready or not.
-                return {j.job_id: 1 for j in view.deadline_jobs if not j.completed}
+                return {j.job_id: 1 for j in view.deadline_jobs}
 
         with pytest.raises(ValueError, match="not ready"):
             Simulation(small_cluster, Eager(), workflows=[chain3]).run()

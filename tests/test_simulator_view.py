@@ -1,7 +1,5 @@
 """Tests for scheduler views and their helpers."""
 
-import pytest
-
 from repro.model.cluster import ClusterCapacity
 from repro.model.resources import ResourceVector
 from repro.simulator.view import (
@@ -14,26 +12,24 @@ from repro.simulator.view import (
 from tests.conftest import spec
 
 
-def deadline_view(job_id="d", ready=True, completed=False, remaining=8):
+def deadline_view(job_id="d", ready=True, remaining=8):
     return DeadlineJobView(
         job_id=job_id,
         workflow_id="w",
         arrival_slot=0,
         ready=ready,
-        completed=completed,
         est_spec=spec(),
         executed_units=0,
         believed_remaining_units=remaining,
     )
 
 
-def adhoc_view(job_id="a", arrival=0, pending=3, completed=False):
+def adhoc_view(job_id="a", arrival=0, pending=3):
     return AdhocJobView(
         job_id=job_id,
         arrival_slot=arrival,
         unit_demand=ResourceVector(cpu=1, mem=2),
         pending_units=pending,
-        completed=completed,
     )
 
 
@@ -75,26 +71,9 @@ class TestClusterView:
         v = ClusterView(5, cluster, (), (), {})
         assert v.capacity_now() == ResourceVector(cpu=2, mem=2)
 
-    def test_deadline_job_lookup(self):
-        v = view(deadline=[deadline_view("d1")])
-        assert v.deadline_job("d1").job_id == "d1"
-        with pytest.raises(KeyError):
-            v.deadline_job("nope")
-
-    def test_live_excludes_completed(self):
-        v = view(
-            deadline=[deadline_view("a"), deadline_view("b", completed=True)]
-        )
-        assert [j.job_id for j in v.live_deadline_jobs()] == ["a"]
-
     def test_runnable_requires_ready(self):
-        v = view(
-            deadline=[
-                deadline_view("a", ready=False),
-                deadline_view("b"),
-                deadline_view("c", completed=True),
-            ]
-        )
+        v = view(deadline=[deadline_view("a", ready=False), deadline_view("b")])
+        assert [j.job_id for j in v.live_deadline_jobs()] == ["a", "b"]
         assert [j.job_id for j in v.runnable_deadline_jobs()] == ["b"]
 
     def test_waiting_adhoc_sorted_fifo(self):
@@ -102,7 +81,6 @@ class TestClusterView:
             adhoc=[
                 adhoc_view("late", arrival=9),
                 adhoc_view("early", arrival=1),
-                adhoc_view("done", arrival=0, completed=True),
                 adhoc_view("empty", arrival=0, pending=0),
             ]
         )
