@@ -12,6 +12,7 @@ Run:  python examples/admission_control.py
 
 from repro import ClusterCapacity, JobDemand, ResourceVector
 from repro.core.admission import check_admission
+from repro.core.placement import DemandTable
 from repro.workloads.dag_generators import fork_join_workflow
 
 
@@ -30,10 +31,17 @@ def main() -> None:
         )
     ]
 
+    # check_admission takes the commitments as objects, or as the placement
+    # kernel's columnar table.  A caller that checks many candidates against
+    # one committed set (the service does) converts once and keeps the table;
+    # either form gives the same decision.
+    table = DemandTable.of(commitments)
+
     print(f"cluster: 32 cores / 64 GB, existing commitment: 200 task-slots by slot 30\n")
     for window, label in ((120, "loose (deadline slot 120)"), (18, "tight (deadline slot 18)")):
         candidate = fork_join_workflow("candidate", 4, 0, window)
-        decision = check_admission(candidate, commitments, cluster, now_slot=0)
+        decision = check_admission(candidate, table, cluster, now_slot=0)
+        assert decision == check_admission(candidate, commitments, cluster, now_slot=0)
         verdict = "ADMIT" if decision.admit else "REJECT"
         print(f"candidate with {label}: {verdict}")
         print(f"  projected peak utilisation: {decision.utilisation:.0%}")

@@ -21,10 +21,11 @@ from typing import Literal, Mapping, Sequence
 from repro.core.decomposition import decompose_deadline
 from repro.core.decomposition_types import JobWindow
 from repro.core.placement import (
+    DemandTable,
     JobDemand,
     PlannerConfig,
     caps_array,
-    entries_from_demands,
+    demand_row,
     max_placement,
 )
 from repro.model.cluster import ClusterCapacity
@@ -65,7 +66,7 @@ class AdmissionDecision:
 
 def check_admission(
     new_workflow: Workflow,
-    existing_demands: Sequence[JobDemand],
+    existing_demands: DemandTable | Sequence[JobDemand],
     capacity: ClusterCapacity,
     now_slot: int,
     *,
@@ -78,7 +79,8 @@ def check_admission(
         new_workflow: the candidate workflow (its deadline windows are
             decomposed here, once; the decision carries them back).
         existing_demands: remaining demands of already-admitted deadline
-            jobs (what :meth:`FlowTimeScheduler._demands` tracks).
+            jobs: the table ``ServiceState`` keeps (the check then costs the
+            candidate's jobs plus one max-flow), or objects, converted here.
         capacity: the cluster.
         now_slot: current slot (windows before it are clamped).
         config: planner configuration (slack etc.) used to shape windows.
@@ -94,19 +96,18 @@ def check_admission(
         windows = decompose_deadline(
             new_workflow, capacity, cluster_aware=cluster_aware
         ).windows
-        demands = list(existing_demands)
-        for job in new_workflow.jobs:
-            demands.append(
-                JobDemand.in_window(
-                    windows[job.job_id], job.tasks, job.tasks.total_task_slots
-                )
-            )
         slack = (config or PlannerConfig()).slack_slots
-        entries = entries_from_demands(demands, now_slot, slack, repair=False)
-        horizon = max(entry.deadline for entry in entries)
+        table = (
+            DemandTable.of(existing_demands)
+            .extended(
+                demand_row(windows[job.job_id], job.tasks, job.tasks.total_task_slots)
+                for job in new_workflow.jobs
+            )
+            .windowed(now_slot, slack, repair=False)
+        )
         shortfalls, utilisation, route = max_placement(
-            entries,
-            caps_array(capacity, now_slot, horizon),
+            table,
+            caps_array(capacity, now_slot, int(table.deadline.max())),
             capacity.resources,
             tag="admission",
         )

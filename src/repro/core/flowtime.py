@@ -41,6 +41,7 @@ from repro.core.allocation import (
 from repro.core.lexmin import LexminWarmHint, lexmin_schedule
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.core.placement import (
+    DemandTable,
     PlannerConfig,
     caps_array,
     entries_from_demands,
@@ -171,7 +172,8 @@ class FlowTimePlanner:
         if not request.demands:
             return AllocationPlan.empty(now_slot, 1, resources)
 
-        plain = entries_from_demands(request.demands, now_slot, 0, repair=True)
+        demands = DemandTable.of(request.demands)  # once, for both window sets
+        plain = entries_from_demands(demands, now_slot, 0, repair=True)
         horizon = max(entry.deadline for entry in plain)
         if config.horizon_slots is not None:
             horizon = min(horizon, config.horizon_slots)
@@ -193,7 +195,7 @@ class FlowTimePlanner:
             """
             if config.slack_slots:
                 slacked = entries_from_demands(
-                    request.demands, now_slot, config.slack_slots, repair=True
+                    demands, now_slot, config.slack_slots, repair=True
                 )
                 yield 0, _clamp(slacked, horizon), horizon
             relaxed, relaxed_horizon = _clamp(plain, horizon), horizon

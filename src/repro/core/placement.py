@@ -3,12 +3,13 @@
 Admission and the planner's relaxation rungs ask one question of one
 pipeline, and each step of it is written here once:
 
-1. :class:`JobDemand` — the remaining work of a live deadline job inside its
-   decomposed window (absolute slots);
-2. :func:`entries_from_demands` — the demands as plan-relative
-   :class:`~repro.core.lp_formulation.ScheduleEntry` windows: clamped at
-   ``now``, shaved by the deadline slack (Sec. VII-2), and — for the planner
-   only — repaired when too small for their own work;
+1. :class:`DemandTable` — the remaining work of live deadline jobs inside
+   their decomposed windows, as integer columns (:class:`JobDemand` is one
+   row as an object; :func:`demand_row` one row as the tuple the table takes);
+2. :meth:`DemandTable.windowed` — the window rule: plan-relative windows,
+   clamped at ``now``, shaved by the deadline slack (Sec. VII-2), and — for
+   the planner only — repaired when too small for their own work
+   (:func:`entries_from_demands` is the same rule, objects in and out);
 3. :func:`caps_array` — the per-slot capacity matrix ``C[t, r]``;
 4. :func:`max_placement` — the most work those windows can hold under those
    capacities, over the coupled polytope (``y[i,t]`` task-slots of job ``i``
@@ -22,8 +23,9 @@ pipeline, and each step of it is written here once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -106,6 +108,15 @@ class PlannerConfig:
             raise ValueError("plan_cache_size must be >= 1")
 
 
+def demand_row(window: JobWindow, tasks: TaskSpec, units: int) -> tuple:
+    """A :class:`DemandTable` row (:class:`JobDemand`'s fields, in order):
+    *units* task-slots of a job with (estimated) structure *tasks*, due
+    inside its decomposed *window*."""
+    return (
+        window.job_id, window.release_slot, window.deadline_slot, units, tasks.demand, tasks.count
+    )
+
+
 @dataclass(frozen=True)
 class JobDemand:
     """Remaining demand of one live deadline-aware job (absolute slots)."""
@@ -119,51 +130,98 @@ class JobDemand:
 
     @classmethod
     def in_window(cls, window: JobWindow, tasks: TaskSpec, units: int) -> "JobDemand":
-        """*units* task-slots of a job with (estimated) structure *tasks*,
-        due inside its decomposed *window*."""
-        return cls(
-            job_id=window.job_id,
-            release_slot=window.release_slot,
-            deadline_slot=window.deadline_slot,
-            units=units,
-            unit_demand=tasks.demand,
-            max_parallel=tasks.count,
-        )
+        return cls(*demand_row(window, tasks, units))
 
     def min_slots_needed(self) -> int:
         return math.ceil(self.units / self.max_parallel)
 
 
-def entries_from_demands(
-    demands: Sequence[JobDemand], now_slot: int, slack: int, *, repair: bool
-) -> list[ScheduleEntry]:
-    """The demands as plan-relative, slack-shaved windows.
+#: Row classes -> their fields as a :func:`demand_row`-shaped tuple: an
+#: entry has a demand's fields in the same order, plan-relative.
+_FIELDS_OF = {
+    cls: attrgetter(*cls.__dataclass_fields__) for cls in (JobDemand, ScheduleEntry)
+}
 
-    A window is shaved by *slack* only while it still holds ``need`` slots.
-    With *repair* (the planner) ``need`` is the job's own minimum runtime,
-    and overdue or too-tight windows are extended just that far: re-planning
-    absorbs estimation drift instead of dropping jobs.  Without it
-    (admission) ``need`` is 1 — a window too small for its own work is
-    precisely a reason to reject, so it must not be repaired.
+
+@dataclass(frozen=True, eq=False)
+class DemandTable:
+    """Jobs as columns — the kernel's one input.
+
+    Per job: its id, its window ``[release, deadline)``, remaining units,
+    parallelism, and its unit demand as an index into the distinct
+    ``vectors`` (a handful, numbered as first seen).  Slots are absolute
+    until :meth:`windowed` makes them plan-relative.  A table is never
+    changed: :meth:`extended` gives a longer one.
     """
-    entries = []
-    for demand in demands:
-        release = max(demand.release_slot - now_slot, 0)
-        deadline = demand.deadline_slot - now_slot
-        need = demand.min_slots_needed() if repair else 1
-        if slack and deadline - slack - release >= need:
-            deadline -= slack
-        entries.append(
-            ScheduleEntry(
-                job_id=demand.job_id,
-                release=release,
-                deadline=max(deadline, release + need),
-                units=demand.units,
-                unit_demand=demand.unit_demand,
-                max_parallel=demand.max_parallel,
-            )
-        )
-    return entries
+
+    job_ids: tuple[str, ...]
+    release: np.ndarray
+    deadline: np.ndarray
+    units: np.ndarray
+    parallel: np.ndarray
+    vector: np.ndarray
+    vectors: dict[ResourceVector, int]
+
+    @classmethod
+    def of(cls, rows: "DemandTable | Sequence[JobDemand | ScheduleEntry]") -> "DemandTable":
+        """*rows* as a table: one already, or demand or entry objects."""
+        if isinstance(rows, DemandTable):
+            return rows
+        empty = cls((), *np.zeros((5, 0), dtype=np.int64), {})
+        return empty.extended(_FIELDS_OF[type(row)](row) for row in rows)
+
+    def extended(self, rows: Iterable[tuple]) -> "DemandTable":
+        """This table followed by *rows* (see :func:`demand_row`)."""
+        rows = list(rows)
+        if not rows:
+            return self
+        ids, release, deadline, units, demands, parallel = zip(*rows)
+        vectors = dict(self.vectors)
+        vector = [vectors.setdefault(demand, len(vectors)) for demand in demands]
+        old = (self.release, self.deadline, self.units, self.parallel, self.vector)
+        new = np.array([release, deadline, units, parallel, vector], dtype=np.int64)
+        return DemandTable(self.job_ids + ids, *np.concatenate([old, new], axis=1), vectors)
+
+    def windowed(self, now_slot: int, slack: int, *, repair: bool) -> "DemandTable":
+        """The table with plan-relative, slack-shaved windows.
+
+        A window is shaved by *slack* only while it still holds ``need``
+        slots.  With *repair* (the planner) ``need`` is the job's own
+        minimum runtime, and overdue or too-tight windows are extended just
+        that far: re-planning absorbs estimation drift instead of dropping
+        jobs.  Without it (admission) ``need`` is 1 — a window too small
+        for its own work is precisely a reason to reject, so it must not be
+        repaired.
+        """
+        release = np.maximum(self.release - now_slot, 0)
+        deadline = self.deadline - now_slot
+        need = -(-self.units // self.parallel) if repair else 1
+        if slack:
+            deadline = deadline - slack * (deadline - slack - release >= need)
+        return replace(self, release=release, deadline=np.maximum(deadline, release + need))
+
+    def demand(self, resources: Sequence[str]) -> np.ndarray:
+        """Per-job unit demand ``d[i, r]`` over *resources*."""
+        distinct = [[vector[name] for name in resources] for vector in self.vectors]
+        return np.array(distinct, dtype=np.int64).reshape(-1, len(resources))[self.vector]
+
+    def rows(self, cls: type) -> list:
+        """The rows as *cls* objects: :class:`JobDemand` of an absolute
+        table, :class:`ScheduleEntry` of a windowed one."""
+        vectors = list(self.vectors)
+        columns = (column.tolist() for column in (self.release, self.deadline, self.units))
+        demands = (vectors[index] for index in self.vector.tolist())
+        return [
+            cls(*row) for row in zip(self.job_ids, *columns, demands, self.parallel.tolist())
+        ]
+
+
+def entries_from_demands(
+    demands: "DemandTable | Sequence[JobDemand]", now_slot: int, slack: int, *, repair: bool
+) -> list[ScheduleEntry]:
+    """The demands as plan-relative :class:`ScheduleEntry` windows: the
+    rule of :meth:`DemandTable.windowed`, objects in and out."""
+    return DemandTable.of(demands).windowed(now_slot, slack, repair=repair).rows(ScheduleEntry)
 
 
 def caps_array(capacity: ClusterCapacity, now_slot: int, horizon: int) -> np.ndarray:
@@ -180,17 +238,18 @@ def caps_array(capacity: ClusterCapacity, now_slot: int, horizon: int) -> np.nda
 
 
 def binding_resource(
-    entries: Sequence[ScheduleEntry], caps: np.ndarray, resources: Sequence[str]
+    rows: "DemandTable | Sequence[ScheduleEntry]", caps: np.ndarray, resources: Sequence[str]
 ) -> int | None:
     """Index of a resource whose capacity row implies every other one's.
 
     ``r*`` binds when every job demands it and, for every job ``i``,
     resource ``r`` and slot ``t``, ``d[i,r]*C[t,r*] <= d[i,r*]*C[t,r]``:
     any per-slot placement within ``C[t,r*]`` is then within ``C[t,r]``
-    too.  Evaluated over the distinct demand vectors and capacity rows (a
-    handful of each), in Python integers so no product overflows.
+    too.  Evaluated over the table's distinct demand vectors and the
+    distinct capacity rows (a handful of each), in Python integers so no
+    product overflows.
     """
-    vectors = {entry.unit_demand for entry in entries}
+    vectors = DemandTable.of(rows).vectors
     known = set(resources)
     if not all(known.issuperset(vector) for vector in vectors):
         return None  # the LP route names the unknown resource
@@ -209,7 +268,7 @@ def binding_resource(
 
 
 def max_placement(
-    entries: Sequence[ScheduleEntry],
+    rows: "DemandTable | Sequence[ScheduleEntry]",
     caps: np.ndarray,
     resources: Sequence[str],
     *,
@@ -217,7 +276,8 @@ def max_placement(
     backend: str = DEFAULT_BACKEND,
     time_budget_s: float | None = None,
 ) -> tuple[dict[str, int], float, Literal["flow", "lp"]]:
-    """Place as much of *entries*' work as their windows and *caps* allow.
+    """Place as much of *rows*' work (a windowed table, or entries) as their
+    windows and *caps* allow.
 
     Returns ``(shortfall_units, utilisation, route)``: the per-job
     task-slots that cannot be placed inside the job's window (empty when
@@ -227,14 +287,15 @@ def max_placement(
     :func:`~repro.lp.solver.solve_lp` on the LP route only, whose
     :class:`~repro.lp.solver.SolverFailure` propagates.
     """
-    binding = binding_resource(entries, caps, resources)
+    table = DemandTable.of(rows)
+    binding = binding_resource(table, caps, resources)
     if binding is not None:
-        found = _place_by_flow(entries, caps[:, binding], resources[binding])
+        found = _place_by_flow(table, caps[:, binding], resources[binding])
         if found is not None:
             return found
 
     problem = build_schedule_problem(
-        entries, caps, resources, mode="coupled", per_slot_caps=True
+        table.rows(ScheduleEntry), caps, resources, mode="coupled", per_slot_caps=True
     )
     lp = LinearProgram(
         c=-np.ones(problem.n_vars),
@@ -257,7 +318,7 @@ def max_placement(
 
 
 def _place_by_flow(
-    entries: Sequence[ScheduleEntry], slot_caps: np.ndarray, resource: str
+    table: DemandTable, slot_caps: np.ndarray, resource: str
 ) -> tuple[dict[str, int], float, Literal["flow"]] | None:
     """Max-placement as one integer max-flow on the binding *resource*.
 
@@ -266,20 +327,15 @@ def _place_by_flow(
     ``slot_caps[t]``.  None when the total supply does not fit the solver's
     int32 capacities.
     """
-    n = len(entries)
+    n = len(table.job_ids)
     horizon = slot_caps.size
-    release, deadline, units, parallel, demand = np.array(
-        [
-            (e.release, e.deadline, e.units, e.max_parallel, e.unit_demand[resource])
-            for e in entries
-        ],
-        dtype=np.int64,
-    ).T
+    release, units = table.release, table.units
+    demand = table.demand([resource])[:, 0]
     supply = units * demand
     total = int(supply.sum())
     if total > _INT32_MAX:
         return None
-    window = deadline - release
+    window = table.deadline - release
     # One arc per (job, slot of its window), job-major: exactly CSR order.
     first_arc = np.cumsum(window) - window
     arc_slot = np.arange(window.sum()) - np.repeat(first_arc - release, window)
@@ -292,7 +348,7 @@ def _place_by_flow(
     graph = sparse.csr_matrix(
         (
             np.concatenate(
-                [supply, np.repeat(np.minimum(parallel, units) * demand, window), sink_caps]
+                [supply, np.repeat(np.minimum(table.parallel, units) * demand, window), sink_caps]
             ).astype(np.int32),
             np.concatenate(
                 [np.arange(1, n + 1), 1 + n + arc_slot, np.full(horizon, sink)]
@@ -302,19 +358,27 @@ def _place_by_flow(
         shape=(sink + 1, sink + 1),
     )
     result = maximum_flow(graph, 0, sink)
+    flow = result.flow
+
+    def row_flows(node: int, first: int, size: int) -> np.ndarray:
+        """Row *node* of the flow matrix over columns ``first .. first+size``."""
+        span = slice(flow.indptr[node], flow.indptr[node + 1])
+        dense = np.zeros(size, dtype=np.int64)
+        dense[flow.indices[span] - first] = flow.data[span]
+        return dense
 
     shortfalls: dict[str, int] = {}
     if result.flow_value != total:
-        missing = supply - result.flow[0, 1 : n + 1].toarray().ravel()
-        for index in np.flatnonzero(missing):
+        missing = supply - row_flows(0, 1, n)
+        for index in np.flatnonzero(missing).tolist():
             # Task-slots that cannot complete: ceil(missing / d).
-            shortfalls[entries[index].job_id] = int(
+            shortfalls[table.job_ids[index]] = int(
                 -(-missing[index] // demand[index])
             )
     # The flow matrix is antisymmetric: the sink's row holds minus each
     # slot's load.  Every other resource's utilisation is dominated by the
     # binding one's, so this is the max over resources too.
-    loads = -result.flow[sink, 1 + n : sink].toarray().ravel()
+    loads = -row_flows(sink, 1 + n, horizon)
     open_slots = slot_caps > 0
     utilisation = float(
         (loads[open_slots] / slot_caps[open_slots]).max(initial=0.0)

@@ -37,7 +37,7 @@ import zlib
 from repro.core.admission import check_admission
 from repro.core.decomposition import decompose_deadline
 from repro.core.decomposition_types import JobWindow
-from repro.core.placement import JobDemand, PlannerConfig, caps_array
+from repro.core.placement import DemandTable, JobDemand, PlannerConfig, caps_array, demand_row
 from repro.estimation.errors import (
     apply_estimation_errors,
     apply_workflow_estimation_errors,
@@ -120,6 +120,10 @@ class ServiceState:
         # Decomposed windows of every owned workflow's jobs; the
         # admission check's view of already-committed deadline work.
         self.windows: dict[str, JobWindow] = {}
+        # The committed, incomplete deadline jobs as the kernel's columns.  A
+        # commit appends its rows; a step or a withdrawal marks it stale
+        # (None) and the next reader rebuilds it (:meth:`committed_table`).
+        self._table: DemandTable | None = None
         # Decisions of accepted keyed submissions: a retried key returns
         # its original decision instead of double-admitting — also after
         # the workflow was handed off, and after a restart.
@@ -217,6 +221,9 @@ class ServiceState:
         if self.journal is not None:
             self.journal.append_workflow(workflow, key=key, epoch=epoch)
         self.windows.update(windows)
+        if self._table is not None:  # from the engine's (perturbed) runs
+            runs = map(self.core.job_run, (job.job_id for job in workflow.jobs))
+            self._table = self._table.extended(self._rows(runs))
         # A workflow record supersedes an earlier tombstone (journal.fold).
         self.orphans.pop(wid, None)
         if key is not None:
@@ -330,24 +337,28 @@ class ServiceState:
         config = getattr(planner, "config", None)
         return config if isinstance(config, PlannerConfig) else PlannerConfig()
 
-    def committed_demands(self) -> list[JobDemand]:
+    def _rows(self, runs):
+        """Table rows of the deadline jobs among the incomplete *runs*."""
+        for run in runs:
+            job = run.job
+            window = self.windows.get(job.job_id)  # admitted => decomposed
+            if job.kind is JobKind.DEADLINE and window is not None:
+                yield demand_row(window, job.tasks, run.believed_remaining_units())
+
+    def committed_table(self) -> DemandTable:
         """Remaining demands of every admitted, unfinished deadline job.
 
         Built from the engine's incomplete runs (not the slot view) so
         workflows admitted seconds ago but starting in the future already
-        count against headroom.
+        count against headroom; rebuilt, in one pass, only when stale.
         """
-        demands = []
-        for run in self.core.incomplete_runs():
-            job = run.job
-            if job.kind is not JobKind.DEADLINE:
-                continue
-            window = self.windows.get(job.job_id)
-            if window is None:  # defensive: admitted => decomposed
-                continue
-            units = run.believed_remaining_units()  # > 0: the run is incomplete
-            demands.append(JobDemand.in_window(window, job.tasks, units))
-        return demands
+        if self._table is None:
+            self._table = DemandTable.of(()).extended(self._rows(self.core.incomplete_runs()))
+        return self._table
+
+    def committed_demands(self) -> list[JobDemand]:
+        """:meth:`committed_table` as objects."""
+        return self.committed_table().rows(JobDemand)
 
     def _reject(self, workflow: Workflow, reason: str, **detail) -> SubmitResult:
         outcome = "unavailable" if reason == "unavailable" else "rejected"
@@ -379,7 +390,7 @@ class ServiceState:
             try:
                 decision = check_admission(
                     workflow,
-                    self.committed_demands(),
+                    self.committed_table(),
                     self.cluster,
                     now_slot=core.slot,
                     config=self._planner_config(),
@@ -448,6 +459,7 @@ class ServiceState:
         its decision was made here.  ``ValueError`` when the workflow is
         unknown or already started."""
         workflow = self.core.remove_workflow(workflow_id)
+        self._table = None
         for job in workflow.jobs:
             self.windows.pop(job.job_id, None)
         key = self._key_of.get(workflow_id)
@@ -521,21 +533,19 @@ class ServiceState:
         deadline; ``saturation`` is the worst per-resource fraction."""
         core = self.core
         now = core.slot
-        demands = self.committed_demands()
-        horizon = max(
-            max((d.deadline_slot for d in demands), default=now + 1) - now, 1
-        )
+        table = self.committed_table()
+        resources = self.cluster.resources
+        horizon = max(int(table.deadline.max(initial=now + 1)) - now, 1)
         caps = caps_array(self.cluster, now, horizon).sum(axis=0)
-        per_resource: dict[str, float] = {}
-        for resource, cap in zip(self.cluster.resources, caps.tolist()):
-            load = float(
-                sum(d.units * d.unit_demand[resource] for d in demands)
-            )
-            per_resource[resource] = load / cap if cap else 0.0
+        loads = table.units @ table.demand(resources)
+        per_resource = {
+            resource: float(load) / cap if cap else 0.0
+            for resource, load, cap in zip(resources, loads.tolist(), caps.tolist())
+        }
         return {
             "slot": now,
             "n_workflows": len(core.workflows),
-            "committed_units": int(sum(d.units for d in demands)),
+            "committed_units": int(table.units.sum()),
             "horizon_slots": horizon,
             "queue_depth": core.live_adhoc_count(),
             "per_resource": per_resource,
@@ -547,9 +557,12 @@ class ServiceState:
         first — the most slack to survive a re-admission elsewhere."""
         core = self.core
         candidates = []
-        for wid, workflow in core.workflows.items():
+        # A finished workflow has started: walk the live ones, not history.
+        live = {run.job.workflow_id for run in core.incomplete_runs()}
+        for wid in live - {None}:
             if core.workflow_started(wid):
                 continue
+            workflow = core.workflows[wid]
             units = sum(job.tasks.total_task_slots for job in workflow.jobs)
             candidates.append(
                 {
@@ -582,6 +595,7 @@ class ServiceState:
     def step(self) -> None:
         """Execute one slot."""
         outcome = self.core.step()
+        self._table = None  # work executed, jobs completed
         arrivals = outcome.n_workflow_arrivals
         if arrivals:
             # The coalescing factor of this re-plan: how many workflow

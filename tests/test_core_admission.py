@@ -1,5 +1,8 @@
 """Tests for the admission-control extension."""
 
+import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import networkx as nx
@@ -11,6 +14,7 @@ from repro.core import placement
 from repro.core.admission import check_admission
 from repro.core.decomposition import decompose_deadline
 from repro.core.placement import (
+    DemandTable,
     JobDemand,
     PlannerConfig,
     binding_resource,
@@ -418,6 +422,71 @@ class TestFlowAgainstLp:
             assert flow_optimum - placed(lp, lambda e: per_unit) < per_unit * max(
                 len(lp), 1
             )
+
+
+class TestTableAndObjectsAreOneInput:
+    """``check_admission`` takes the committed set as the kernel's table
+    (what ``ServiceState`` keeps) or as ``JobDemand`` objects (converted at
+    the door): one kernel behind both, so one answer."""
+
+    @given(admission_instances())
+    @settings(deadline=None, max_examples=250)
+    def test_same_decision_on_both_routes(self, instance):
+        workflow, existing, capacity, now_slot, slack = instance
+        config = PlannerConfig(slack_slots=slack)
+        from_objects, from_table = (
+            check_admission(workflow, committed, capacity, now_slot, config=config)
+            for committed in (existing, DemandTable.of(existing))
+        )
+        assert from_table == from_objects  # admit, shortfalls, utilisation, windows, route
+        assert from_table.route in ("flow", "lp")
+
+    def test_the_generator_reaches_both_routes(self):
+        routes = set()
+
+        @given(admission_instances())
+        @settings(deadline=None, max_examples=60, database=None, derandomize=True)
+        def collect(instance):
+            workflow, existing, capacity, now_slot, slack = instance
+            routes.add(
+                check_admission(workflow, DemandTable.of(existing), capacity, now_slot).route
+            )
+
+        collect()
+        assert routes == {"flow", "lp"}
+
+    def test_admit_fill_decisions_are_the_parent_commits(self):
+        """Every decision on the benchmark's ``admit-fill`` stream (seed 1),
+        recorded at the commit before the table existed."""
+        from bench.workloads import AdmitFill
+        from repro.service import ServiceConfig, ServiceState
+        from repro.service import state as state_module
+
+        golden = Path(__file__).parent / "golden" / "admit_fill_decisions.json"
+        decisions = []
+
+        def recording(workflow, *args, **kwargs):
+            decision = check_admission(workflow, *args, **kwargs)
+            decisions.append(
+                {
+                    "workflow_id": workflow.workflow_id,
+                    "admit": decision.admit,
+                    "shortfall_units": dict(decision.shortfall_units),
+                    "utilisation": decision.utilisation,
+                    "route": decision.route,
+                }
+            )
+            return decision
+
+        with tempfile.TemporaryDirectory(prefix="fill-") as tmp:
+            cluster, submissions = AdmitFill(1, Path(tmp)).generate()
+        state = ServiceState(cluster, ServiceConfig())
+        with mock.patch.object(state_module, "check_admission", recording):
+            for submission in submissions:
+                kind = "workflow" if isinstance(submission, Workflow) else "adhoc"
+                state.submit(kind, submission)
+        assert decisions == json.loads(golden.read_text(encoding="utf-8"))
+        assert len(decisions) == 64 and sum(d["admit"] for d in decisions) == 50
 
 
 # -- property: sequential admission never over-commits ------------------------------

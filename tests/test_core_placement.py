@@ -7,10 +7,12 @@ at the commit that deleted them.  The routes of ``max_placement`` are
 tested against each other in ``tests/test_core_admission.py``.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.decomposition_types import JobWindow
-from repro.core.placement import JobDemand, entries_from_demands
+from repro.core.lp_formulation import ScheduleEntry
+from repro.core.placement import DemandTable, JobDemand, demand_row, entries_from_demands
 from repro.model.job import TaskSpec
 from repro.model.resources import ResourceVector
 
@@ -56,6 +58,45 @@ def test_windows_are_the_ones_both_callers_used(now_slot, slack, repair):
             demand.unit_demand,
             demand.max_parallel,
         )
+
+
+@pytest.mark.parametrize("now_slot, slack, repair", sorted(WINDOWS))
+def test_the_rule_is_written_on_the_columns(now_slot, slack, repair):
+    """The same literal tables, read off the windowed table's arrays: the
+    object form above is this, converted at the door and back."""
+    table = DemandTable.of(demands())
+    windowed = table.windowed(now_slot, slack, repair=repair)
+    assert windowed.job_ids == tuple(DEMANDS)
+    assert (
+        list(zip(windowed.release.tolist(), windowed.deadline.tolist()))
+        == WINDOWS[now_slot, slack, repair]
+    )
+    for column in ("units", "parallel", "vector"):
+        assert np.array_equal(getattr(windowed, column), getattr(table, column))
+    assert windowed.vectors == table.vectors == {ResourceVector(cpu=1, mem=2): 0}
+    assert windowed.rows(ScheduleEntry) == entries_from_demands(
+        demands(), now_slot, slack, repair=repair
+    )
+    assert table.rows(JobDemand) == demands()  # the door, there and back
+
+
+def test_a_table_grows_by_rows_and_numbers_vectors_as_first_seen():
+    small, big = ResourceVector(cpu=1, mem=2), ResourceVector(cpu=2, mem=8)
+    table = DemandTable.of([JobDemand("a", 0, 9, 4, big, 2)])
+    longer = table.extended(
+        [
+            demand_row(JobWindow("b", 3, 7), TaskSpec(3, 2, small), 6),
+            ("c", 1, 5, 2, big, 1),
+        ]
+    )
+    assert table.job_ids == ("a",) and table.vectors == {big: 0}  # never changed
+    assert longer.job_ids == ("a", "b", "c")
+    assert longer.vectors == {big: 0, small: 1}
+    assert longer.vector.tolist() == [0, 1, 0]
+    assert longer.units.tolist() == [4, 6, 2] and longer.parallel.tolist() == [2, 3, 1]
+    assert longer.demand(("cpu", "mem", "gpu")).tolist() == [[2, 8, 0], [1, 2, 0], [2, 8, 0]]
+    assert longer.extended([]) is longer
+    assert DemandTable.of(longer) is longer
 
 
 def test_repair_only_ever_widens_a_window():

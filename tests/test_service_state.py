@@ -12,6 +12,7 @@ import ast
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,12 +20,17 @@ from hypothesis import strategies as st
 import repro.service.state as state_module
 from repro.cluster import FailureDetector, ShardRouter, Supervisor
 from repro.cluster.failover import LIVE
+from repro.core import lp_formulation, placement
+from repro.core.placement import DemandTable, JobDemand, caps_array
+from repro.estimation import ErrorModel
 from repro.model.cluster import ClusterCapacity
+from repro.model.job import JobKind
 from repro.model.resources import ResourceVector
 from repro.model.workflow import Workflow
 from repro.service import ServiceConfig, ServiceState, SubmitResult
 from repro.service.journal import JournalRecord, fold, read_journal
 from tests.conftest import adhoc_job, deadline_job
+from tests.test_engine_live_index import reference_committed_demands
 
 CLUSTER = ClusterCapacity.uniform(cpu=16, mem=32)
 
@@ -106,6 +112,10 @@ def apply(state: ServiceState, op: tuple) -> None:
             state.migrate_in(WORKFLOWS[op[1]], KEYS[op[2]], op[3])
         elif kind == "step":
             state.step()
+        elif kind == "advance":
+            state.advance(state.core.slot + op[1])
+        elif kind == "restore":
+            state.restore(WORKFLOWS[op[1]], KEYS[op[2]])
     except ValueError:
         pass
 
@@ -160,6 +170,204 @@ class TestLiveEqualsReplay:
         second.close()
         assert first.ledger() == second.ledger() == state.ledger()
         assert len(read_journal(journal)[0]) == 6  # recovery appends nothing
+
+
+def rebuilt_table(state: ServiceState) -> DemandTable:
+    """The committed table from nothing: one walk of the engine's
+    incomplete runs, object by object."""
+    return DemandTable.of(
+        [
+            JobDemand.in_window(
+                state.windows[run.job.job_id], run.job.tasks, run.believed_remaining_units()
+            )
+            for run in state.core.incomplete_runs()
+            if run.job.kind is JobKind.DEADLINE and run.job.job_id in state.windows
+        ]
+    )
+
+
+def assert_table_is_the_engine(state: ServiceState) -> int:
+    live, fresh = state.committed_table(), rebuilt_table(state)
+    assert live.job_ids == fresh.job_ids
+    for column in ("release", "deadline", "units", "parallel", "vector"):
+        assert np.array_equal(getattr(live, column), getattr(fresh, column)), column
+    assert list(live.vectors.items()) == list(fresh.vectors.items())
+    assert state.committed_demands() == reference_committed_demands(state)
+    return len(live.job_ids)
+
+
+class TestTheTableIsTheEngine:
+    """``ServiceState`` answers admissions from a cached table of its
+    committed demands: a commit appends to it, a step or a withdrawal marks
+    it stale.  The cache is safe iff, after *any* transition, it equals one
+    rebuilt from the engine — checked here after every operation (the check
+    itself reads the table, so the next transition always meets a warm
+    cache).  Dropping the stale mark of ``step`` or ``migrate_out``, or the
+    append of ``_commit_workflow``, fails this test."""
+
+    table_operations = st.one_of(
+        operations,
+        st.tuples(st.just("step")),  # weight: work must execute
+        st.tuples(st.just("advance"), st.integers(1, 4)),
+        st.tuples(st.just("restore"), workflow_index, key_index),
+        st.tuples(st.just("kill")),
+    )
+
+    @pytest.mark.parametrize("error_model", [None, ErrorModel(0.5, 1.8)], ids=["exact", "perturbed"])
+    def test_after_every_operation(self, error_model):
+        seen = {"rows": 0, "kills": 0, "partly_run": 0}
+
+        @given(st.lists(self.table_operations, min_size=1, max_size=20))
+        @example([("workflow", 0, 0), ("step",), ("step",), ("workflow", 1, 0), ("out", 1, 1)])
+        @example([("workflow", 0, 1), ("out", 0, 1), ("kill",), ("restore_orphan", 0), ("step",)])
+        @settings(max_examples=150, deadline=None, print_blob=True)
+        def drive(stream):
+            with tempfile.TemporaryDirectory(prefix="table-") as tmp:
+                config = config_for(Path(tmp) / "j.jsonl", error_model=error_model)
+                state = ServiceState(CLUSTER, config)
+                for op in stream:
+                    if op[0] == "kill":  # no close(): the process just dies
+                        state.journal.close()
+                        state = ServiceState(CLUSTER, config)
+                        seen["kills"] += 1
+                    else:
+                        apply(state, op)
+                    seen["rows"] += assert_table_is_the_engine(state)
+                    seen["partly_run"] += any(
+                        0 < run.executed_units for run in state.core.incomplete_runs()
+                    )
+                state.close()
+
+        drive()
+        assert all(seen.values()), seen
+
+
+def old_skyline_loads(state: ServiceState) -> tuple[int, dict[str, float]]:
+    """``committed_units`` and ``per_resource`` as ``skyline()`` derived
+    them before the table: per-demand Python sums over fresh objects."""
+    demands = reference_committed_demands(state)
+    now = state.core.slot
+    horizon = max(max((d.deadline_slot for d in demands), default=now + 1) - now, 1)
+    caps = caps_array(state.cluster, now, horizon).sum(axis=0)
+    per_resource = {}
+    for resource, cap in zip(state.cluster.resources, caps.tolist()):
+        load = float(sum(d.units * d.unit_demand[resource] for d in demands))
+        per_resource[resource] = load / cap if cap else 0.0
+    return int(sum(d.units for d in demands)), per_resource
+
+
+def test_skyline_reads_the_table_and_prices_what_the_old_sums_did(tmp_path):
+    config = config_for(tmp_path / "j.jsonl", admission=False)
+    state = ServiceState(CLUSTER, config)
+
+    def check(state):
+        skyline = state.skyline()
+        units, per_resource = old_skyline_loads(state)
+        assert skyline["committed_units"] == units
+        assert skyline["per_resource"] == per_resource
+        assert skyline["saturation"] == max(per_resource.values(), default=0.0)
+        return units
+
+    assert check(state) == 0  # empty: no demand, no division by zero
+    for index in range(8):
+        wide = deadline_job(f"f{index}-j0", f"f{index}", count=3 + index, cores=1, mem=index % 3 + 1)
+        tail = deadline_job(f"f{index}-j1", f"f{index}", count=2)
+        edge = (wide.job_id, tail.job_id)
+        workflow = Workflow.from_jobs(f"f{index}", [wide, tail], [edge], index % 3 * 4, 40 + index)
+        assert state.submit("workflow", workflow).accepted
+    filled = check(state)
+    for _ in range(3):
+        state.step()
+    assert 0 < check(state) < filled  # after steps
+    state.migrate_out("f2", "elsewhere", 1)  # starts at slot 8: not started
+    after_handoff = check(state)
+    state.close()
+    recovered = ServiceState(CLUSTER, config)  # progress is not journaled
+    assert check(recovered) > after_handoff
+    recovered.close()
+
+
+def test_migration_candidates_walk_live_workflows_not_history(monkeypatch):
+    """200 workflows registered, 190 run to completion: a rebalancer poll
+    touches the 10 that still have work, and lists what it always did."""
+    cluster = ClusterCapacity.uniform(cpu=400, mem=800)
+    state = ServiceState(cluster, ServiceConfig(scheduler="FIFO", admission=False))
+    for index in range(190):
+        assert state.submit("workflow", chain(f"done{index:03d}", n=1, count=1)).accepted
+    while not state.core.finished:
+        state.step()
+    now = state.core.slot
+    for index in range(10):
+        jobs = [deadline_job(f"live{index}-j0", f"live{index}", count=40, duration=3)]
+        start = now if index < 4 else now + 5  # four start executing, six wait
+        workflow = Workflow.from_jobs(f"live{index}", jobs, [], start, now + 60 + index % 3)
+        assert state.submit("workflow", workflow).accepted
+    state.step()
+    core = state.core
+    assert len(core.workflows) == 200
+
+    def full_scan():  # the walk as it was: every workflow ever registered
+        rows = [
+            {
+                "workflow_id": wid,
+                "units": sum(job.tasks.total_task_slots for job in workflow.jobs),
+                "deadline_slot": workflow.deadline_slot,
+            }
+            for wid, workflow in core.workflows.items()
+            if not core.workflow_started(wid)
+        ]
+        return sorted(rows, key=lambda c: (-c["deadline_slot"], c["workflow_id"]))
+
+    expected = full_scan()
+    assert [c["workflow_id"] for c in expected] == [
+        "live5", "live8", "live4", "live7", "live6", "live9",
+    ]
+    touched = []
+    started = core.workflow_started
+    monkeypatch.setattr(
+        core, "workflow_started", lambda wid: touched.append(wid) or started(wid)
+    )
+    assert state.migration_candidates(100) == expected
+    assert sorted(touched) == [f"live{index}" for index in range(10)]
+    assert state.migration_candidates(2) == expected[:2]
+
+
+@pytest.mark.parametrize("committed", [5, 50])
+def test_admissions_between_steps_cost_the_candidate_not_the_committed(committed, monkeypatch):
+    """20 admissions between two steps: one pass over the engine's
+    incomplete runs at most, and no demand or entry object built for the
+    committed jobs — however many there are."""
+    cluster = ClusterCapacity.uniform(cpu=4000, mem=8000)
+    state = ServiceState(cluster, ServiceConfig(scheduler="FIFO"))
+    for index in range(committed):
+        assert state.submit("workflow", chain(f"c{index}", n=3, deadline=200)).accepted
+    state.step()
+
+    built = {"JobDemand": 0, "ScheduleEntry": 0}
+    for cls in (placement.JobDemand, lp_formulation.ScheduleEntry):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    walks = []
+    incomplete_runs = state.core.incomplete_runs
+    monkeypatch.setattr(
+        state.core, "incomplete_runs", lambda: walks.append(1) or incomplete_runs()
+    )
+    candidate_jobs = 0
+    for index in range(20):
+        candidate = chain(f"n{index}", n=2, deadline=150 + index)
+        assert state.submit("workflow", candidate).accepted
+        candidate_jobs += len(candidate.jobs)
+    assert len(walks) <= 1
+    assert sum(built.values()) <= candidate_jobs, built
+    monkeypatch.undo()
+    assert assert_table_is_the_engine(state) > candidate_jobs + committed
+    state.step()
+    assert_table_is_the_engine(state)
 
 
 class TestKeysSurviveHandoffAndCrash:
