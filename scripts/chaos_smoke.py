@@ -11,9 +11,8 @@ Runs the real ``repro serve`` process twice over the same workload:
    accepted submission completed** and deadline hits no worse than the
    baseline.
 
-The fault seed is chosen so the very first solve attempt faults (and its
-alternate-backend retry, via the burst), so the degraded-mode path is
-exercised deterministically, not probabilistically.
+The fault seed is chosen so the first two solves fault, so the
+degraded-mode path is exercised deterministically, not probabilistically.
 
 Run:  python scripts/chaos_smoke.py
 Exits non-zero with a diagnostic on any failure.
@@ -37,7 +36,7 @@ N_WORKFLOWS = 3
 N_ADHOC = 2
 N_JOBS = N_WORKFLOWS * 3 + N_ADHOC
 
-# Seed 7 at prob 0.3 faults on the first two solve attempts: chaos bites
+# Seed 7 at prob 0.3 faults on the first two solves: chaos bites
 # immediately and deterministically (see ChaosInjector's seeded RNG).
 CHAOS_ARGS = ["--chaos-fault-prob", "0.3", "--chaos-seed", "7"]
 

@@ -9,13 +9,9 @@ install_fault_injector`) into a reproducible chaos experiment:
 * **Seeded.**  Every roll comes from one ``random.Random(seed)`` — the
   same :class:`ChaosConfig` produces the same fault sequence, so a chaos
   failure found in CI replays locally from its config alone.
-* **Bursty by design.**  The solver retries a failed attempt once on the
-  alternate backend, so independent per-attempt faults at probability *p*
-  only fail a *solve* at ~*p²* — chaos at 10% would almost never reach
-  degraded mode.  ``fault_burst`` makes each triggered fault also fail
-  the next ``fault_burst - 1`` attempts, modelling realistic correlated
-  failures (a wedged solver library fails on whatever backend you try)
-  and making the injected rate the *observed* solve-failure rate.
+* **One roll, one solve.**  A solve is one attempt (no retry), so the
+  injected fault rate is the *observed* solve-failure rate: every injected
+  fault sends the planner to degraded mode.
 * **Slow faults too.**  ``solver_slow_prob`` injects sleeps instead of
   exceptions, which trips the wall-time budget path
   (``SolverFailure(reason="budget")``) rather than the error path.
@@ -73,22 +69,17 @@ class ChaosConfig:
     """One chaos experiment's fault plan.
 
     Attributes:
-        solver_fault_prob: per-solve-attempt probability of raising
-            :class:`InjectedSolverError` (before the backend runs).
-        solver_slow_prob: per-attempt probability of sleeping
-            ``solver_slow_s`` before the backend runs (budget-path chaos).
+        solver_fault_prob: per-solve probability of raising
+            :class:`InjectedSolverError` (before the solver runs).
+        solver_slow_prob: per-solve probability of sleeping
+            ``solver_slow_s`` before the solver runs (budget-path chaos).
         solver_slow_s: the injected delay in seconds.
-        fault_burst: attempts failed per triggered fault (>= 1).  With the
-            solver's one alternate-backend retry, a burst of 2 turns each
-            triggered fault into one failed *solve*; 1 gives independent
-            attempts (a retry usually saves the solve).
         seed: RNG seed; same config, same fault sequence.
     """
 
     solver_fault_prob: float = 0.0
     solver_slow_prob: float = 0.0
     solver_slow_s: float = 0.05
-    fault_burst: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -98,45 +89,32 @@ class ChaosConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.solver_slow_s < 0:
             raise ValueError("solver_slow_s must be >= 0")
-        if self.fault_burst < 1:
-            raise ValueError("fault_burst must be >= 1")
 
 
 class ChaosInjector:
     """The callable installed into the solver; counts what it did.
 
     Attributes:
-        n_calls: solve attempts seen.
-        n_faults: attempts failed with :class:`InjectedSolverError`.
-        n_slow: attempts delayed by ``solver_slow_s``.
+        n_calls: solves seen.
+        n_faults: solves failed with :class:`InjectedSolverError`.
+        n_slow: solves delayed by ``solver_slow_s``.
     """
 
     def __init__(self, config: ChaosConfig):
         self.config = config
         self._rng = random.Random(config.seed)
-        self._burst_left = 0
         self.n_calls = 0
         self.n_faults = 0
         self.n_slow = 0
 
-    def __call__(self, backend: str, problem: LinearProgram) -> None:
+    def __call__(self, problem: LinearProgram) -> None:
         self.n_calls += 1
-        if self._burst_left > 0:
-            # Correlated failure: the retry hits the same wedged state.
-            self._burst_left -= 1
-            self.n_faults += 1
-            raise InjectedSolverError(
-                f"injected solver fault (burst) on backend {backend!r}"
-            )
         if self._rng.random() < self.config.solver_slow_prob:
             self.n_slow += 1
             time.sleep(self.config.solver_slow_s)
         if self._rng.random() < self.config.solver_fault_prob:
-            self._burst_left = self.config.fault_burst - 1
             self.n_faults += 1
-            raise InjectedSolverError(
-                f"injected solver fault on backend {backend!r}"
-            )
+            raise InjectedSolverError("injected solver fault")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from repro.analysis.reporting import (
     turnaround_ratios,
 )
 from repro.core.decomposition import decompose_deadline
-from repro.lp import available_backends
 from repro.model.cluster import ClusterCapacity
 from repro.obs import JsonlSink, Observability
 from repro.schedulers.registry import available_schedulers
@@ -123,16 +122,6 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
         "scheduler's degraded mode instead of stalling the loop "
         "(FlowTime only)",
     )
-    parser.add_argument(
-        # Choices come from the live solver registry, mirroring --scheduler:
-        # backends added via repro.lp.register_backend() appear here.
-        "--lp-backend",
-        default=None,
-        choices=sorted(available_backends()),
-        help="LP solver backend for planner-based schedulers (default: the "
-        "planner's own default, highs; 'fastsolve' lowers structured round "
-        "subproblems to a combinatorial flow solve)",
-    )
 
 
 def _planner_kwargs(args: argparse.Namespace) -> dict:
@@ -145,8 +134,6 @@ def _planner_kwargs(args: argparse.Namespace) -> dict:
         planner["warm_start"] = False
     if args.solve_budget is not None:
         planner["solve_budget_s"] = args.solve_budget
-    if args.lp_backend:
-        planner["backend"] = args.lp_backend
     if planner and args.scheduler.startswith("FlowTime"):
         return {"planner": planner}
     return {}

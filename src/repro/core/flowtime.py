@@ -80,7 +80,6 @@ def _extend_short_windows(
             caps,
             resources,
             tag="relax",
-            backend=config.backend,
             time_budget_s=config.solve_budget_s,
         )
     except SolverFailure:
@@ -232,7 +231,6 @@ class FlowTimePlanner:
             )
             result = lexmin_schedule(
                 problem,
-                backend=config.backend,
                 max_rounds=config.max_lexmin_rounds,
                 front_load=config.front_load,
                 warm_hint=hint,

@@ -46,7 +46,7 @@ _FREEZE_RELAX = 1e-7  # relative slack added to frozen caps (numerical safety)
 class LexminWarmHint:
     """Seed for a warm-started lexmin solve: the previous solve's skyline.
 
-    The HiGHS backend exposes no basis warm-start, so the reusable artefact
+    HiGHS (through scipy) exposes no basis warm-start, so the reusable artefact
     of a solve is its *level vector*: the per-cell normalised loads of the
     final balanced allocation.  When consecutive solves see near-identical
     job mixes, that skyline is already (near-)lexmin-optimal — imposing it
@@ -128,22 +128,16 @@ def build_round_lp(
     active: Sequence[int],
     frozen_value: np.ndarray,
     caps: np.ndarray,
-    pieces: RoundPieces | None = None,
+    pieces: RoundPieces,
 ) -> LinearProgram:
     """One lexmin round subproblem: ``min theta`` over the active cells.
 
     Variables are the allocation variables plus a trailing theta column.
     Rows, in order: active cells (``load - theta * C <= 0``), frozen cells
     (``load <= frozen_value``), and the hard capacity rows (``load <= C``).
-    This is the theta-form interval LP that
-    :func:`repro.lp.unimodular.detect_interval_structure` certifies and the
-    ``fastsolve`` backend lowers to a max-flow; it is public so tests and
-    benchmarks can generate round subproblems without running the ladder.
-    A ladder passes its :class:`RoundPieces` so that a round only gathers
-    rows; without them they are assembled here.
+    *pieces* are the ladder's :class:`RoundPieces`
+    (:func:`assemble_round_pieces`), so that a round only gathers rows.
     """
-    if pieces is None:
-        pieces = assemble_round_pieces(problem, caps)
     n_vars = problem.n_vars
     n_cells = len(problem.util_cells)
     active = np.asarray(active, dtype=np.intp)
@@ -170,7 +164,6 @@ def _balancing_solve(
     frozen_value: np.ndarray,
     caps: np.ndarray,
     *,
-    backend: str,
     front_load: bool,
     solve_budget_s: float | None = None,
 ):
@@ -198,9 +191,7 @@ def _balancing_solve(
         lb=np.zeros(problem.n_vars),
         ub=problem.var_ub,
     )
-    return solve_lp(
-        lp_final, backend=backend, tag="balance", time_budget_s=solve_budget_s
-    )
+    return solve_lp(lp_final, tag="balance", time_budget_s=solve_budget_s)
 
 
 def _cap_at(theta: float | np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -275,7 +266,7 @@ def _finish_warm(
     )
 
 
-def _answered(sol: LPSolution, stage: str, backend: str) -> bool:
+def _answered(sol: LPSolution, stage: str) -> bool:
     """True for an optimal *sol*, False for an infeasible one."""
     if sol.status is LPStatus.OPTIMAL:
         return True
@@ -283,7 +274,7 @@ def _answered(sol: LPSolution, stage: str, backend: str) -> bool:
         return False
     raise SolverFailure(  # pragma: no cover - solve_lp raises first
         f"lexmin {stage} failed: {sol.message}",
-        backend=backend,
+        backend="highs",
         reason="error",
         elapsed=0.0,
     )
@@ -292,7 +283,6 @@ def _answered(sol: LPSolution, stage: str, backend: str) -> bool:
 def lexmin_schedule(
     problem: ScheduleProblem,
     *,
-    backend: str = "highs",
     max_rounds: int | None = None,
     tol: float = 1e-6,
     front_load: bool = True,
@@ -303,7 +293,6 @@ def lexmin_schedule(
 
     Args:
         problem: pre-assembled LP structure.
-        backend: LP backend name (``repro.lp.available_backends()``).
         max_rounds: cap on minimax rounds; ``None`` means run until every
             utilisation cell is frozen (exact lexicographic optimum).
         tol: relative tolerance for saturation detection.
@@ -322,7 +311,7 @@ def lexmin_schedule(
             back to the cold ladder, counted as ``lexmin.warm.fallback``.
         solve_budget_s: optional per-LP wall-time budget forwarded to
             :func:`repro.lp.solver.solve_lp`; a blown budget (or a solver
-            that fails on every backend) raises
+            fault) raises
             :class:`~repro.lp.solver.SolverFailure`, which propagates to
             the caller — the FlowTime scheduler's degraded mode handles it.
 
@@ -342,7 +331,6 @@ def lexmin_schedule(
             problem,
             frozen,
             caps,
-            backend=backend,
             front_load=front_load,
             solve_budget_s=solve_budget_s,
         )
@@ -357,10 +345,8 @@ def lexmin_schedule(
         if max_rounds is not None and rounds >= max_rounds:
             break
         lp = build_round_lp(problem, active, frozen_value, caps, pieces)
-        sol = solve_lp(
-            lp, backend=backend, tag="round", time_budget_s=solve_budget_s
-        )
-        if not _answered(sol, "round", backend):
+        sol = solve_lp(lp, tag="round", time_budget_s=solve_budget_s)
+        if not _answered(sol, "round"):
             return LexminResult(status="infeasible")
         x_full = sol.x
         theta = float(x_full[-1])
@@ -393,7 +379,7 @@ def lexmin_schedule(
         frozen_value[active] = _cap_at(last, caps)[active]
 
     sol = balance(frozen_value)
-    if not _answered(sol, "final solve", backend):
+    if not _answered(sol, "final solve"):
         return LexminResult(status="infeasible")
 
     x = sol.x

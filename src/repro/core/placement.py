@@ -34,7 +34,7 @@ from scipy.sparse.csgraph import maximum_flow
 from repro.core.decomposition_types import JobWindow
 from repro.core.lp_formulation import Mode, ScheduleEntry, build_schedule_problem
 from repro.lp.problem import LinearProgram
-from repro.lp.solver import DEFAULT_BACKEND, solve_lp
+from repro.lp.solver import solve_lp
 from repro.model.cluster import ClusterCapacity
 from repro.model.job import TaskSpec
 from repro.model.resources import ResourceVector
@@ -55,11 +55,6 @@ class PlannerConfig:
         formulation: "coupled" (default; task-slot variables, executable) or
             "paper" (per-resource variables, Lemma-2-faithful).
         per_slot_caps: bound per-slot grants by the job's parallelism.
-        backend: LP backend name from the solver registry
-            (``repro.lp.available_backends()``; default "highs").
-            "fastsolve" lowers structured round subproblems to a
-            combinatorial parametric max-flow and falls back to "highs"
-            for instances without the interval structure.
         max_lexmin_rounds: minimax refinement rounds (None = exact lexmin;
             small values keep re-planning fast with near-identical plans).
         horizon_slots: hard cap on the planning horizon (None = plan until
@@ -80,8 +75,8 @@ class PlannerConfig:
             is still solved exactly and a failed exactness check falls back
             to the cold ladder, so plans stay minimax-optimal.
         solve_budget_s: optional wall-time budget per LP solve (the solver
-            guardrail).  A solve that exceeds it — or fails on every
-            backend — raises :class:`~repro.lp.solver.SolverFailure` out of
+            guardrail).  A solve that exceeds it — or any solver fault —
+            raises :class:`~repro.lp.solver.SolverFailure` out of
             :meth:`FlowTimePlanner.plan`; the FlowTime scheduler catches it
             and enters degraded mode.  None (default) never times out,
             which is the pre-guardrail behaviour.
@@ -90,7 +85,6 @@ class PlannerConfig:
     slack_slots: int = 6
     formulation: Mode = "coupled"
     per_slot_caps: bool = True
-    backend: str = DEFAULT_BACKEND
     max_lexmin_rounds: int | None = 4
     horizon_slots: int | None = None
     front_load: bool = True
@@ -273,7 +267,6 @@ def max_placement(
     resources: Sequence[str],
     *,
     tag: str,
-    backend: str = DEFAULT_BACKEND,
     time_budget_s: float | None = None,
 ) -> tuple[dict[str, int], float, Literal["flow", "lp"]]:
     """Place as much of *rows*' work (a windowed table, or entries) as their
@@ -283,7 +276,7 @@ def max_placement(
     task-slots that cannot be placed inside the job's window (empty when
     everything fits; one witness — which jobs of an over-full set come up
     short is not unique), the max normalised load of that witness placement,
-    and which method answered.  *tag*, *backend* and *time_budget_s* reach
+    and which method answered.  *tag* and *time_budget_s* reach
     :func:`~repro.lp.solver.solve_lp` on the LP route only, whose
     :class:`~repro.lp.solver.SolverFailure` propagates.
     """
@@ -304,9 +297,8 @@ def max_placement(
         lb=np.zeros(problem.n_vars),
         ub=problem.var_ub,
     )
-    x = solve_lp(
-        lp, backend=backend, tag=tag, time_budget_s=time_budget_s
-    ).require_optimal()  # zero placement is feasible, the optimum bounded
+    # Zero placement is feasible and the optimum bounded: OPTIMAL or a fault.
+    x = solve_lp(lp, tag=tag, time_budget_s=time_budget_s).require_optimal()
     placed = np.asarray(problem.a_eq @ x).ravel()
 
     shortfalls: dict[str, int] = {}

@@ -60,11 +60,7 @@ def lex_leq(u: np.ndarray, v: np.ndarray) -> bool:
     return True
 
 
-def scalarized_schedule(
-    problem: ScheduleProblem,
-    *,
-    backend: str = "highs",
-) -> np.ndarray | None:
+def scalarized_schedule(problem: ScheduleProblem) -> np.ndarray | None:
     """Solve the scheduling LP with the paper's scalarised objective.
 
     Minimises ``sum_cells k^{z_cell / C_cell}`` using the λ-representation:
@@ -157,7 +153,7 @@ def scalarized_schedule(
     lp = LinearProgram(
         c=cost, a_ub=a_ub, b_ub=caps.astype(float), a_eq=a_eq, b_eq=b_eq, lb=lb, ub=ub
     )
-    sol = solve_lp(lp, backend=backend)
+    sol = solve_lp(lp)
     if sol.status is LPStatus.INFEASIBLE:
         return None
     return sol.require_optimal()[:n_x]

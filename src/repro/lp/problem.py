@@ -2,7 +2,7 @@
 
 Minimise ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq`` and
 elementwise bounds ``lb <= x <= ub``.  Matrices may be dense numpy arrays or
-scipy sparse matrices; backends normalise as needed.
+scipy sparse matrices; the solver normalises as needed.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class LPSolution:
 
     ``duals_ub``/``duals_eq`` follow scipy's sign convention (marginals of
     the optimal objective with respect to the right-hand sides; <= 0 for
-    binding ``<=`` rows of a minimisation).  They may be ``None`` for
-    backends that do not produce duals.
+    binding ``<=`` rows of a minimisation).  They may be ``None`` when the
+    solver reports none.
     """
 
     status: LPStatus

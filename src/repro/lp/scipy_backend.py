@@ -1,4 +1,4 @@
-"""LP backend built on scipy's HiGHS interface (the default backend)."""
+"""The LP solver: scipy's HiGHS interface (called by :func:`repro.lp.solver.solve_lp`)."""
 
 from __future__ import annotations
 

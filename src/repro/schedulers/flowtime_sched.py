@@ -16,8 +16,8 @@ Two work-conserving touches beyond the plan column (both optional):
   to a 1-unit trickle until completion (re-planning handles the rest).
 
 **Degraded mode** (fault tolerance): when the LP planner raises
-:class:`~repro.lp.solver.SolverFailure` (backend broke on every attempt, or
-a solve blew its wall-time budget), the scheduler does not crash the slot.
+:class:`~repro.lp.solver.SolverFailure` (the solver faulted, or a solve
+blew its wall-time budget), the scheduler does not crash the slot.
 It keeps the last feasible plan for already-admitted work and tops up with
 an EDF-greedy decision for the current slot — deadline jobs by decomposed
 deadline, then ad-hoc leftovers as usual — and re-attempts the LP on every

@@ -62,8 +62,8 @@ class ServiceConfig:
     Attributes:
         scheduler: registry name of the scheduling policy to run.
         scheduler_kwargs: forwarded to the registry factory (e.g.
-            ``{"planner": {"backend": "fastsolve"}}``, which is what
-            ``repro serve --lp-backend`` sets).
+            ``{"planner": {"solve_budget_s": 0.5}}``, which is what
+            ``repro serve --solve-budget`` sets).
         slot_seconds: modelled duration of one slot (metrics conversion;
             the paper's deployment used 10 s).
         realtime: when True the event loop advances one slot per

@@ -168,17 +168,12 @@ def _normalize_summary(summary: dict) -> dict:
     }
 
 
-def run_golden(
-    case: GoldenCase, *, lp_backend: str | None = None
-) -> tuple[list[dict], dict]:
+def run_golden(case: GoldenCase) -> tuple[list[dict], dict]:
     """Run one case; its normalised events and normalised summary.
 
     The run is validated by the independent verifier before anything is
     returned, so neither regeneration nor checking can pin (or silently
-    accept) a schedule that violates the invariants.  ``lp_backend``
-    selects the planner's LP backend — checking the pinned corpus under
-    ``fastsolve`` asserts the combinatorial solver is byte-for-byte
-    equivalent to the default on these workloads.
+    accept) a schedule that violates the invariants.
     """
     from repro.analysis.experiments import canonical_windows, run_one
     from repro.obs import Observability
@@ -194,7 +189,6 @@ def run_golden(
         trace,
         capacity,
         config=SimulationConfig(record_execution=True),
-        scheduler_kwargs={"planner": {"backend": lp_backend}} if lp_backend else None,
         obs=Observability(sink=sink),
     )
     windows = canonical_windows(trace, capacity)
@@ -261,8 +255,6 @@ def write_corpus(
 def check_corpus(
     root: str | Path | None = None,
     names: Optional[Iterable[str]] = None,
-    *,
-    lp_backend: str | None = None,
 ) -> list[str]:
     """Re-run every pinned case and diff; mismatch descriptions (empty=ok)."""
     root = Path(root) if root is not None else default_corpus_dir()
@@ -274,7 +266,7 @@ def check_corpus(
             problems.append(f"{name}: no pinned corpus at {case_dir}")
             continue
         try:
-            events, summary = run_golden(case, lp_backend=lp_backend)
+            events, summary = run_golden(case)
         except Exception as error:  # noqa: BLE001 - a crash is a regression
             problems.append(f"{name}: run raised {type(error).__name__}: {error}")
             continue

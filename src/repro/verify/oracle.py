@@ -81,7 +81,7 @@ class OracleOutcome:
     detail: str = ""
 
 
-def generate_instance(seed: int, *, single_resource: bool = False) -> OracleInstance:
+def generate_instance(seed: int) -> OracleInstance:
     """A seeded tiny instance with individually feasible windows.
 
     Small enough that the dense oracle LP is trivial, varied enough to
@@ -89,16 +89,10 @@ def generate_instance(seed: int, *, single_resource: bool = False) -> OracleInst
     job's units fit its own window (``units <= window * max_parallel``) so
     the strict formulation is infeasible only through *joint*
     over-commitment, which the oracle detects and skips.
-
-    ``single_resource`` drops the mem dimension (capacity and demands), the
-    regime where the coupled formulation has uniform per-variable weights
-    and the fastsolve backend's interval-structure detection fires — the
-    slice the ``solver-bench`` CI job runs the oracle on.  The same seed
-    draws the same cpu-side instance either way.
     """
     rng = np.random.default_rng(seed)
     cpu = int(rng.integers(3, 9))
-    capacity = {"cpu": cpu} if single_resource else {"cpu": cpu, "mem": 2 * cpu}
+    capacity = {"cpu": cpu, "mem": 2 * cpu}
     n_jobs = int(rng.integers(1, 4))
     horizon = int(rng.integers(3, 9))
     jobs = []
@@ -106,13 +100,11 @@ def generate_instance(seed: int, *, single_resource: bool = False) -> OracleInst
         release = int(rng.integers(0, horizon - 1))
         deadline = int(rng.integers(release + 1, horizon + 1))
         max_parallel = int(rng.integers(1, 4))
-        demand_cpu = int(rng.integers(1, min(3, cpu) + 1))
-        # Drawn even when dropped, so seeds line up across the two modes.
-        demand_mem = int(rng.integers(1, 5))
+        demand = {
+            "cpu": int(rng.integers(1, min(3, cpu) + 1)),
+            "mem": int(rng.integers(1, 5)),
+        }
         units = int(rng.integers(1, (deadline - release) * max_parallel + 1))
-        demand = {"cpu": demand_cpu}
-        if not single_resource:
-            demand["mem"] = demand_mem
         jobs.append(
             OracleJob(
                 job_id=f"o{seed}-j{j}",
@@ -307,7 +299,7 @@ def integral_feasible(
     return _search_schedules(instance, per_job, first_only=True) is not None
 
 
-def _production_plan(instance: OracleInstance, *, backend: str = "highs"):
+def _production_plan(instance: OracleInstance):
     """Plan the instance through the production FlowTime path."""
     from repro.core.flowtime import FlowTimePlanner
     from repro.core.placement import JobDemand, PlannerConfig
@@ -330,9 +322,7 @@ def _production_plan(instance: OracleInstance, *, backend: str = "highs"):
     planner = FlowTimePlanner(
         # slack_slots=0 keeps the planner's windows identical to the
         # oracle's; cache/warm-start off so every instance is a cold solve.
-        PlannerConfig(
-            slack_slots=0, plan_cache=False, warm_start=False, backend=backend
-        )
+        PlannerConfig(slack_slots=0, plan_cache=False, warm_start=False)
     )
     request = PlanRequest(now_slot=0, demands=demands, capacity=capacity)
     return planner.plan(request)
@@ -380,21 +370,19 @@ def _validate_plan(instance: OracleInstance, plan) -> list[str]:
     return problems
 
 
-def check_instance(
-    seed: int, *, backend: str = "highs", single_resource: bool = False
-) -> OracleOutcome:
+def check_instance(seed: int) -> OracleOutcome:
     """Generate, solve both ways, and compare one seeded instance.
 
-    ``backend`` selects the production planner's LP backend; the oracle LP
-    always runs dense ``linprog`` so the comparison stays independent.
+    The oracle LP runs dense ``linprog`` so the comparison stays
+    independent of the production formulation.
     """
-    instance = generate_instance(seed, single_resource=single_resource)
+    instance = generate_instance(seed)
     theta_oracle = oracle_minimax(instance)
     if theta_oracle is None:
         # Jointly over-committed: the production ladder relaxes windows
         # here and no shared optimum is defined.
         return OracleOutcome(seed=seed, status="skipped", detail="infeasible")
-    plan = _production_plan(instance, backend=backend)
+    plan = _production_plan(instance)
     theta_prod = float(plan.minimax)
     if getattr(plan, "degraded", False):
         return OracleOutcome(
@@ -458,20 +446,12 @@ def check_instance(
     )
 
 
-def run_oracle(
-    seeds,
-    *,
-    min_agreements: int | None = None,
-    backend: str = "highs",
-    single_resource: bool = False,
-) -> list[OracleOutcome]:
+def run_oracle(seeds, *, min_agreements: int | None = None) -> list[OracleOutcome]:
     """Check a sequence of seeds; optionally stop once enough agree."""
     outcomes = []
     agreements = 0
     for seed in seeds:
-        outcome = check_instance(
-            int(seed), backend=backend, single_resource=single_resource
-        )
+        outcome = check_instance(int(seed))
         outcomes.append(outcome)
         if outcome.status == "agree":
             agreements += 1

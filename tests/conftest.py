@@ -22,6 +22,15 @@ def tiny_cluster() -> ClusterCapacity:
     return ClusterCapacity.uniform(cpu=4, mem=8)
 
 
+@pytest.fixture
+def simplex_solver(monkeypatch) -> None:
+    """Every ``solve_lp`` answers from the reference simplex, not HiGHS."""
+    from repro.lp import scipy_backend
+    from tests import simplex
+
+    monkeypatch.setattr(scipy_backend, "solve", simplex.solve)
+
+
 def spec(count: int = 4, duration: int = 2, cores: int = 2, mem: int = 4) -> TaskSpec:
     return TaskSpec(
         count=count,

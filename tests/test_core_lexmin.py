@@ -148,11 +148,12 @@ class TestRoundsAndBackends:
         result = lexmin_schedule(problem, max_rounds=None)
         assert result.is_optimal
 
-    def test_simplex_backend_agrees_on_minimax(self):
+    def test_simplex_backend_agrees_on_minimax(self, request):
         entries = [entry(units=6, deadline=3)]
         problem = build_schedule_problem(entries, caps(3), RES)
-        highs = lexmin_schedule(problem, backend="highs")
-        simplex = lexmin_schedule(problem, backend="simplex")
+        highs = lexmin_schedule(problem)
+        request.getfixturevalue("simplex_solver")
+        simplex = lexmin_schedule(problem)
         assert highs.minimax == pytest.approx(simplex.minimax, abs=1e-6)
 
     def test_paper_mode_also_solves(self):

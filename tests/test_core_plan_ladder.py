@@ -234,17 +234,14 @@ class TestRoundPieces:
         active = [k for k in range(n_cells) if k not in set(frozen_cells)]
         pieces = assemble_round_pieces(problem, caps)
         expected = reference_round_lp(problem, active, frozen_value, caps)
-        for lp in (
-            build_round_lp(problem, active, frozen_value, caps, pieces),
-            build_round_lp(problem, active, frozen_value, caps),
-        ):
-            assert lp.a_ub.shape == expected[0].shape
-            assert (lp.a_ub != expected[0]).nnz == 0
-            assert np.array_equal(lp.b_ub, expected[1])
-            assert (lp.a_eq != expected[2]).nnz == 0
-            assert np.array_equal(lp.ub, expected[3])
-            assert np.array_equal(lp.b_eq, problem.b_eq)
-            assert lp.c[-1] == 1.0 and not lp.c[:-1].any()
+        lp = build_round_lp(problem, active, frozen_value, caps, pieces)
+        assert lp.a_ub.shape == expected[0].shape
+        assert (lp.a_ub != expected[0]).nnz == 0
+        assert np.array_equal(lp.b_ub, expected[1])
+        assert (lp.a_eq != expected[2]).nnz == 0
+        assert np.array_equal(lp.ub, expected[3])
+        assert np.array_equal(lp.b_eq, problem.b_eq)
+        assert lp.c[-1] == 1.0 and not lp.c[:-1].any()
 
     def test_ladder_rounds_are_the_assembled_rounds(self, problem, monkeypatch):
         """Every round LP a real ladder hands to the solver — empty, partial
@@ -254,7 +251,7 @@ class TestRoundPieces:
         checked = []
         real = lexmin.build_round_lp
 
-        def checking(problem, active, frozen_value, caps, pieces=None):
+        def checking(problem, active, frozen_value, caps, pieces):
             lp = real(problem, active, frozen_value, caps, pieces)
             a_ub, b_ub, a_eq, ub = reference_round_lp(
                 problem, active, frozen_value, caps

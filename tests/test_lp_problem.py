@@ -1,10 +1,10 @@
-"""Unit tests for the LinearProgram container and solver registry."""
+"""Unit tests for the LinearProgram container and the solve path."""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.lp import LinearProgram, LPStatus, available_backends, solve_lp
+from repro.lp import LinearProgram, LPStatus, solve_lp
 from repro.lp.problem import LPSolution
 
 
@@ -41,33 +41,32 @@ class TestLinearProgram:
         assert lp.n_constraints == 1
 
 
+@pytest.fixture(params=["highs", "simplex"])
+def backend(request):
+    """``solve_lp`` on HiGHS, and on the reference simplex substituted for it."""
+    if request.param == "simplex":
+        request.getfixturevalue("simplex_solver")
+    return request.param
+
+
 class TestSolveRegistry:
-    def test_backends_available(self):
-        assert set(available_backends()) == {"fastsolve", "highs", "simplex"}
+    """``solve_lp`` returns every kind of answer, whichever solver is under it."""
 
-    def test_unknown_backend_raises(self):
-        lp = LinearProgram(c=[1.0])
-        with pytest.raises(ValueError):
-            solve_lp(lp, backend="cplex")
-
-    @pytest.mark.parametrize("backend", ["highs", "simplex"])
     def test_simple_minimum(self, backend):
         # min x + y  s.t. x + y >= 2  ->  objective 2.
         lp = LinearProgram(c=[1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0])
-        sol = solve_lp(lp, backend=backend)
+        sol = solve_lp(lp)
         assert sol.is_optimal
         assert sol.objective == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("backend", ["highs", "simplex"])
     def test_infeasible(self, backend):
         # x <= 1 and x >= 2 simultaneously.
         lp = LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
-        assert solve_lp(lp, backend=backend).status is LPStatus.INFEASIBLE
+        assert solve_lp(lp).status is LPStatus.INFEASIBLE
 
-    @pytest.mark.parametrize("backend", ["highs", "simplex"])
     def test_unbounded(self, backend):
         lp = LinearProgram(c=[-1.0])  # min -x, x >= 0, no upper bound
-        assert solve_lp(lp, backend=backend).status is LPStatus.UNBOUNDED
+        assert solve_lp(lp).status is LPStatus.UNBOUNDED
 
 
 class TestLPSolution:

@@ -1,11 +1,11 @@
-"""The from-scratch simplex against scipy/HiGHS on a battery of LPs."""
+"""HiGHS against the from-scratch reference simplex on a battery of LPs."""
 
 import numpy as np
 import pytest
 
 from repro.lp import LinearProgram, LPStatus
 from repro.lp.scipy_backend import solve as solve_highs
-from repro.lp.simplex import solve as solve_simplex
+from tests.simplex import solve as solve_simplex
 
 
 def assert_matches_highs(lp: LinearProgram, tol: float = 1e-6):

@@ -27,10 +27,10 @@ class TestReportingEdges:
 class TestRegistryKwargs:
     def test_planner_kwargs_forwarded(self):
         scheduler = make_scheduler(
-            "FlowTime", planner={"slack_slots": 2, "backend": "simplex"}
+            "FlowTime", planner={"slack_slots": 2, "max_lexmin_rounds": 1}
         )
         assert scheduler.planner.config.slack_slots == 2
-        assert scheduler.planner.config.backend == "simplex"
+        assert scheduler.planner.config.max_lexmin_rounds == 1
 
     def test_scheduler_kwargs_forwarded(self):
         scheduler = make_scheduler("FlowTime", work_conserving=False)
@@ -60,16 +60,14 @@ class TestEngineOrdering:
         Simulation(small_cluster, Spy(), workflows=[wf], adhoc_jobs=[job]).run()
         assert seen[2] == (1, 1)
 
-    def test_simplex_backend_end_to_end(self, small_cluster):
-        """FlowTime driven entirely by the from-scratch simplex backend."""
+    def test_simplex_backend_end_to_end(self, small_cluster, simplex_solver):
+        """FlowTime driven entirely by the reference simplex."""
         from repro.core.placement import PlannerConfig
         from repro.schedulers.flowtime_sched import FlowTimeScheduler
         from repro.simulator.metrics import missed_workflows
 
         wf = chain_workflow("w", 2, 0, 80)
-        scheduler = FlowTimeScheduler(
-            PlannerConfig(backend="simplex", max_lexmin_rounds=1)
-        )
+        scheduler = FlowTimeScheduler(PlannerConfig(max_lexmin_rounds=1))
         result = Simulation(small_cluster, scheduler, workflows=[wf]).run()
         assert result.finished
         assert missed_workflows(result) == []

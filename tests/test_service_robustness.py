@@ -239,11 +239,11 @@ class TestBackpressure:
 
 
 class TestAdmissionUnavailable:
-    """Every LP backend is down.  Only a committed set with no binding
+    """The LP solver is down.  Only a committed set with no binding
     resource needs the LP; the flow route keeps admitting."""
 
     @staticmethod
-    def fail_everything(backend, problem):
+    def fail_everything(problem):
         raise RuntimeError("injected outage")
 
     def test_solver_outage_answers_unavailable_not_silent_admit(self):
