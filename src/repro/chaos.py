@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.lp.problem import LinearProgram
@@ -66,21 +66,26 @@ class InjectedSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """One chaos experiment's fault plan.
+    """One chaos experiment's fault plan (each field's ``help`` says what
+    it sets).  A fault raises :class:`InjectedSolverError` and a slow solve
+    sleeps, both before the solver runs; the same config gives the same
+    fault sequence."""
 
-    Attributes:
-        solver_fault_prob: per-solve probability of raising
-            :class:`InjectedSolverError` (before the solver runs).
-        solver_slow_prob: per-solve probability of sleeping
-            ``solver_slow_s`` before the solver runs (budget-path chaos).
-        solver_slow_s: the injected delay in seconds.
-        seed: RNG seed; same config, same fault sequence.
-    """
-
-    solver_fault_prob: float = 0.0
-    solver_slow_prob: float = 0.0
-    solver_slow_s: float = 0.05
-    seed: int = 0
+    solver_fault_prob: float = field(default=0.0, metadata={
+        "flag": "--chaos-fault-prob", "metavar": "P",
+        "help": "per-solve-attempt probability of an injected solver fault",
+    })
+    solver_slow_prob: float = field(default=0.0, metadata={
+        "flag": "--chaos-slow-prob", "metavar": "P",
+        "help": "per-attempt probability of an injected slow solve",
+    })
+    solver_slow_s: float = field(default=0.05, metadata={
+        "flag": "--chaos-slow-s", "metavar": "SECONDS",
+        "help": "duration of an injected slow solve",
+    })
+    seed: int = field(default=0, metadata={
+        "flag": "--chaos-seed", "help": "chaos fault-plan seed",
+    })
 
     def __post_init__(self) -> None:
         for name in ("solver_fault_prob", "solver_slow_prob"):

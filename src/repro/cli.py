@@ -18,6 +18,10 @@ Cluster size is given with ``--cpu/--mem`` (every command defaults to the
 replayable JSON files of :mod:`repro.workloads.traces`, so a comparison run
 on another machine sees byte-identical workloads.
 
+A flag backed by a config field is declared on the field (its metadata
+names the flag, help and, for a None default, the type); :func:`_add_fields`
+adds it to a parser and :func:`_fields` reads the value back.
+
 Global flags (before the subcommand): ``--version``; ``-v/--verbose`` and
 ``-q/--quiet`` set the observability log level (repeat ``-v`` for debug);
 ``-v`` on a ``run`` also prints the per-phase timing table.
@@ -26,6 +30,7 @@ Global flags (before the subcommand): ``--version``; ``-v/--verbose`` and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from typing import Sequence
@@ -38,11 +43,17 @@ from repro.analysis.reporting import (
     format_slowest_slot,
     turnaround_ratios,
 )
+from repro.chaos import ChaosConfig, chaos_solver
+from repro.cluster.failover import DetectorConfig, SupervisorConfig
 from repro.core.decomposition import decompose_deadline
+from repro.core.placement import PlannerConfig
+from repro.estimation.errors import ErrorModel
 from repro.model.cluster import ClusterCapacity
-from repro.obs import JsonlSink, Observability
+from repro.obs import JsonlSink, Observability, SLOConfig
 from repro.schedulers.registry import available_schedulers
+from repro.service.api import ServiceConfig
 from repro.simulator.engine import SimulationConfig
+from repro.simulator.failures import FailureModel
 from repro.workloads.traces import generate_trace, load_trace, save_trace
 
 
@@ -67,94 +78,77 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mem", type=int, default=128, help="cluster memory (GB)")
 
 
+def _add_fields(parser, cls, *names: str, **defaults) -> None:
+    """Add a flag for each field of dataclass *cls* whose metadata names one
+    (only the fields in *names*, when given); *defaults* override field
+    defaults.  A bool flag stores the opposite of its default, so a True
+    field is switched off by its ``--no-...`` flag.  The dest is
+    ``Class.field`` (``seed`` is a field of two classes)."""
+    for spec in dataclasses.fields(cls):
+        meta = spec.metadata
+        if "flag" not in meta or (names and spec.name not in names):
+            continue
+        default = defaults.get(spec.name, spec.default)
+        options = {
+            "dest": f"{cls.__name__}.{spec.name}",
+            "default": default,
+            "help": meta["help"],
+        }
+        if isinstance(default, bool):
+            options["action"] = "store_false" if default else "store_true"
+        else:
+            options["type"] = meta["type"] if default is None else type(default)
+            options["metavar"] = meta.get(
+                "metavar", meta["flag"][2:].replace("-", "_").upper()
+            )
+        parser.add_argument(meta["flag"], **options)
+
+
+def _fields(cls, args: argparse.Namespace) -> dict:
+    """The values *args* holds for the flags :func:`_add_fields` added for
+    *cls*, by field name."""
+    prefix = f"{cls.__name__}."
+    return {
+        dest[len(prefix):]: value
+        for dest, value in vars(args).items()
+        if dest.startswith(prefix)
+    }
+
+
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     """Failure/estimation-error injection flags shared by run and serve."""
     fault = parser.add_argument_group(
         "fault injection",
         "seeded robustness knobs (docs/ROBUSTNESS.md); all off by default",
     )
-    fault.add_argument(
-        "--setback-prob",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="per-job/slot probability of a progress setback (lost work)",
-    )
-    fault.add_argument(
-        "--max-setback",
-        type=int,
-        default=4,
-        metavar="UNITS",
-        help="a setback destroys 1..UNITS executed task-slots (uniform)",
-    )
-    fault.add_argument(
-        "--error-low",
-        type=float,
-        default=1.0,
-        metavar="FACTOR",
-        help="lower bound of the multiplicative duration-error factor "
-        "(true = estimate * factor)",
-    )
-    fault.add_argument(
-        "--error-high",
-        type=float,
-        default=1.0,
-        metavar="FACTOR",
-        help="upper bound of the duration-error factor",
-    )
-    fault.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for setback and duration-error draws",
-    )
-
-
-def _add_planner_args(parser: argparse.ArgumentParser) -> None:
-    """The FlowTime planner's flags (``run`` and ``serve``); read back by
-    :func:`_planner_kwargs`."""
-    parser.add_argument(
-        "--solve-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-LP-solve wall-time budget; a blown budget triggers the "
-        "scheduler's degraded mode instead of stalling the loop "
-        "(FlowTime only)",
-    )
+    _add_fields(fault, FailureModel)
+    _add_fields(fault, ErrorModel)
 
 
 def _planner_kwargs(args: argparse.Namespace) -> dict:
-    """``make_scheduler`` kwargs carrying the planner flags that were set
-    (none for schedulers without a planner)."""
-    planner = {}
-    if getattr(args, "no_plan_cache", False):
-        planner["plan_cache"] = False
-    if getattr(args, "no_warm_start", False):
-        planner["warm_start"] = False
-    if args.solve_budget is not None:
-        planner["solve_budget_s"] = args.solve_budget
+    """``make_scheduler`` kwargs carrying the planner flags set away from
+    their defaults (none for schedulers without a planner)."""
+    default = PlannerConfig()
+    planner = {
+        name: value
+        for name, value in _fields(PlannerConfig, args).items()
+        if value != getattr(default, name)
+    }
     if planner and args.scheduler.startswith("FlowTime"):
         return {"planner": planner}
     return {}
 
 
 def _fault_models(args: argparse.Namespace):
-    """(FailureModel | None, ErrorModel | None) from the fault flags."""
-    from repro.estimation.errors import ErrorModel
-    from repro.simulator.failures import FailureModel
-
-    failures = None
-    if args.setback_prob > 0.0:
-        failures = FailureModel(
-            setback_prob=args.setback_prob,
-            max_setback_units=args.max_setback,
-            seed=args.fault_seed,
-        )
-    error_model = None
-    if (args.error_low, args.error_high) != (1.0, 1.0):
-        error_model = ErrorModel(low=args.error_low, high=args.error_high)
-    return failures, error_model
+    """(FailureModel | None, ErrorModel | None, fault seed) from the fault
+    flags."""
+    failure = _fields(FailureModel, args)
+    error_model = ErrorModel(**_fields(ErrorModel, args))
+    return (
+        FailureModel(**failure) if failure["setback_prob"] > 0.0 else None,
+        None if error_model == ErrorModel() else error_model,
+        failure["seed"],
+    )
 
 
 def _cluster(args: argparse.Namespace) -> ClusterCapacity:
@@ -228,19 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
         # register_scheduler() are immediately accepted with no CLI edits.
         "--scheduler", default="FlowTime", choices=sorted(available_schedulers())
     )
-    run.add_argument("--slot-seconds", type=float, default=10.0)
-    run.add_argument(
-        "--no-plan-cache",
-        action="store_true",
-        help="disable the FlowTime plan cache (ablation; ignored by "
-        "schedulers without a planner)",
-    )
-    run.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="disable warm-started lexmin solves (ablation; ignored by "
-        "schedulers without a planner)",
-    )
+    _add_fields(run, SimulationConfig)
+    _add_fields(run, PlannerConfig)
     run.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
     run.add_argument(
         "--trace-out",
@@ -253,14 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the per-phase timing table (decompose, lp.build, "
         "lp.solve, sched.decide, sim.slot, ...)",
-    )
-    _add_planner_args(run)
-    run.add_argument(
-        "--verify",
-        action="store_true",
-        help="run the independent verification layer (docs/VERIFICATION.md): "
-        "per-slot runtime assertions plus a full end-of-run validation and "
-        "reported-metric recomputation; exits 1 on any violation",
     )
     _add_cluster_args(run)
     _add_fault_args(run)
@@ -362,22 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "shards and, past the --dead-after grace, re-home their committed "
         "workflows from their journals (docs/ROBUSTNESS.md)",
     )
-    serve.add_argument(
-        "--probe-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="failure-detector heartbeat period with --shards > 1",
-    )
-    serve.add_argument(
-        "--dead-after",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="how long a shard must fail probes before it is declared "
-        "dead (and, with --failover, eligible for workflow re-homing)",
-    )
-    serve.add_argument("--slot-seconds", type=float, default=10.0)
+    _add_fields(serve, DetectorConfig)
     serve.add_argument(
         "--async",
         dest="async_http",
@@ -386,31 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "thread-per-connection stdlib server (same routes, with or without "
         "--shards; see BENCH_throughput.json)",
     )
-    serve.add_argument(
-        "--realtime",
-        action="store_true",
-        help="advance one slot per --slot-seconds of wall time (live "
-        "pacing); default is virtual time (as fast as work exists)",
-    )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="re-planning batch window: submissions arriving within this "
-        "window coalesce into one plan call",
-    )
-    serve.add_argument(
-        "--queue-limit",
-        type=int,
-        default=256,
-        help="max outstanding ad-hoc jobs before shedding (backpressure)",
-    )
-    serve.add_argument(
-        "--no-admission",
-        action="store_true",
-        help="admit every workflow without the feasibility check",
-    )
+    _add_fields(serve, ServiceConfig, batch_window_s=0.05)
     serve.add_argument(
         "--trace-out",
         metavar="PATH",
@@ -432,67 +368,16 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="rotated generations to keep (with --trace-rotate-mb)",
     )
-    slo = serve.add_argument_group(
-        "service-level objectives", "thresholds behind GET /slo"
-    )
-    slo.add_argument(
-        "--slo-objective",
-        type=float,
-        default=0.99,
-        metavar="FRACTION",
-        help="fraction of admitted workflows that must meet their deadline",
-    )
-    slo.add_argument(
-        "--slo-decide-p99",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="decide-latency p99 ceiling",
-    )
-    slo.add_argument(
-        "--slo-window",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="rolling SLO evaluation window (burn rate, rolling p99)",
-    )
-    serve.add_argument(
-        "--journal",
-        metavar="PATH",
-        help="write-ahead journal of accepted submissions (JSONL, fsync on "
-        "accept); an existing journal is replayed on start, so a killed "
-        "service restarts with zero lost accepted work",
-    )
-    _add_planner_args(serve)
+    slo = serve.add_argument_group("service-level objectives", "thresholds behind GET /slo")
+    _add_fields(slo, SLOConfig)
+    _add_fields(serve, PlannerConfig, "solve_budget_s")
     chaos = serve.add_argument_group(
         "chaos injection",
         "seeded solver-fault injection for robustness experiments "
-        "(scripts/chaos_smoke.py drives these)",
+        "(scripts/chaos_smoke.py drives these); the hook is process-wide, "
+        "so with --shards it reaches every shard",
     )
-    chaos.add_argument(
-        "--chaos-fault-prob",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="per-solve-attempt probability of an injected solver fault",
-    )
-    chaos.add_argument(
-        "--chaos-slow-prob",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="per-attempt probability of an injected slow solve",
-    )
-    chaos.add_argument(
-        "--chaos-slow-s",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="duration of an injected slow solve",
-    )
-    chaos.add_argument(
-        "--chaos-seed", type=int, default=0, help="chaos fault-plan seed"
-    )
+    _add_fields(chaos, ChaosConfig)
     _add_cluster_args(serve)
     _add_fault_args(serve)
 
@@ -614,7 +499,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     cluster = _cluster(args)
     trace = load_trace(args.trace)
-    failures, error_model = _fault_models(args)
+    failures, error_model, fault_seed = _fault_models(args)
+    config = SimulationConfig(
+        record_execution=args.gantt,
+        failures=failures,
+        **_fields(SimulationConfig, args),
+    )
     if error_model is not None:
         # Estimates stay put; the true structure deviates per the model —
         # the scheduler plans against erroneous estimates while the engine
@@ -628,13 +518,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace,
             workflows=tuple(
                 apply_workflow_estimation_errors(
-                    wf, error_model, seed=args.fault_seed + i
+                    wf, error_model, seed=fault_seed + i
                 )
                 for i, wf in enumerate(trace.workflows)
             ),
             adhoc_jobs=tuple(
                 apply_estimation_errors(
-                    trace.adhoc_jobs, error_model, seed=args.fault_seed
+                    trace.adhoc_jobs, error_model, seed=fault_seed
                 )
             ),
         )
@@ -650,12 +540,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.scheduler,
                 trace,
                 cluster,
-                config=SimulationConfig(
-                    slot_seconds=args.slot_seconds,
-                    record_execution=args.gantt,
-                    failures=failures,
-                    verify=args.verify,
-                ),
+                config=config,
                 scheduler_kwargs=_planner_kwargs(args),
                 obs=obs,
             )
@@ -663,7 +548,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(error.report.render(), file=sys.stderr)
         return 1
     result = outcome.result
-    if args.verify:
+    if config.verify:
         report = result.verification
         # The runtime layer passed; also cross-check the reported metrics
         # against an independent recomputation from the raw records.
@@ -827,68 +712,67 @@ def _serve_until_signal(args: argparse.Namespace, routes, banner: list[str]) -> 
     server.shutdown()
 
 
+def _serve_configs(args: argparse.Namespace):
+    """``repro serve``'s configs from its flags: (service, chaos, failure
+    detector, supervisor); ``--dead-after`` doubles as the failover grace."""
+    failures, error_model, fault_seed = _fault_models(args)
+    service = ServiceConfig(
+        scheduler=args.scheduler,
+        scheduler_kwargs=_planner_kwargs(args),
+        failures=failures,
+        error_model=error_model,
+        fault_seed=fault_seed,
+        slo=SLOConfig(**_fields(SLOConfig, args)),
+        **_fields(ServiceConfig, args),
+    )
+    detector = DetectorConfig(**_fields(DetectorConfig, args))
+    return (
+        service,
+        ChaosConfig(**_fields(ChaosConfig, args)),
+        detector,
+        SupervisorConfig(failover_after_s=detector.dead_after_s),
+    )
+
+
+def _trace_sink(args: argparse.Namespace, suffix: str = "") -> JsonlSink | None:
+    """The ``--trace-out`` sink at PATH + *suffix*, size-capped by
+    ``--trace-rotate-mb`` (None without ``--trace-out``)."""
+    if not args.trace_out:
+        return None
+    mb = args.trace_rotate_mb
+    return JsonlSink(
+        args.trace_out + suffix,
+        max_bytes=int(mb * 1024 * 1024) if mb else None,
+        backups=args.trace_rotate_backups,
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
-    from repro.service import SchedulerService, ServiceConfig, ServiceRoutes
+    from repro.service import SchedulerService, ServiceRoutes
 
     cluster = _cluster(args)
-    failures, error_model = _fault_models(args)
     if args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
-    config = ServiceConfig(
-        scheduler=args.scheduler,
-        scheduler_kwargs=_planner_kwargs(args),
-        slot_seconds=args.slot_seconds,
-        realtime=args.realtime,
-        batch_window_s=args.batch_window,
-        adhoc_queue_limit=args.queue_limit,
-        admission=not args.no_admission,
-        journal_path=args.journal,
-        failures=failures,
-        error_model=error_model,
-        fault_seed=args.fault_seed,
-        slo_deadline_objective=args.slo_objective,
-        slo_decide_p99_s=args.slo_decide_p99,
-        slo_window_s=args.slo_window,
-    )
-    if args.shards > 1:
-        return _serve_sharded(args, cluster, config)
-    sink = None
-    if args.trace_out:
-        max_bytes = (
-            int(args.trace_rotate_mb * 1024 * 1024)
-            if args.trace_rotate_mb
-            else None
-        )
-        sink = JsonlSink(
-            args.trace_out,
-            max_bytes=max_bytes,
-            backups=args.trace_rotate_backups,
-        )
-    obs = Observability(
-        sink=sink, level=verbosity_to_level(args.quiet, args.verbose)
-    )
+    config, chaos, detector, supervisor = _serve_configs(args)
     with ExitStack() as stack:
-        if args.chaos_fault_prob > 0.0 or args.chaos_slow_prob > 0.0:
-            from repro.chaos import ChaosConfig, chaos_solver
-
-            chaos = stack.enter_context(
-                chaos_solver(
-                    ChaosConfig(
-                        solver_fault_prob=args.chaos_fault_prob,
-                        solver_slow_prob=args.chaos_slow_prob,
-                        solver_slow_s=args.chaos_slow_s,
-                        seed=args.chaos_seed,
-                    )
-                )
-            )
+        # The solver fault hook is process-wide: one context covers the
+        # single service and every in-process shard alike.
+        if chaos.solver_fault_prob > 0.0 or chaos.solver_slow_prob > 0.0:
+            stack.enter_context(chaos_solver(chaos))
             print(
-                f"chaos: fault_prob={args.chaos_fault_prob} "
-                f"slow_prob={args.chaos_slow_prob} seed={args.chaos_seed}",
+                f"chaos: fault_prob={chaos.solver_fault_prob} "
+                f"slow_prob={chaos.solver_slow_prob} seed={chaos.seed}",
                 flush=True,
             )
+        if args.shards > 1:
+            return _serve_sharded(args, cluster, config, detector, supervisor)
+        sink = _trace_sink(args)
+        obs = Observability(
+            sink=sink, level=verbosity_to_level(args.quiet, args.verbose)
+        )
         service = SchedulerService(cluster, config, obs=obs).start()
         banner = [
             f"serving {args.scheduler} on {{url}} ({{frontend}} frontend)",
@@ -896,8 +780,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "GET /metrics[?format=prometheus]  GET /slo  GET /healthz  "
             "GET /readyz",
         ]
-        if args.journal:
-            banner.append(f"journal:   {args.journal}")
+        if config.journal_path:
+            banner.append(f"journal:   {config.journal_path}")
         _serve_until_signal(args, ServiceRoutes(service), banner)
         # Graceful drain: in-flight work finishes, the trace flushes, then
         # the run is summarised.
@@ -928,26 +812,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_sharded(args: argparse.Namespace, cluster, config) -> int:
+def _serve_sharded(
+    args: argparse.Namespace, cluster, config, detector_config, supervisor_config
+) -> int:
     """``repro serve --shards N``: a router frontend over N local shards.
 
     Each shard owns a 1/N capacity slice, its own journal
     (``--journal PATH.shardN``), trace sink (``--trace-out
-    PATH.shardN``) and metrics registry; the router multiplexes the
-    single-service HTTP dialect over the fleet and the skyline
-    rebalancer runs on its own cadence (docs/SHARDING.md).
+    PATH.shardN``, rotated like the single service's) and metrics
+    registry; the router multiplexes the single-service HTTP dialect over
+    the fleet and the skyline rebalancer runs on its own cadence
+    (docs/SHARDING.md).
     """
     from dataclasses import replace as dc_replace
 
     from repro.cluster import (
-        DetectorConfig,
         FailureDetector,
         LocalShard,
         Rebalancer,
         RouterRoutes,
         ShardRouter,
         Supervisor,
-        SupervisorConfig,
         slice_capacity,
     )
     from repro.verify import check_cross_shard_conservation
@@ -959,19 +844,16 @@ def _serve_sharded(args: argparse.Namespace, cluster, config) -> int:
         return 2
     level = verbosity_to_level(args.quiet, args.verbose)
     shards = []
+    journal = config.journal_path
     for i, capacity_slice in enumerate(slices):
         shard_config = dc_replace(
-            config,
-            journal_path=f"{args.journal}.shard{i}" if args.journal else None,
+            config, journal_path=f"{journal}.shard{i}" if journal else None
         )
 
         def obs_factory(index: int = i):
-            sink = (
-                JsonlSink(f"{args.trace_out}.shard{index}")
-                if args.trace_out
-                else None
+            return Observability(
+                sink=_trace_sink(args, f".shard{index}"), level=level
             )
-            return Observability(sink=sink, level=level)
 
         shards.append(
             LocalShard(
@@ -987,23 +869,13 @@ def _serve_sharded(args: argparse.Namespace, cluster, config) -> int:
         rebalancer.start(args.rebalance_interval)
     if args.reconcile_interval > 0:
         router.start_reconcile_loop(args.reconcile_interval)
-    detector = FailureDetector(
-        shards,
-        DetectorConfig(
-            probe_interval_s=args.probe_interval,
-            dead_after_s=args.dead_after,
-        ),
-        obs=router.obs,
-    ).start()
+    detector = FailureDetector(shards, detector_config, obs=router.obs).start()
     router.attach_detector(detector)
     supervisor = None
     if args.failover:
         supervisor = Supervisor(
-            router,
-            detector,
-            SupervisorConfig(failover_after_s=args.dead_after),
-            rebalancer=rebalancer,
-        ).start(args.probe_interval)
+            router, detector, supervisor_config, rebalancer=rebalancer
+        ).start(detector_config.probe_interval_s)
     banner = [
         f"serving {args.scheduler} x{args.shards} shards behind router on {{url}}",
         "endpoints: POST /workflows  POST /jobs  POST /rebalance  "
@@ -1012,11 +884,11 @@ def _serve_sharded(args: argparse.Namespace, cluster, config) -> int:
     ]
     if supervisor is not None:
         banner.append(
-            f"failover:  supervisor on (probe {args.probe_interval}s, "
-            f"dead after {args.dead_after}s)"
+            f"failover:  supervisor on (probe {detector_config.probe_interval_s}s, "
+            f"dead after {detector_config.dead_after_s}s)"
         )
-    if args.journal:
-        banner.append(f"journals:  {args.journal}.shard0..shard{args.shards - 1}")
+    if journal:
+        banner.append(f"journals:  {journal}.shard0..shard{args.shards - 1}")
     routes = RouterRoutes(router, rebalancer=rebalancer, supervisor=supervisor)
     _serve_until_signal(args, routes, banner)
     if supervisor is not None:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cluster.periodic import PeriodicLoop
@@ -76,7 +76,6 @@ class DetectorConfig:
     """Failure-detector policy knobs.
 
     Attributes:
-        probe_interval_s: period of the background probe loop.
         suspect_after: consecutive failed probes before ``live`` turns
             ``suspect`` (1 = suspect on the first miss).
         dead_after_s: once the current failure streak is at least this
@@ -84,9 +83,16 @@ class DetectorConfig:
             ``dead`` — the point at which the fleet stops waiting.
     """
 
-    probe_interval_s: float = 1.0
+    probe_interval_s: float = field(default=1.0, metadata={
+        "flag": "--probe-interval", "metavar": "SECONDS",
+        "help": "failure-detector heartbeat period with --shards > 1",
+    })
     suspect_after: int = 2
-    dead_after_s: float = 5.0
+    dead_after_s: float = field(default=5.0, metadata={
+        "flag": "--dead-after", "metavar": "SECONDS",
+        "help": "how long a shard must fail probes before it is declared dead "
+        "(and, with --failover, eligible for workflow re-homing)",
+    })
 
     def __post_init__(self) -> None:
         if self.probe_interval_s <= 0:
@@ -299,15 +305,15 @@ class SupervisorConfig:
             committed workflows are re-homed from its journal.  The
             grace period is what separates "blip, wait for restart"
             from "machine is gone, move the work".
-        fence_returning: when a shard the supervisor failed over comes
-            back live (zombie), withdraw every re-homed workflow it
-            still claims via ``migrate_out`` + ``confirm`` so its
-            journal durably records the new owner.
+
+    A shard the supervisor failed over that comes back live (a zombie) is
+    always fenced: every re-homed workflow it still claims is withdrawn
+    via ``migrate_out`` + ``confirm``, so its journal durably records the
+    new owner.
     """
 
     auto_restart: bool = True
     failover_after_s: float = 5.0
-    fence_returning: bool = True
 
     def __post_init__(self) -> None:
         if self.failover_after_s < 0:
@@ -400,11 +406,7 @@ class Supervisor:
                     >= self.config.failover_after_s
                 ):
                     summary["failed_over"][name] = self.fail_over(shard)
-            elif (
-                state == LIVE
-                and self.config.fence_returning
-                and name in self._failed_over
-            ):
+            elif state == LIVE and name in self._failed_over:
                 fenced = self.fence(shard)
                 if fenced:
                     summary["fenced"][name] = fenced

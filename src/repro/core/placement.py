@@ -23,7 +23,7 @@ pipeline, and each step of it is written here once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Iterable, Literal, Sequence
 
@@ -88,10 +88,22 @@ class PlannerConfig:
     max_lexmin_rounds: int | None = 4
     horizon_slots: int | None = None
     front_load: bool = True
-    plan_cache: bool = True
+    plan_cache: bool = field(default=True, metadata={
+        "flag": "--no-plan-cache",
+        "help": "disable the FlowTime plan cache (ablation; ignored by "
+        "schedulers without a planner)",
+    })
     plan_cache_size: int = 128
-    warm_start: bool = True
-    solve_budget_s: float | None = None
+    warm_start: bool = field(default=True, metadata={
+        "flag": "--no-warm-start",
+        "help": "disable warm-started lexmin solves (ablation; ignored by "
+        "schedulers without a planner)",
+    })
+    solve_budget_s: float | None = field(default=None, metadata={
+        "flag": "--solve-budget", "type": float, "metavar": "SECONDS",
+        "help": "per-LP-solve wall-time budget; a blown budget triggers the "
+        "scheduler's degraded mode instead of stalling the loop (FlowTime only)",
+    })
 
     def __post_init__(self) -> None:
         if self.slack_slots < 0:

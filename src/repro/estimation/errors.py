@@ -14,7 +14,7 @@ recurring jobs — input sizes drift, code changes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -32,8 +32,15 @@ class ErrorModel:
     EXT-1 experiment).
     """
 
-    low: float = 1.0
-    high: float = 1.0
+    low: float = field(default=1.0, metadata={
+        "flag": "--error-low", "metavar": "FACTOR",
+        "help": "lower bound of the multiplicative duration-error factor "
+        "(true = estimate * factor)",
+    })
+    high: float = field(default=1.0, metadata={
+        "flag": "--error-high", "metavar": "FACTOR",
+        "help": "upper bound of the duration-error factor",
+    })
 
     def __post_init__(self) -> None:
         if not 0.0 < self.low <= self.high:

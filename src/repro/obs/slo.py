@@ -24,7 +24,7 @@ get identical SLO math from the same registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.windowed import WindowedCounter, WindowedHistogram
@@ -45,14 +45,21 @@ DECIDE_LATENCY_METRIC = "slo.decide.seconds"
 
 @dataclass(frozen=True)
 class SLOConfig:
-    """The two service-level objectives and the evaluation window."""
+    """The two service-level objectives and the evaluation window; each
+    field's ``help`` says what it is."""
 
-    #: Fraction of admitted workflows that must meet their deadline.
-    deadline_objective: float = 0.99
-    #: Per-slot decide-latency p99 ceiling, in seconds.
-    decide_p99_s: float = 1.0
-    #: Rolling evaluation window in seconds (burn rate, rolling p99).
-    window_s: float = 300.0
+    deadline_objective: float = field(default=0.99, metadata={
+        "flag": "--slo-objective", "metavar": "FRACTION",
+        "help": "fraction of admitted workflows that must meet their deadline",
+    })
+    decide_p99_s: float = field(default=1.0, metadata={
+        "flag": "--slo-decide-p99", "metavar": "SECONDS",
+        "help": "per-slot decide-latency p99 ceiling",
+    })
+    window_s: float = field(default=300.0, metadata={
+        "flag": "--slo-window", "metavar": "SECONDS",
+        "help": "rolling SLO evaluation window (burn rate, rolling p99)",
+    })
 
     def __post_init__(self) -> None:
         if not 0.0 < self.deadline_objective < 1.0:
@@ -68,11 +75,7 @@ class SLOConfig:
             raise ValueError(f"window_s must be > 0, got {self.window_s}")
 
     def to_dict(self) -> dict:
-        return {
-            "deadline_objective": self.deadline_objective,
-            "decide_p99_s": self.decide_p99_s,
-            "window_s": self.window_s,
-        }
+        return asdict(self)
 
 
 class SLOTracker:

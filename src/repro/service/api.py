@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from repro.obs.slo import SLOConfig
+
 if TYPE_CHECKING:  # imported lazily to keep the value-object module light
     from repro.estimation.errors import ErrorModel
     from repro.simulator.failures import FailureModel
@@ -22,6 +24,10 @@ __all__ = [
     "ServiceStatus",
     "SubmitResult",
 ]
+
+#: How long a synchronous ``submit_*`` call, or a transport awaiting one,
+#: waits for the service's event loop before ``TimeoutError``.
+SUBMIT_TIMEOUT_S = 30.0
 
 
 class QueueFullError(RuntimeError):
@@ -77,9 +83,6 @@ class ServiceConfig:
             this long so a burst of N submissions coalesces into a single
             arrival slot — and therefore one LP ladder, not N.  0 batches
             only submissions already queued together.
-        adhoc_queue_limit: bound on outstanding (incomplete) ad-hoc jobs;
-            submissions beyond it are shed (backpressure) instead of
-            growing the queue without bound.
         admission: run the exact max-placement admission check
             (:func:`repro.core.admission.check_admission`) on every
             workflow submission and reject workloads that provably cannot
@@ -88,13 +91,7 @@ class ServiceConfig:
             committed windows alike — the way the scheduler itself
             decomposes (``scheduler_kwargs["cluster_aware_decomposition"]``
             for FlowTime), so there is no second knob to keep in step.
-        strict: engine grant validation (see
-            :class:`~repro.simulator.engine.SimulationConfig`).
         record_execution: keep per-slot executed-unit rows (Gantt support).
-        drain_max_slots: hard stop for the graceful-drain run-out; a drain
-            not finished by then reports ``finished=False``.
-        submit_timeout_s: how long a synchronous ``submit_*`` call waits
-            for the event loop before raising ``TimeoutError``.
         command_queue_limit: bound on *pending* commands (submissions and
             queries not yet picked up by the event loop).  Beyond it,
             submission raises :class:`ServiceSaturatedError` (HTTP: ``503``
@@ -118,33 +115,48 @@ class ServiceConfig:
             workflow id (``fault_seed``), so a journal replay reproduces
             the same believed estimates.
         fault_seed: base seed for ``error_model`` perturbation.
-        slo_deadline_objective: fraction of admitted workflows that must
-            meet their deadline (the ``GET /slo`` error-budget objective).
-        slo_decide_p99_s: decide-latency p99 ceiling in seconds.
-        slo_window_s: rolling SLO evaluation window in seconds (burn rate,
-            rolling p99).
+        slo: the objectives behind ``GET /slo``
+            (:class:`~repro.obs.SLOConfig`).
     """
 
     scheduler: str = "FlowTime"
     scheduler_kwargs: Mapping = field(default_factory=dict)
-    slot_seconds: float = 10.0
-    realtime: bool = False
-    batch_window_s: float = 0.0
-    adhoc_queue_limit: int = 256
-    admission: bool = True
-    strict: bool = True
+    slot_seconds: float = field(default=10.0, metadata={
+        "flag": "--slot-seconds", "help": "modelled duration of one slot in seconds",
+    })
+    realtime: bool = field(default=False, metadata={
+        "flag": "--realtime",
+        "help": "advance one slot per --slot-seconds of wall time (live pacing); "
+        "default is virtual time (as fast as work exists)",
+    })
+    # `repro serve` defaults this to 0.05 s: a live server coalesces bursts,
+    # while library and test callers want no hold.
+    batch_window_s: float = field(default=0.0, metadata={
+        "flag": "--batch-window", "metavar": "SECONDS",
+        "help": "re-planning batch window: submissions arriving within this "
+        "window coalesce into one plan call",
+    })
+    adhoc_queue_limit: int = field(default=256, metadata={
+        "flag": "--queue-limit",
+        "help": "max outstanding ad-hoc jobs before shedding (backpressure)",
+    })
+    admission: bool = field(default=True, metadata={
+        "flag": "--no-admission",
+        "help": "admit every workflow without the feasibility check",
+    })
     record_execution: bool = False
-    drain_max_slots: int = 50_000
-    submit_timeout_s: float = 30.0
     command_queue_limit: int = 1024
-    journal_path: Optional[str] = None
+    journal_path: Optional[str] = field(default=None, metadata={
+        "flag": "--journal", "type": str, "metavar": "PATH",
+        "help": "write-ahead journal of accepted submissions (JSONL, fsync on "
+        "accept); an existing journal is replayed on start, so a killed "
+        "service restarts with zero lost accepted work",
+    })
     journal_fsync: bool = True
     failures: Optional["FailureModel"] = None
     error_model: Optional["ErrorModel"] = None
     fault_seed: int = 0
-    slo_deadline_objective: float = 0.99
-    slo_decide_p99_s: float = 1.0
-    slo_window_s: float = 300.0
+    slo: SLOConfig = SLOConfig()
 
     def __post_init__(self) -> None:
         if self.slot_seconds <= 0:
@@ -153,16 +165,8 @@ class ServiceConfig:
             raise ValueError("batch_window_s must be >= 0")
         if self.adhoc_queue_limit < 1:
             raise ValueError("adhoc_queue_limit must be >= 1")
-        if self.drain_max_slots < 1:
-            raise ValueError("drain_max_slots must be >= 1")
         if self.command_queue_limit < 1:
             raise ValueError("command_queue_limit must be >= 1")
-        if not 0.0 < self.slo_deadline_objective < 1.0:
-            raise ValueError("slo_deadline_objective must be in (0, 1)")
-        if self.slo_decide_p99_s <= 0:
-            raise ValueError("slo_decide_p99_s must be > 0")
-        if self.slo_window_s <= 0:
-            raise ValueError("slo_window_s must be > 0")
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ from repro.model.job import Job
 from repro.model.workflow import Workflow
 from repro.obs import (
     Observability,
-    SLOConfig,
     SLOTracker,
     json_safe,
     new_request_id,
@@ -56,6 +55,7 @@ from repro.obs import (
 )
 from repro.schedulers.base import Scheduler
 from repro.service.api import (
+    SUBMIT_TIMEOUT_S,
     ServiceConfig,
     ServiceSaturatedError,
     ServiceStatus,
@@ -137,14 +137,7 @@ class SchedulerService:
         self._submit_latency = self.obs.windowed_histogram(
             "service.submit.seconds"
         )
-        self.slo = SLOTracker(
-            self.obs.registry,
-            SLOConfig(
-                deadline_objective=self.config.slo_deadline_objective,
-                decide_p99_s=self.config.slo_decide_p99_s,
-                window_s=self.config.slo_window_s,
-            ),
-        )
+        self.slo = SLOTracker(self.obs.registry, self.config.slo)
         self._status = self.state.status(running=False)
 
     # -- lifecycle ------------------------------------------------------------------
@@ -287,7 +280,7 @@ class SchedulerService:
         self._commands.put(command)
         if not wait:
             return command.future
-        return command.future.result(timeout=self.config.submit_timeout_s)
+        return command.future.result(timeout=SUBMIT_TIMEOUT_S)
 
     # -- query API ---------------------------------------------------------------------
 
@@ -454,7 +447,7 @@ class SchedulerService:
         command = _Command("call", fn)
         self._commands.put(command)
         return command.future.result(
-            timeout=timeout if timeout is not None else self.config.submit_timeout_s
+            timeout=timeout if timeout is not None else SUBMIT_TIMEOUT_S
         )
 
     # -- migration API (docs/SHARDING.md) ---------------------------------------------

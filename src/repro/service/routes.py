@@ -70,7 +70,7 @@ from typing import Callable, Mapping, NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import PROMETHEUS_CONTENT_TYPE, new_request_id, render_prometheus
-from repro.service.api import ServiceSaturatedError, SubmitResult
+from repro.service.api import SUBMIT_TIMEOUT_S, ServiceSaturatedError, SubmitResult
 from repro.workloads.traces import (
     job_from_dict,
     workflow_from_dict,
@@ -371,7 +371,7 @@ class ServiceRoutes(Routes):
 
     def __init__(self, service):
         self.service = service
-        self.submit_timeout_s = service.config.submit_timeout_s
+        self.submit_timeout_s = SUBMIT_TIMEOUT_S
         shard_post = ("migrate-out", "migrate-in", "restore", "confirm")
         table = {
             ("GET", "/status"): lambda _: reply(200, service.status().to_dict()),

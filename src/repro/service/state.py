@@ -62,6 +62,10 @@ from repro.simulator.runtime import make_engine_core
 
 __all__ = ["ServiceState"]
 
+#: Hard stop for the graceful-drain run-out, in slots; a drain not finished
+#: by then reports ``finished=False``.
+_DRAIN_MAX_SLOTS = 50_000
+
 
 def _answer(
     accepted: bool, kind: str, entity_id: str, reason: str, **detail
@@ -109,7 +113,6 @@ class ServiceState:
             scheduler,
             SimulationConfig(
                 slot_seconds=config.slot_seconds,
-                strict=config.strict,
                 record_execution=config.record_execution,
                 failures=config.failures,
             ),
@@ -611,11 +614,11 @@ class ServiceState:
             self.step()
 
     def run_out(self) -> SimulationResult:
-        """Finish every in-flight job (at most ``drain_max_slots`` more
+        """Finish every in-flight job (at most ``_DRAIN_MAX_SLOTS`` more
         slots, unpaced) and return the run's final result."""
         core = self.core
         self.obs.event("service_drain_start", slot=core.slot)
-        deadline_slot = core.slot + self.config.drain_max_slots
+        deadline_slot = core.slot + _DRAIN_MAX_SLOTS
         while not core.finished and core.slot < deadline_slot:
             self.advance(deadline_slot)
         core.flush_pending_events()

@@ -26,7 +26,7 @@ job completes (or ``max_slots``), jumping the gaps in which nothing is live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.model.cluster import ClusterCapacity
@@ -68,13 +68,20 @@ class SimulationConfig:
             per-slot recheck and turns on execution recording.
     """
 
-    slot_seconds: float = 10.0
+    slot_seconds: float = field(default=10.0, metadata={
+        "flag": "--slot-seconds", "help": "modelled duration of one slot in seconds",
+    })
     max_slots: int = 50_000
     strict: bool = True
     record_execution: bool = False
     failures: FailureModel | None = None
     node_cluster: NodeCluster | None = None
-    verify: bool = False
+    verify: bool = field(default=False, metadata={
+        "flag": "--verify",
+        "help": "run the independent verification layer (docs/VERIFICATION.md): "
+        "per-slot runtime assertions plus a full end-of-run validation and "
+        "reported-metric recomputation; exits 1 on any violation",
+    })
 
 
 class Simulation:

@@ -12,26 +12,29 @@ cover for estimation errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class FailureModel:
-    """Per-slot random progress setbacks.
+    """Per-slot random progress setbacks (each field's ``help`` says what it
+    sets): independent per job and slot, at the end of a slot the job
+    executed work in, never more units than it has executed, and
+    deterministic per ``seed``."""
 
-    Attributes:
-        setback_prob: probability that a job which executed work this slot
-            suffers a failure at the end of it (independent per job/slot).
-        max_setback_units: a failure destroys 1..max_setback_units of the
-            job's executed task-slots (uniform), never more than it has.
-        seed: RNG seed — failures are deterministic per simulation.
-    """
-
-    setback_prob: float = 0.0
-    max_setback_units: int = 4
-    seed: int = 0
+    setback_prob: float = field(default=0.0, metadata={
+        "flag": "--setback-prob", "metavar": "P",
+        "help": "per-job/slot probability of a progress setback (lost work)",
+    })
+    max_setback_units: int = field(default=4, metadata={
+        "flag": "--max-setback", "metavar": "UNITS",
+        "help": "a setback destroys 1..UNITS executed task-slots (uniform)",
+    })
+    seed: int = field(default=0, metadata={
+        "flag": "--fault-seed", "help": "seed for setback and duration-error draws",
+    })
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.setback_prob <= 1.0:

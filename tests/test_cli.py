@@ -7,8 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import ChaosConfig
 from repro.cli import main, verbosity_to_level
-from repro.obs import count_by_type, read_trace
+from repro.cluster import DetectorConfig, SupervisorConfig
+from repro.estimation.errors import ErrorModel
+from repro.obs import SLOConfig, count_by_type, read_trace
+from repro.service import ServiceConfig
+from repro.simulator.engine import SimulationConfig
+from repro.simulator.failures import FailureModel
 
 
 @pytest.fixture
@@ -255,3 +261,215 @@ class TestServe:
         assert process.returncode == 0, summary
         assert "ad-hoc:    1 accepted, 0 shed" in summary
         assert "conservation: verify: 3 checks, 0 violations" in summary
+
+    def test_sharded_serve_keeps_chaos_and_trace_rotation(self, tmp_path):
+        """``--shards`` runs under the ``--chaos-*`` fault hook and writes
+        size-capped ``--trace-rotate-mb`` shard traces, as one service does."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        from repro.model.workflow import Workflow
+        from repro.service import HttpServiceClient
+        from tests.conftest import deadline_job
+
+        jobs = [deadline_job(f"w-j{i}", "w") for i in range(2)]
+        workflow = Workflow.from_jobs("w", jobs, [("w-j0", "w-j1")], 0, 60)
+        trace = tmp_path / "run.jsonl"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--shards", "2", "--chaos-fault-prob", "1.0",
+                "--trace-out", str(trace), "--trace-rotate-mb", "0.0001",
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        try:
+            banner = [process.stdout.readline(), process.stdout.readline()]
+            assert banner[0].startswith("chaos: fault_prob=1.0"), banner
+            url = re.search(r"behind router on (http://\S+)", banner[1])
+            assert url, banner
+            client = HttpServiceClient(url.group(1))
+            assert client.submit_workflow(workflow).accepted
+            deadline = time.monotonic() + 30
+            while not client.metrics()["aggregate"].get("lp.solve.failures"):
+                assert time.monotonic() < deadline, "no solve failed"
+                time.sleep(0.05)
+            process.send_signal(signal.SIGTERM)
+            summary, _ = process.communicate(timeout=60)
+        finally:
+            process.kill()
+        assert process.returncode == 0, summary
+        assert (tmp_path / "run.jsonl.shard0.1").exists()
+
+
+def _parse(*argv: str):
+    from repro.cli import _build_parser
+
+    return _build_parser().parse_args(list(argv))
+
+
+class TestFlagSurface:
+    """Every flag of every subcommand, and what each config-backed flag of
+    ``run`` and ``serve`` sets: the command lines below must keep yielding
+    the configs written out by hand."""
+
+    #: Option strings per subcommand, besides ``-h/--help``.
+    OPTIONS = {
+        "": "--quiet --verbose --version -q -v",
+        "generate-trace": "--adhoc --cpu --jobs --looseness --mem --out --rate "
+        "--scientific --seed --spread --workflows",
+        "decompose": "--chart --cpu --mem --trace --workflow",
+        "run": "--cpu --error-high --error-low --fault-seed --gantt "
+        "--max-setback --mem --metrics --no-plan-cache --no-warm-start "
+        "--scheduler --setback-prob --slot-seconds --solve-budget --trace "
+        "--trace-out --verify",
+        "verify": "--cpu --mem --slot-seconds --workload",
+        "report": "--out --scale --seed",
+        "compare": "--algorithms --cpu --mem --trace",
+        "serve": "--async --batch-window --chaos-fault-prob --chaos-seed "
+        "--chaos-slow-prob --chaos-slow-s --cpu --dead-after --error-high "
+        "--error-low --failover --fault-seed --host --journal --max-setback "
+        "--mem --no-admission --port --probe-interval --queue-limit "
+        "--realtime --rebalance-interval --reconcile-interval --scheduler "
+        "--setback-prob --shards --slo-decide-p99 --slo-objective "
+        "--slo-window --slot-seconds --solve-budget --trace-out "
+        "--trace-rotate-backups --trace-rotate-mb",
+        "trace": "",
+        "trace query": "--json --max-events --request",
+        "top": "--interval --iterations --once --url",
+    }
+
+    def test_every_subcommand_keeps_its_flags(self):
+        import argparse
+
+        from repro.cli import _build_parser
+
+        found = {}
+
+        def walk(parser, name):
+            found[name] = {
+                option for action in parser._actions
+                for option in action.option_strings
+            } - {"-h", "--help"}
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub, subparser in action.choices.items():
+                        walk(subparser, f"{name} {sub}".strip())
+
+        walk(_build_parser(), "")
+        assert found == {k: set(v.split()) for k, v in self.OPTIONS.items()}
+
+    def _run(self, monkeypatch, trace_path, *argv):
+        """(SimulationConfig, scheduler kwargs) ``repro run`` would use."""
+        import repro.cli as cli_mod
+
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def spy(name, trace, cluster, *, config, scheduler_kwargs, obs):
+            seen.update(config=config, kwargs=scheduler_kwargs)
+            raise Stop
+
+        monkeypatch.setattr(cli_mod, "run_one", spy)
+        with pytest.raises(Stop):
+            main(["run", "--trace", str(trace_path), *argv])
+        return seen["config"], seen["kwargs"]
+
+    # Each table compares reprs, so a flag that parses to the wrong type
+    # (``9.0`` for ``9``) fails as surely as one that sets the wrong field.
+
+    @pytest.mark.parametrize(
+        "argv, config, kwargs",
+        [
+            # The empty command line: today's defaults, spelled out.
+            ((), {}, {}),
+            (("--slot-seconds", "5", "--verify"),
+             {"slot_seconds": 5.0, "verify": True}, {}),
+            (("--no-plan-cache", "--no-warm-start", "--solve-budget", "0.5"), {},
+             {"planner": {"plan_cache": False, "warm_start": False,
+                          "solve_budget_s": 0.5}}),
+            (("--scheduler", "FIFO", "--no-plan-cache", "--solve-budget", "1"),
+             {}, {}),
+            (("--setback-prob", "0.25", "--max-setback", "2", "--fault-seed", "7"),
+             {"failures": FailureModel(setback_prob=0.25, max_setback_units=2,
+                                       seed=7)}, {}),
+        ],
+    )
+    def test_run_flags_set_their_fields(
+        self, monkeypatch, trace_path, argv, config, kwargs
+    ):
+        expected = {"slot_seconds": 10.0, "verify": False, "failures": None}
+        got = self._run(monkeypatch, trace_path, *argv)
+        assert repr(got) == repr(
+            (SimulationConfig(**{**expected, **config}), kwargs)
+        )
+
+    def test_run_error_model_flags(self):
+        from repro.cli import _fault_models
+
+        assert _fault_models(_parse("run", "--trace", "t")) == (None, None, 0)
+        got = _fault_models(
+            _parse("run", "--trace", "t", "--error-low", "0.5", "--error-high", "2")
+        )
+        assert repr(got) == repr((None, ErrorModel(low=0.5, high=2.0), 0))
+
+    @pytest.mark.parametrize(
+        "argv, service, chaos, detector",
+        [
+            # The empty command line: today's defaults, spelled out below.
+            ((), {}, {}, {}),
+            (("--slot-seconds", "5", "--realtime", "--batch-window", "0",
+              "--queue-limit", "9", "--no-admission", "--journal", "wal.jsonl"),
+             {"slot_seconds": 5.0, "realtime": True, "batch_window_s": 0.0,
+              "adhoc_queue_limit": 9, "admission": False,
+              "journal_path": "wal.jsonl"}, {}, {}),
+            (("--slo-objective", "0.9", "--slo-decide-p99", "0.5",
+              "--slo-window", "60"),
+             {"slo": SLOConfig(deadline_objective=0.9, decide_p99_s=0.5,
+                               window_s=60.0)}, {}, {}),
+            (("--solve-budget", "0.25"),
+             {"scheduler_kwargs": {"planner": {"solve_budget_s": 0.25}}}, {}, {}),
+            (("--scheduler", "FIFO", "--solve-budget", "0.25"),
+             {"scheduler": "FIFO"}, {}, {}),
+            (("--setback-prob", "0.25", "--max-setback", "2", "--fault-seed", "7",
+              "--error-low", "0.5", "--error-high", "2"),
+             {"failures": FailureModel(setback_prob=0.25, max_setback_units=2,
+                                       seed=7),
+              "error_model": ErrorModel(low=0.5, high=2.0), "fault_seed": 7},
+             {}, {}),
+            (("--chaos-fault-prob", "0.3", "--chaos-slow-prob", "0.2",
+              "--chaos-slow-s", "0.01", "--chaos-seed", "7"),
+             {}, {"solver_fault_prob": 0.3, "solver_slow_prob": 0.2,
+                  "solver_slow_s": 0.01, "seed": 7}, {}),
+            (("--probe-interval", "0.5", "--dead-after", "2"),
+             {}, {}, {"probe_interval_s": 0.5, "dead_after_s": 2.0}),
+        ],
+    )
+    def test_serve_flags_set_their_fields(self, argv, service, chaos, detector):
+        from repro.cli import _serve_configs
+
+        # serve holds a 0.05 s batch window; the field's default is 0.
+        defaults = {
+            "scheduler": "FlowTime", "scheduler_kwargs": {}, "slot_seconds": 10.0,
+            "realtime": False, "batch_window_s": 0.05, "adhoc_queue_limit": 256,
+            "admission": True, "journal_path": None, "failures": None,
+            "error_model": None, "fault_seed": 0,
+            "slo": SLOConfig(deadline_objective=0.99, decide_p99_s=1.0,
+                             window_s=300.0),
+        }
+        detector = {"probe_interval_s": 1.0, "dead_after_s": 5.0, **detector}
+        expected = (
+            ServiceConfig(**{**defaults, **service}),
+            ChaosConfig(**{"solver_fault_prob": 0.0, "solver_slow_prob": 0.0,
+                           "solver_slow_s": 0.05, "seed": 0, **chaos}),
+            DetectorConfig(**detector),
+            SupervisorConfig(failover_after_s=detector["dead_after_s"]),
+        )
+        assert repr(_serve_configs(_parse("serve", *argv))) == repr(expected)

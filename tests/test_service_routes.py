@@ -25,6 +25,7 @@ from repro.service import (
     ServiceSaturatedError,
     SubmitResult,
 )
+from repro.service.api import SUBMIT_TIMEOUT_S
 from repro.service.routes import MAX_BODY_BYTES, Submission, reply
 from repro.workloads.traces import job_to_dict
 from tests.conftest import adhoc_job
@@ -276,8 +277,7 @@ class TestServiceRoutes:
         assert service_routes.handle(request("GET", "/healthz")).status == 200
 
     def test_awaitable_submissions(self, service_routes):
-        config = service_routes.service.config
-        assert service_routes.submit_timeout_s == config.submit_timeout_s
+        assert service_routes.submit_timeout_s == SUBMIT_TIMEOUT_S
         submission = service_routes.parse_submission(request("POST", "/jobs", JOB))
         future = submission.call(wait=False)
         service_routes.service.start()
