@@ -33,8 +33,9 @@ from repro.service.routes import Request, Response, Routes
 
 __all__ = ["AsyncServiceHTTPServer"]
 
-#: Per-read timeout (request head, body) and keep-alive idle limit.
-_IO_TIMEOUT_S = 30.0
+#: Per-read timeout (request head, body) and keep-alive idle limit; the
+#: threaded transport holds its idle connections to the same limit.
+IO_TIMEOUT_S = 30.0
 #: Upper bound on the request head (request line + headers).
 _MAX_HEAD_BYTES = 64 * 1024
 
@@ -57,6 +58,7 @@ class AsyncServiceHTTPServer:
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._sockname: tuple = (host, port)
+        self._connections: set[asyncio.Task] = set()
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -94,6 +96,13 @@ class AsyncServiceHTTPServer:
             loop.run_forever()
         finally:
             server.close()
+            # wait_closed() does not wait for open connections: cancel
+            # them, so each closes its writer while the loop still runs.
+            for task in self._connections:
+                task.cancel()
+            loop.run_until_complete(
+                asyncio.gather(*self._connections, return_exceptions=True)
+            )
             loop.run_until_complete(server.wait_closed())
             loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
@@ -116,6 +125,9 @@ class AsyncServiceHTTPServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
+        self.routes.obs.counter("http.connections").inc()
         try:
             while True:
                 request = await self._read_request(reader)
@@ -138,6 +150,7 @@ class AsyncServiceHTTPServer:
         ):
             pass  # client went away / abused the protocol: just close
         finally:
+            self._connections.discard(task)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -145,7 +158,7 @@ class AsyncServiceHTTPServer:
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[Request]:
         try:
             head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=_IO_TIMEOUT_S
+                reader.readuntil(b"\r\n\r\n"), timeout=IO_TIMEOUT_S
             )
         except (asyncio.IncompleteReadError, asyncio.TimeoutError):
             return None  # clean close between requests / idle keep-alive
@@ -162,7 +175,7 @@ class AsyncServiceHTTPServer:
         request = Request(method, target, headers)
         if request.length:
             request.body = await asyncio.wait_for(
-                reader.readexactly(request.length), timeout=_IO_TIMEOUT_S
+                reader.readexactly(request.length), timeout=IO_TIMEOUT_S
             )
         return request
 

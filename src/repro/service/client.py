@@ -12,35 +12,29 @@ Robustness semantics shared by both clients (docs/ROBUSTNESS.md):
   exceptional outcome the caller must handle, not a decision to eyeball
   out of a reason string.
 * The HTTP client retries *transient* failures — connection errors,
-  ``503`` saturation/unavailable answers — with capped exponential
-  backoff plus jitter, honouring the server's ``Retry-After`` when one is
-  sent.  Every submission carries an ``Idempotency-Key`` header
-  (auto-generated unless the caller supplies one), so a retry whose
-  original attempt actually landed returns the original decision instead
-  of double-admitting.
-* An optional :class:`CircuitBreaker` sits in front of the retry loop:
-  after ``failure_threshold`` consecutive transport failures the breaker
-  *opens* and every call fast-fails with :class:`CircuitOpenError`
-  instead of eating a full socket timeout; after ``reset_timeout_s`` one
-  *half-open* probe is let through, and its outcome decides between
-  closing the breaker and re-opening it.  Any answer from the server —
-  including a 4xx rejection — counts as success: the breaker tracks the
-  *transport*, not the decision.
-* An optional :class:`RetryBudget` (token bucket) caps how many retries
-  the client spends per unit time across all requests, so a down server
-  degrades to roughly one attempt per request instead of multiplying
-  every call by ``max_retries``.
+  ``503`` answers — with capped, jittered exponential backoff, honouring
+  ``Retry-After``.  Every submission carries an ``Idempotency-Key``
+  (generated unless given), so a retry whose first attempt landed gets
+  the original decision back instead of double-admitting.
+* An optional :class:`CircuitBreaker` sits in front of the retry loop
+  and fast-fails calls while the transport keeps failing.  Any answer
+  from the server — a 4xx rejection too — counts as success: the
+  breaker tracks the *transport*, not the decision.
+* The HTTP client pools HTTP/1.1 keep-alive connections.  A request
+  that a *reused* connection loses before any response byte (the server
+  closed it while idle) is sent once more on a fresh one — not a retry,
+  not a breaker failure.  A timeout is never re-sent.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
+from urllib.parse import urlsplit
 
 from repro.model.job import Job
 from repro.model.workflow import Workflow
@@ -52,7 +46,6 @@ __all__ = [
     "CircuitOpenError",
     "HttpServiceClient",
     "InProcessClient",
-    "RetryBudget",
     "ServiceError",
     "ServiceUnavailableError",
 ]
@@ -67,12 +60,8 @@ class ServiceUnavailableError(ServiceError):
 
 
 class CircuitOpenError(ServiceUnavailableError):
-    """Fast-fail: the circuit breaker is open, no request was attempted.
-
-    Subclasses :class:`ServiceUnavailableError` so existing callers that
-    treat "service unavailable" as a unit (``healthy()``, the shard
-    router's ``_SHARD_ERRORS``) need no changes.
-    """
+    """Fast-fail: the circuit breaker is open, no request was attempted
+    (a :class:`ServiceUnavailableError`, so callers handle it as one)."""
 
 
 class CircuitBreaker:
@@ -189,53 +178,6 @@ class CircuitBreaker:
             }
 
 
-class RetryBudget:
-    """Token-bucket cap on retries (first attempts are always free).
-
-    Each *retry* spends one token; tokens refill at ``refill_per_s`` up
-    to ``capacity``.  When the bucket is empty the client gives up
-    instead of retrying — during an outage, total traffic degrades to
-    ~1x instead of ``max_retries + 1``x.
-    """
-
-    def __init__(
-        self,
-        capacity: float = 10.0,
-        refill_per_s: float = 1.0,
-        *,
-        clock=time.monotonic,
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        if refill_per_s < 0:
-            raise ValueError("refill_per_s must be >= 0")
-        self.capacity = capacity
-        self.refill_per_s = refill_per_s
-        self._clock = clock
-        self._tokens = capacity
-        self._last_refill = clock()
-        self._lock = threading.Lock()
-
-    def spend(self, cost: float = 1.0) -> bool:
-        """Take *cost* tokens if available; False means don't retry."""
-        with self._lock:
-            now = self._clock()
-            self._tokens = min(
-                self.capacity,
-                self._tokens + (now - self._last_refill) * self.refill_per_s,
-            )
-            self._last_refill = now
-            if self._tokens < cost:
-                return False
-            self._tokens -= cost
-            return True
-
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            return self._tokens
-
-
 def _raise_if_shed(result: SubmitResult) -> SubmitResult:
     if not result.accepted and result.reason == "queue_full":
         raise QueueFullError(
@@ -299,6 +241,9 @@ class HttpServiceClient:
     :func:`~repro.workloads.traces.job_to_dict`), so any trace entry can be
     replayed against a live server verbatim.
 
+    Safe to share between threads; :meth:`close` releases the idle
+    connections it pools.
+
     Args:
         base_url: the server root, e.g. ``http://127.0.0.1:8080``.
         timeout: per-request socket timeout in seconds.
@@ -309,9 +254,6 @@ class HttpServiceClient:
         breaker: optional :class:`CircuitBreaker`; when open, requests
             fast-fail with :class:`CircuitOpenError` without touching
             the wire.
-        retry_budget: optional :class:`RetryBudget`; an exhausted budget
-            turns a would-be retry into an immediate
-            :class:`ServiceUnavailableError`.
     """
 
     def __init__(
@@ -323,7 +265,6 @@ class HttpServiceClient:
         backoff_s: float = 0.2,
         backoff_cap_s: float = 10.0,
         breaker: CircuitBreaker | None = None,
-        retry_budget: RetryBudget | None = None,
     ):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -333,8 +274,12 @@ class HttpServiceClient:
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self.breaker = breaker
-        self.retry_budget = retry_budget
         self._rng = random.Random()
+        url = urlsplit(self.base_url)
+        self._address = (url.hostname, url.port)
+        self._root = url.path
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
 
     # -- submissions ----------------------------------------------------------------
 
@@ -389,29 +334,27 @@ class HttpServiceClient:
     def request_json(
         self, method: str, path: str, payload: dict | None = None
     ) -> dict:
-        """One JSON request against an arbitrary path, with the client's
-        usual retry/backoff treatment.
-
-        Public passthrough for surfaces beyond the core client methods —
-        the shard router drives the ``/shard/*`` migration endpoints
-        through this.
-        """
+        """One JSON request against any path, retried as usual (the shard
+        router drives the ``/shard/*`` endpoints through this)."""
         return self._request(method, path, payload)
 
     def metrics_prometheus(self) -> str:
         """GET /metrics?format=prometheus — raw text exposition 0.0.4."""
-        request = urllib.request.Request(
-            self.base_url + "/metrics?format=prometheus",
-            headers={"Accept": "text/plain"},
-            method="GET",
-        )
+        path = "/metrics?format=prometheus"
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.URLError as error:
-            raise ServiceUnavailableError(
-                f"GET /metrics?format=prometheus failed: {error}"
-            ) from error
+            response, raw = self._exchange("GET", path, None, {"Accept": "text/plain"})
+        except _TransientFailure as failure:
+            raise ServiceUnavailableError(f"GET {path}: {failure.cause}") from failure.cause
+        if response.status != 200:
+            raise ServiceUnavailableError(f"GET {path} -> {response.status}")
+        return raw.decode("utf-8")
+
+    def close(self) -> None:
+        """Close the pooled idle connections (a later request opens anew)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     def healthy(self) -> bool:
         """GET /healthz; False on any transport failure (liveness probe)."""
@@ -449,14 +392,12 @@ class HttpServiceClient:
         request_id: str | None = None,
     ) -> dict:
         last_error: Exception | None = None
-        attempts = 0
         for attempt in range(self.max_retries + 1):
             if self.breaker is not None and not self.breaker.allow():
                 raise CircuitOpenError(
                     f"{method} {path}: circuit breaker "
                     f"{self.breaker.name or self.base_url!r} is open"
                 ) from last_error
-            attempts += 1
             try:
                 result = self._request_once(
                     method, path, payload, idempotency_key, request_id
@@ -467,10 +408,6 @@ class HttpServiceClient:
                 last_error = failure.cause
                 if attempt >= self.max_retries:
                     break
-                if self.retry_budget is not None and not (
-                    self.retry_budget.spend()
-                ):
-                    break  # retry budget exhausted: fail now, cheaply
                 time.sleep(self._backoff(attempt, failure.retry_after))
                 continue
             except ServiceError:
@@ -483,8 +420,8 @@ class HttpServiceClient:
                 self.breaker.record_success()
             return result
         raise ServiceUnavailableError(
-            f"{method} {path}: no answer after {attempts} "
-            f"attempt{'s' if attempts != 1 else ''}: {last_error}"
+            f"{method} {path}: no answer after {attempt + 1} "
+            f"attempt{'s' if attempt else ''}: {last_error}"
         ) from last_error
 
     def _request_once(
@@ -504,40 +441,71 @@ class HttpServiceClient:
             headers["Idempotency-Key"] = idempotency_key
         if request_id is not None:
             headers["X-Request-Id"] = request_id
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                raw = response.read()
-        except urllib.error.HTTPError as error:
-            raw = error.read()
-            body = _parse_json(raw)
-            # Rejections (infeasible, queue_full, draining, invalid
-            # submission) travel as non-2xx with a full SubmitResult body —
-            # still a well-formed answer, not a transport failure...
-            if isinstance(body, dict) and "accepted" in body:
-                # ...except a transient "unavailable": that one is worth
-                # retrying (the idempotency key makes the retry safe).
-                if body.get("reason") == "unavailable":
-                    raise _TransientFailure(error, _retry_after_of(error))
-                return body
-            if error.code == 503:
-                # Saturation / stopped frontends answer 503 without a
-                # decision body: transient by definition.
-                raise _TransientFailure(error, _retry_after_of(error))
-            detail = body.get("error") if isinstance(body, dict) else raw.decode(
-                "utf-8", "replace"
-            )
-            raise ServiceError(f"{method} {path} -> {error.code}: {detail}") from None
-        except urllib.error.URLError as error:
-            # Connection refused/reset, DNS, timeout: the request may or
-            # may not have landed — exactly what idempotency keys are for.
-            raise _TransientFailure(error, None)
+        response, raw = self._exchange(method, path, data, headers)
         body = _parse_json(raw)
-        if not isinstance(body, dict):
-            raise ServiceError(f"{method} {path}: non-object response")
-        return body
+        if 200 <= response.status < 300:
+            if not isinstance(body, dict):
+                raise ServiceError(f"{method} {path}: non-object response")
+            return body
+        answer = ServiceError(f"{method} {path} -> {response.status}")
+        # Rejections (infeasible, queue_full, draining, invalid
+        # submission) travel as non-2xx with a full SubmitResult body —
+        # still a well-formed answer, not a transport failure...
+        if isinstance(body, dict) and "accepted" in body:
+            # ...except a transient "unavailable": that one is worth
+            # retrying (the idempotency key makes the retry safe).
+            if body.get("reason") == "unavailable":
+                raise _TransientFailure(answer, _retry_after_of(response))
+            return body
+        if response.status == 503:
+            # Saturation / stopped frontends answer 503 without a
+            # decision body: transient by definition.
+            raise _TransientFailure(answer, _retry_after_of(response))
+        detail = body.get("error") if isinstance(body, dict) else raw.decode(
+            "utf-8", "replace"
+        )
+        raise ServiceError(f"{method} {path} -> {response.status}: {detail}")
+
+    def _exchange(
+        self, method: str, path: str, data: bytes | None, headers: dict
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request/response on an idle pooled connection, or a new one;
+        it goes back to the pool once the response is read, unless the
+        server said ``Connection: close``.  A reused connection failing
+        with ``_STALE`` was closed while idle: send once more, fresh.
+        Any other failure, a timeout above all, is a transient one."""
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        while True:
+            if connection is None:
+                connection = http.client.HTTPConnection(*self._address, timeout=self.timeout)
+            try:
+                try:
+                    connection.request(method, self._root + path, data, headers)
+                    response = connection.getresponse()
+                except _STALE:
+                    if not reused:
+                        raise
+                    connection.close()
+                    connection, reused = None, False
+                    continue
+                raw = response.read()
+            except (OSError, http.client.HTTPException) as error:
+                # Refused, reset, timed out: the request may or may not
+                # have landed — exactly what idempotency keys are for.
+                connection.close()
+                raise _TransientFailure(error, None) from None
+            if response.will_close:
+                connection.close()
+            else:
+                with self._lock:
+                    self._idle.append(connection)
+            return response, raw
+
+
+#: How a reused connection fails when the server closed it while idle.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
 class _TransientFailure(Exception):
@@ -549,8 +517,8 @@ class _TransientFailure(Exception):
         self.retry_after = retry_after
 
 
-def _retry_after_of(error: urllib.error.HTTPError) -> float | None:
-    value = error.headers.get("Retry-After") if error.headers else None
+def _retry_after_of(response: http.client.HTTPResponse) -> float | None:
+    value = response.getheader("Retry-After")
     try:
         return float(value) if value is not None else None
     except ValueError:

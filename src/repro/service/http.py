@@ -14,10 +14,13 @@ in :mod:`repro.service.aio` over the same table.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.service.aio import IO_TIMEOUT_S
 from repro.service.core import SchedulerService
 from repro.service.routes import Request, Routes, ServiceRoutes
 
@@ -27,6 +30,8 @@ __all__ = ["ServiceHTTPServer", "serve_http"]
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-scheduler"
+    # A keep-alive connection idle this long gives its thread back.
+    timeout = IO_TIMEOUT_S
 
     def _serve(self) -> None:
         headers = {name.lower(): value for name, value in self.headers.items()}
@@ -68,13 +73,23 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
-    # The stdlib default of 5 refuses connections under a burst of
-    # one-connection-per-request clients long before the service is busy.
+    # The stdlib default of 5 refuses a burst of new connections (many
+    # clients starting at once) long before the service is busy.
     request_queue_size = 128
 
     def __init__(self, routes: Routes, host: str = "127.0.0.1", port: int = 0):
         self.routes = routes
+        self._connections: set[socket.socket] = set()
         super().__init__((host, port), _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        self._connections.add(request)
+        self.routes.obs.counter("http.connections").inc()
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self._connections.discard(request)
 
     def start(self) -> "ServiceHTTPServer":
         # shutdown() waits out one poll: at the stdlib's 0.5 s that wait
@@ -86,9 +101,13 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         return self
 
     def shutdown(self) -> None:
-        """Stop accepting requests and release the port."""
+        """Stop accepting requests and release the port; a request in
+        flight is answered, then its connection closes."""
         super().shutdown()
         self.server_close()
+        for connection in tuple(self._connections):
+            with contextlib.suppress(OSError):
+                connection.shutdown(socket.SHUT_RD)
 
     @property
     def url(self) -> str:

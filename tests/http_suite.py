@@ -8,8 +8,8 @@ to the router backend (two ``LocalShard`` s behind a ``ShardRouter``) by
 adding :class:`Router`.  The classes that only need the submission
 dialect — :class:`Dialect`, :class:`Rejections`, :class:`RequestIds`,
 :class:`Idempotency`, :class:`ConnectionHandling` — run against both
-backends; :class:`ServiceViews`, :class:`Lifecycle` and :class:`EndToEnd`
-read single-service answers.
+backends; :class:`ServiceViews`, :class:`Lifecycle`, :class:`EndToEnd`
+and :class:`ClientConnections` read single-service answers.
 
 Each test binds an ephemeral port (port=0), drives the real socket, and
 shuts down in a fixture — no fixed ports, no leaked threads.
@@ -20,8 +20,11 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import sys
+import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -37,6 +40,7 @@ from repro.service import (
     ServiceHTTPServer,
     ServiceRoutes,
 )
+from repro.service.client import CircuitBreaker, ServiceUnavailableError
 from repro.service.routes import MAX_BODY_BYTES
 from repro.workloads.traces import (
     job_to_dict,
@@ -107,7 +111,12 @@ class Served:
     def stop(self) -> list:
         """Shut the frontend down, then drain whatever still runs."""
         self.server.shutdown()
+        self.client.close()
         return [s.drain(timeout=60) for s in self.services if s.running]
+
+    def connections(self) -> float:
+        """Connections the frontend has accepted so far."""
+        return self.server.routes.obs.registry.snapshot()["http.connections"]["value"]
 
 
 class Threaded:
@@ -491,3 +500,83 @@ class EndToEnd(Frontend):
         wire = json.loads(json.dumps(workflow_to_dict(chain("w"))))
         result = served.client.submit_workflow(workflow_from_dict(wire))
         assert result.accepted
+
+
+class ClientConnections(Frontend):
+    """``HttpServiceClient`` keeps HTTP/1.1 connections: counted on the
+    server, which sees one accept per connection the client opens."""
+
+    @pytest.fixture
+    def served(self):
+        served = self.serve(ServiceConfig())
+        yield served
+        served.stop()
+
+    def test_submissions_reuse_one_connection(self, served):
+        for i in range(50):
+            assert served.client.submit_adhoc(adhoc_job(f"a{i}", arrival=0)).accepted
+        assert served.connections() == 1
+
+    def test_connection_closed_while_idle_is_sent_once_more(self, served):
+        breaker = CircuitBreaker(failure_threshold=1)
+        client = HttpServiceClient(served.url, max_retries=0, breaker=breaker)
+        first = client.submit_workflow(chain("w"), idempotency_key="key-1")
+        # A restart on the same port closes the connection the client pools.
+        old, (_, port) = served.server, served.address()
+        old.shutdown()
+        deadline = time.monotonic() + 10
+        while old._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        served.server = self.transport(old.routes, port=port).start()
+        try:
+            again = client.submit_workflow(chain("w"), idempotency_key="key-1")
+        finally:
+            client.close()
+        # Answered with the original decision; nothing counted as a failure.
+        assert again == first
+        assert breaker.snapshot() == {"state": "closed", "consecutive_failures": 0}
+        assert served.connections() == 2
+        assert served.service.status().accepted_workflows == 1
+
+    def test_timeout_on_a_reused_connection_is_not_sent_again(self):
+        # Not started: a submission waits for the loop, past the timeout.
+        served = self.serve(ServiceConfig(), start=False)
+        client = HttpServiceClient(served.url, timeout=0.5, max_retries=0)
+        try:
+            assert client.healthy()  # pools the connection
+            with pytest.raises(ServiceUnavailableError):
+                client.submit_workflow(chain("w"), idempotency_key="key-1")
+            assert served.connections() == 1
+        finally:
+            client.close()
+            served.start_services()
+            served.stop()
+        metrics = served.service.metrics_snapshot()
+        assert metrics["service.submit.seconds"]["count"] == 1.0
+
+    def test_threads_share_one_client(self, served):
+        def submit(thread: int) -> list:
+            return [
+                served.client.submit_adhoc(adhoc_job(f"t{thread}-{i}", arrival=0))
+                for i in range(25)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: races show sooner
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [r for batch in pool.map(submit, range(8)) for r in batch]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 200 and all(r.accepted for r in results)
+        assert 1 <= served.connections() <= 8
+
+    def test_connection_close_answer_is_not_pooled(self, served):
+        assert served.client.healthy()
+        # A body over the limit is answered 413 and the connection closed.
+        response, _ = served.client._exchange(
+            "POST", "/jobs", None, {"Content-Length": str(MAX_BODY_BYTES + 1)}
+        )
+        assert (response.status, response.will_close) == (413, True)
+        assert served.client.status().running
+        assert served.connections() == 2

@@ -1,5 +1,5 @@
 """Transport chaos + client resilience: seeded wire faults, exactly-once
-under duplication, circuit breaker, retry budget.
+under duplication, circuit breaker.
 
 The chaos transport's whole value is *reproducibility*: a fault schedule
 is a pure function of (seed, call sequence), so any failure it provokes
@@ -20,7 +20,6 @@ from repro.service.client import (
     CircuitBreaker,
     CircuitOpenError,
     HttpServiceClient,
-    RetryBudget,
     ServiceUnavailableError,
 )
 from tests.conftest import deadline_job
@@ -257,25 +256,3 @@ def test_client_fast_fails_while_breaker_is_open():
         client.status()
     assert not client.healthy()  # CircuitOpenError reads as unhealthy
 
-
-# -- retry budget ----------------------------------------------------------------
-
-
-def test_retry_budget_spends_and_refills():
-    clock = FakeClock()
-    budget = RetryBudget(capacity=2.0, refill_per_s=1.0, clock=clock)
-    assert budget.spend()
-    assert budget.spend()
-    assert not budget.spend()  # empty: give up instead of retrying
-    clock.advance(1.0)
-    assert budget.spend()
-    clock.advance(100.0)  # refill clamps at capacity...
-    assert budget.spend(2.0)  # ...so exactly the full bucket is spendable
-    assert not budget.spend(0.5)
-
-
-def test_retry_budget_validation():
-    with pytest.raises(ValueError):
-        RetryBudget(capacity=0.0)
-    with pytest.raises(ValueError):
-        RetryBudget(refill_per_s=-1.0)

@@ -5,8 +5,14 @@ statement: :class:`~repro.service.client.HttpServiceClient` cannot tell
 the transports apart.
 """
 
+import pytest
+
 from tests import http_suite as suite
 from tests.http_suite import Asyncio, Router
+
+
+# A connection left open at shutdown surfaces as an unraisable exception.
+pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 
 
 class TestRouteParity(Asyncio, suite.Dialect, suite.ServiceViews, suite.Rejections):
@@ -30,6 +36,10 @@ class TestLifecycle(Asyncio, suite.Lifecycle):
 
 
 class TestEndToEnd(Asyncio, suite.EndToEnd):
+    pass
+
+
+class TestClientConnections(Asyncio, suite.ClientConnections):
     pass
 
 

@@ -1,7 +1,13 @@
 """The HTTP frontend suite (tests/http_suite.py) over the threaded transport."""
 
+import pytest
+
 from tests import http_suite as suite
 from tests.http_suite import Router, Threaded
+
+
+# A connection left open at shutdown surfaces as an unraisable exception.
+pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 
 
 class TestEndpoints(Threaded, suite.Dialect, suite.ServiceViews):
@@ -29,6 +35,10 @@ class TestLifecycle(Threaded, suite.Lifecycle):
 
 
 class TestEndToEnd(Threaded, suite.EndToEnd):
+    pass
+
+
+class TestClientConnections(Threaded, suite.ClientConnections):
     pass
 
 
