@@ -46,7 +46,6 @@ from typing import Sequence
 from repro.cluster import (
     DetectorConfig,
     FailureDetector,
-    LocalShard,
     ShardRouter,
     Supervisor,
     SupervisorConfig,
@@ -56,7 +55,7 @@ from repro.model.cluster import ClusterCapacity
 from repro.model.job import Job, JobKind, TaskSpec
 from repro.model.resources import CPU, MEM, ResourceVector
 from repro.model.workflow import Workflow
-from repro.service import ServiceConfig
+from repro.service import SchedulerService, ServiceConfig
 from repro.verify import check_cross_shard_conservation
 
 N_SHARDS = 3
@@ -102,7 +101,7 @@ def make_fleet(
     *,
     frozen_clock: bool,
     journal_dir: str | None = None,
-) -> list[LocalShard]:
+) -> list[SchedulerService]:
     shards = []
     for i, capacity in enumerate(slice_capacity(cluster, N_SHARDS)):
         config = ServiceConfig(
@@ -115,7 +114,7 @@ def make_fleet(
             realtime=frozen_clock,
             slot_seconds=3600.0 if frozen_clock else 1.0,
         )
-        shards.append(LocalShard(f"s{i}", capacity, config).start())
+        shards.append(SchedulerService(capacity, config, name=f"s{i}").start())
     return shards
 
 

@@ -48,12 +48,12 @@ import tempfile
 import time
 from typing import Sequence
 
-from repro.cluster import LocalShard, ShardRouter, slice_capacity
+from repro.cluster import ShardRouter, slice_capacity
 from repro.model.cluster import ClusterCapacity
 from repro.model.job import Job, JobKind, TaskSpec
 from repro.model.resources import CPU, MEM, ResourceVector
 from repro.model.workflow import Workflow
-from repro.service import ServiceConfig
+from repro.service import SchedulerService, ServiceConfig
 from repro.verify import check_cross_shard_conservation
 
 #: Fleet sizes compared in the throughput phase (1 is the monolith).
@@ -97,7 +97,7 @@ def make_fleet(
     *,
     frozen_clock: bool,
     journal_dir: str | None = None,
-) -> list[LocalShard]:
+) -> list[SchedulerService]:
     """N started shards over equal capacity slices.
 
     ``frozen_clock`` pins the realtime clock with an hour-long slot so no
@@ -118,7 +118,7 @@ def make_fleet(
             realtime=frozen_clock,
             slot_seconds=3600.0 if frozen_clock else 1.0,
         )
-        shards.append(LocalShard(f"s{i}", capacity, config).start())
+        shards.append(SchedulerService(capacity, config, name=f"s{i}").start())
     return shards
 
 
@@ -128,7 +128,7 @@ def run_throughput(
     n_workflows: int,
     deadline_slot: int,
     journal_dir: str | None = None,
-) -> tuple[dict, list[LocalShard], ShardRouter, list[str]]:
+) -> tuple[dict, list[SchedulerService], ShardRouter, list[str]]:
     """Submit the workflow stream against a frozen fleet; measure rate."""
     shards = make_fleet(
         cluster, n_shards, frozen_clock=True, journal_dir=journal_dir
@@ -209,7 +209,7 @@ def run_quality(
 
 
 def run_safety(
-    shards: list[LocalShard], router: ShardRouter, accepted_ids: list[str]
+    shards: list[SchedulerService], router: ShardRouter, accepted_ids: list[str]
 ) -> dict:
     """Crash one shard, replay its journal, check conservation."""
     victim = shards[0]

@@ -61,7 +61,7 @@ def main() -> None:
 
     final = service.drain()
     status = service.status()
-    metrics = service.metrics_snapshot()
+    metrics = service.metrics()
 
     print("online service run")
     print(f"  scheduler:        {status.scheduler}")

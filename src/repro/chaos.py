@@ -28,15 +28,15 @@ The kill/restart half of a chaos experiment lives on the service:
 composes both into the CI chaos gate.
 
 **Transport chaos** (:class:`ChaosTransport`) extends the same seeded
-discipline to the cluster wire: wrap any shard handle (``LocalShard``,
-``RemoteShard``, or anything duck-typed like them) and every remote call
-rolls seeded drop / delay / duplicate faults, plus an explicit
-:meth:`~ChaosTransport.partition` switch for network splits.  Drops and
-partitions surface as :class:`OSError` — the same error class a real
-dead socket raises — so the router, failure detector, and supervisor
-exercise their production paths, not a test-only one.  The ``fault_log``
-records every injected fault in order, making an experiment
-byte-reproducible from its seed.
+discipline to the cluster wire: wrap any shard handle (a
+``SchedulerService``, a ``RemoteShard``, or anything duck-typed like
+them) and every remote call rolls seeded drop / delay / duplicate
+faults, plus an explicit :meth:`~ChaosTransport.partition` switch for
+network splits.  Drops and partitions surface as :class:`OSError` —
+the same error class a real dead socket raises — so the router, failure
+detector, and supervisor exercise their production paths, not a
+test-only one.  The ``fault_log`` records every injected fault in
+order, making an experiment byte-reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ class ChaosTransport:
 
     Duck-types as the shard it wraps: every public method call first
     rolls the configured faults, then (unless dropped) delegates.
-    Lifecycle methods (``start``/``kill``/``restart``/``drain``/``stop``)
-    pass through unfaulted — chaos models the *network*, and you can
+    Lifecycle methods (``start``/``kill``/``restart``/``drain``) pass
+    through unfaulted — chaos models the *network*, and you can
     always walk to the machine.  ``name`` and ``journal_path`` are
     plain attributes for the same reason.
 
@@ -172,7 +172,7 @@ class ChaosTransport:
     log (and hence the experiment) is exactly reproducible.
     """
 
-    _PASSTHROUGH = frozenset({"start", "kill", "restart", "drain", "stop"})
+    _PASSTHROUGH = frozenset({"start", "kill", "restart", "drain"})
 
     def __init__(self, shard, config: ChaosTransportConfig):
         self._shard = shard
@@ -191,10 +191,6 @@ class ChaosTransport:
     @property
     def journal_path(self):
         return getattr(self._shard, "journal_path", None)
-
-    @property
-    def capacity(self):
-        return getattr(self._shard, "capacity", None)
 
     @property
     def wrapped(self):

@@ -828,13 +828,13 @@ def _serve_sharded(
 
     from repro.cluster import (
         FailureDetector,
-        LocalShard,
         Rebalancer,
         RouterRoutes,
         ShardRouter,
         Supervisor,
         slice_capacity,
     )
+    from repro.service import SchedulerService
     from repro.verify import check_cross_shard_conservation
 
     try:
@@ -849,18 +849,10 @@ def _serve_sharded(
         shard_config = dc_replace(
             config, journal_path=f"{journal}.shard{i}" if journal else None
         )
-
-        def obs_factory(index: int = i):
-            return Observability(
-                sink=_trace_sink(args, f".shard{index}"), level=level
-            )
-
+        obs = Observability(sink=_trace_sink(args, f".shard{i}"), level=level)
         shards.append(
-            LocalShard(
-                f"shard{i}",
-                capacity_slice,
-                shard_config,
-                obs_factory=obs_factory,
+            SchedulerService(
+                capacity_slice, shard_config, obs=obs, name=f"shard{i}"
             ).start()
         )
     router = ShardRouter(shards)
@@ -900,6 +892,7 @@ def _serve_sharded(
     missed = 0
     for shard in shards:
         result = shard.drain()
+        shard.obs.close()
         missed += sum(
             not w.met_deadline for w in result.workflows.values()
         )

@@ -3,11 +3,12 @@
 One scheduler service scales only as far as one event loop and one LP
 ladder per replan.  This package horizontally shards the service
 (docs/SHARDING.md): :func:`slice_capacity` carves the cluster into N
-disjoint slices, each owned by an independent shard
-(:class:`LocalShard` in-process, :class:`RemoteShard` over HTTP) with
-its own journal and solver stack; the :class:`ShardRouter` hashes
-submissions to their home shard (spilling ad-hoc jobs to the least
-loaded shard on backpressure) and aggregates fleet status; the
+disjoint slices, each owned by an independent shard (an in-process
+:class:`~repro.service.core.SchedulerService`, or a :class:`RemoteShard`
+over HTTP) with its own journal and solver stack; the
+:class:`ShardRouter` hashes submissions to their home shard (spilling
+ad-hoc jobs to the least loaded shard on backpressure) and aggregates
+fleet status; the
 :class:`Rebalancer` compares per-shard demand skylines and migrates
 not-yet-started workflows from saturated to slack shards via a
 journal-backed two-phase handoff that survives crashes on either side.
@@ -32,13 +33,12 @@ from repro.cluster.failover import (
 from repro.cluster.http import RouterHTTPServer, RouterRoutes
 from repro.cluster.rebalance import RebalanceConfig, Rebalancer
 from repro.cluster.router import ShardRouter
-from repro.cluster.shards import LocalShard, RemoteShard
+from repro.cluster.shards import RemoteShard
 from repro.cluster.slicing import slice_capacity
 
 __all__ = [
     "DetectorConfig",
     "FailureDetector",
-    "LocalShard",
     "RebalanceConfig",
     "Rebalancer",
     "RemoteShard",

@@ -18,16 +18,18 @@ argument):
   as ``cluster.shard.state.<name>`` gauges (0 live / 1 suspect /
   2 dead).
 
-* :class:`Supervisor` — the repair daemon.  Dead :class:`LocalShard`\\ s
-  are restarted on their own journal (ordinary crash recovery).  A shard
-  that *stays* dead past ``failover_after_s`` has its committed
-  workflows **re-homed**: the supervisor reads the dead shard's journal
-  from disk, folds it with the function the shard's own recovery uses
+* :class:`Supervisor` — the repair daemon.  Dead in-process shards
+  (:class:`~repro.service.core.SchedulerService`) are restarted on their
+  own journal (ordinary crash recovery).  A shard that *stays* dead past
+  ``failover_after_s`` has its committed workflows **re-homed**: the
+  supervisor reads the dead shard's journal from disk, folds it with the
+  function the shard's own recovery uses
   (:func:`repro.service.journal.fold`: confirmed migrations gone,
-  unconfirmed tombstones included), and replays every still-owed workflow into surviving shards via the
-  existing two-phase ``migrate_in`` — original idempotency keys pinned,
-  admission re-run against the destination slice, placement map updated,
-  all under a migration epoch greater than any the fleet has used.
+  unconfirmed tombstones included), and replays every still-owed workflow
+  into surviving shards via the existing two-phase ``migrate_in`` —
+  original idempotency keys pinned, admission re-run against the
+  destination slice, placement map updated, all under a migration epoch
+  greater than any the fleet has used.
   Should the dead shard later return (a *zombie* — its journal replay
   re-owns everything that was failed over), the supervisor fences it:
   each re-homed workflow the zombie still claims is withdrawn with a
@@ -47,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cluster.periodic import PeriodicLoop
+from repro.cluster.shards import _SHARD_ERRORS
 from repro.obs import Observability
 from repro.service.journal import SubmissionJournal, fold
 
@@ -59,9 +62,6 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
 ]
-
-#: Shard-call failures treated as "that shard is unavailable".
-_SHARD_ERRORS = (RuntimeError, TimeoutError, OSError)
 
 LIVE = "live"
 SUSPECT = "suspect"
@@ -298,9 +298,10 @@ class SupervisorConfig:
 
     Attributes:
         auto_restart: restart dead shards that expose ``restart()``
-            (in-process :class:`LocalShard`\\ s) as soon as the detector
-            declares them dead.  Remote shards have external process
-            supervisors; this daemon cannot fork them.
+            (in-process services) as soon as the detector declares them
+            dead; a restart fails while the service's loop is alive.
+            Remote shards have external process supervisors; this daemon
+            cannot fork them.
         failover_after_s: how long a shard must stay *dead* before its
             committed workflows are re-homed from its journal.  The
             grace period is what separates "blip, wait for restart"

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from repro.cluster.rebalance import Rebalancer
 from repro.cluster.router import ShardRouter
+from repro.cluster.shards import _SHARD_ERRORS
 from repro.service.http import ServiceHTTPServer
 from repro.service.routes import Request, Response, Routes, json_body, reply
 
@@ -114,7 +115,7 @@ class RouterRoutes(Routes):
             else:
                 try:
                     entry["alive"] = bool(shard.alive())
-                except (RuntimeError, TimeoutError, OSError):
+                except _SHARD_ERRORS:
                     entry["alive"] = False
             breaker = getattr(
                 getattr(shard, "client", None), "breaker", None

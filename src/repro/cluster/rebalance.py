@@ -4,7 +4,7 @@ Hash routing balances *submissions*, not *demand*: one tenant can pile
 heavy workflows onto its home shard while a neighbour idles.  The
 rebalancer periodically compares per-shard **demand skylines** — the
 committed deadline load over the remaining horizon as a fraction of each
-shard's capacity (:meth:`SchedulerService.demand_skyline`) — and when
+shard's capacity (:meth:`SchedulerService.skyline`) — and when
 the spread between the most and least saturated shard exceeds a
 threshold, migrates a bounded number of *not-yet-started* workflows from
 the saturated shard to the slack one.
@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 from repro.cluster.periodic import PeriodicLoop
 from repro.cluster.router import ShardRouter
+from repro.cluster.shards import _SHARD_ERRORS
 from repro.obs import Observability
 
 __all__ = ["RebalanceConfig", "Rebalancer"]
-
-_SHARD_ERRORS = (RuntimeError, TimeoutError, OSError)
 
 
 @dataclass(frozen=True)

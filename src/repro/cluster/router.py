@@ -47,17 +47,13 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.cluster.periodic import PeriodicLoop
+from repro.cluster.shards import _SHARD_ERRORS
 from repro.model.job import Job
 from repro.model.workflow import Workflow
 from repro.obs import Observability, json_safe
 from repro.service.api import SubmitResult
 
 __all__ = ["ShardRouter"]
-
-#: Shard-call failures the router treats as "that shard is unavailable":
-#: transport errors, retry-budget exhaustion, a stopped service, a stuck
-#: event loop.  (ServiceError/ServiceSaturatedError are RuntimeErrors.)
-_SHARD_ERRORS = (RuntimeError, TimeoutError, OSError)
 
 #: Ad-hoc rejection reasons worth retrying on a sibling shard.
 _SPILLABLE_REASONS = {"queue_full", "draining", "unavailable"}

@@ -1,42 +1,45 @@
-"""Shard handles: one uniform surface over local and remote shards.
+"""Shard handles: one duck-typed surface over local and remote shards.
 
-The router and rebalancer never talk to a :class:`SchedulerService` or an
-HTTP client directly — they drive a *shard handle*, which exposes the
-submission surface, the migration protocol, and the skyline/candidate
-queries behind one duck-typed interface:
+The router, rebalancer, failure detector and supervisor drive a *shard
+handle*: the submission surface, the migration protocol and the
+skyline/candidate queries under one set of names.
 
-* :class:`LocalShard` wraps an in-process service (benchmarks, tests, and
-  ``repro serve --shards N``, where all shards live in one process).  It
-  also exposes crash simulation: :meth:`LocalShard.kill` hard-stops the
-  service mid-flight and :meth:`LocalShard.restart` brings up a fresh
-  service on the *same journal*, exactly like a crashed process
-  restarting.
+* An in-process shard is a
+  :class:`~repro.service.core.SchedulerService` itself (benchmarks,
+  tests, and ``repro serve --shards N``, where all shards live in one
+  process).  Its :meth:`~repro.service.core.SchedulerService.kill`
+  hard-stops the loop mid-flight and
+  :meth:`~repro.service.core.SchedulerService.restart` brings it back on
+  the *same journal*, exactly like a crashed process restarting.
 * :class:`RemoteShard` speaks JSON-over-HTTP to a ``repro serve`` process
   via :class:`~repro.service.client.HttpServiceClient`, using the
   ``/shard/*`` endpoints for migration traffic.  Its lifecycle (start,
   kill, restart) is owned by whoever runs the process — e.g.
   ``scripts/shard_smoke.py`` SIGKILLs and relaunches real subprocesses.
 
-Both normalise ad-hoc backpressure to a *returned* ``queue_full``
+Both answer ad-hoc backpressure with a *returned* ``queue_full``
 :class:`~repro.service.api.SubmitResult` (never an exception) so the
-router's spill logic can treat every shard answer uniformly.
+router's spill logic can treat every shard answer uniformly, and both
+fail a call with one of :data:`_SHARD_ERRORS`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
 from urllib.parse import quote
 
-from repro.model.cluster import ClusterCapacity
 from repro.model.job import Job
 from repro.model.workflow import Workflow
 from repro.obs import Observability
-from repro.service.api import QueueFullError, ServiceConfig, ServiceStatus, SubmitResult
+from repro.service.api import QueueFullError, ServiceStatus, SubmitResult
 from repro.service.client import CircuitBreaker, HttpServiceClient
-from repro.service.core import SchedulerService
 from repro.workloads.traces import workflow_from_dict, workflow_to_dict
 
-__all__ = ["LocalShard", "RemoteShard"]
+__all__ = ["RemoteShard"]
+
+#: Shard-call failures the fleet treats as "that shard is unavailable":
+#: transport errors, retry-budget exhaustion, a stopped service, a stuck
+#: event loop.  (ServiceError/ServiceSaturatedError are RuntimeErrors.)
+_SHARD_ERRORS = (RuntimeError, TimeoutError, OSError)
 
 
 def _shed_to_result(error: QueueFullError, job_id: str) -> SubmitResult:
@@ -47,143 +50,6 @@ def _shed_to_result(error: QueueFullError, job_id: str) -> SubmitResult:
         reason="queue_full",
         queue_depth=error.queue_depth,
     )
-
-
-class LocalShard:
-    """An in-process scheduler shard owning one capacity slice.
-
-    The shard owns its full service stack — journal, plan cache, solver,
-    observability registry — so per-shard metrics never collide and a
-    kill/restart replays exactly this shard's journal.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        cluster: ClusterCapacity,
-        config: ServiceConfig | None = None,
-        *,
-        obs_factory=Observability,
-    ):
-        if not name:
-            raise ValueError("shard name must be non-empty")
-        self.name = name
-        self.cluster = cluster
-        self.config = config or ServiceConfig()
-        self._obs_factory = obs_factory
-        self.service: Optional[SchedulerService] = None
-
-    @property
-    def journal_path(self) -> str | None:
-        """Where this shard's write-ahead journal lives (None when
-        unjournaled).  The supervisor reads it to fail over a shard that
-        stays dead."""
-        return self.config.journal_path
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> "LocalShard":
-        self.service = SchedulerService(
-            self.cluster, self.config, obs=self._obs_factory()
-        ).start()
-        return self
-
-    def alive(self) -> bool:
-        return self.service is not None and self.service.running
-
-    def kill(self) -> None:
-        """Crash simulation: hard-stop without drain (journal left as-is)."""
-        if self.service is not None:
-            self.service.kill()
-
-    def restart(self) -> "LocalShard":
-        """Bring up a fresh service on the same config — and therefore the
-        same journal, which is replayed (accepted work and unconfirmed
-        migration tombstones recovered) exactly as a restarted process
-        would."""
-        return self.start()
-
-    def drain(self, timeout: float | None = None):
-        return self._service().drain(timeout)
-
-    def _service(self) -> SchedulerService:
-        if self.service is None:
-            raise RuntimeError(f"shard {self.name!r} was never started")
-        return self.service
-
-    # -- submission --------------------------------------------------------------
-
-    def submit_workflow(
-        self,
-        workflow: Workflow,
-        *,
-        idempotency_key: str | None = None,
-        request_id: str | None = None,
-    ) -> SubmitResult:
-        return self._service().submit_workflow(
-            workflow, idempotency_key=idempotency_key, request_id=request_id
-        )
-
-    def submit_adhoc(
-        self,
-        job: Job,
-        *,
-        idempotency_key: str | None = None,
-        request_id: str | None = None,
-    ) -> SubmitResult:
-        return self._service().submit_adhoc(
-            job, idempotency_key=idempotency_key, request_id=request_id
-        )
-
-    # -- queries -----------------------------------------------------------------
-
-    def status(self) -> ServiceStatus:
-        return self._service().status()
-
-    def metrics(self) -> dict:
-        return self._service().metrics_snapshot()
-
-    def slo(self) -> dict:
-        return self._service().slo_snapshot()
-
-    def queue_depth(self) -> int:
-        return self._service().status().queue_depth
-
-    # -- migration protocol ------------------------------------------------------
-
-    def skyline(self) -> dict:
-        return self._service().demand_skyline()
-
-    def candidates(self, max_n: int = 8) -> list[dict]:
-        return self._service().migration_candidates(max_n)
-
-    def orphans(self) -> dict[str, dict]:
-        return self._service().orphan_info()
-
-    def workflow_ids(self) -> list[str]:
-        return self._service().workflow_ids()
-
-    def owns(self, workflow_id: str) -> bool:
-        return self._service().owns_workflow(workflow_id)
-
-    def migrate_out(self, workflow_id: str, *, dest: str, epoch: int) -> dict:
-        return self._service().migrate_out(workflow_id, dest=dest, epoch=epoch)
-
-    def migrate_in(
-        self, workflow: Workflow, *, key: str | None = None, epoch: int = 0
-    ) -> SubmitResult:
-        return self._service().migrate_in(workflow, key=key, epoch=epoch)
-
-    def restore(
-        self, workflow: Workflow, *, key: str | None = None
-    ) -> SubmitResult:
-        return self._service().restore_workflow(workflow, key=key)
-
-    def restore_orphan(self, workflow_id: str) -> SubmitResult:
-        return self._service().restore_orphan(workflow_id)
-
-    def confirm(self, workflow_id: str, *, epoch: int) -> dict:
-        return self._service().confirm_migration(workflow_id, epoch=epoch)
 
 
 class RemoteShard:

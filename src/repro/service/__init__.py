@@ -4,14 +4,14 @@ The batch :class:`~repro.simulator.engine.Simulation` replays a canned
 workload; this package serves a *dynamic* one.  A single event-loop thread
 (:class:`~repro.service.core.SchedulerService`) owns the clock and drives
 the thread-free :class:`~repro.service.state.ServiceState` (engine core +
-ledger); submissions arrive through a thread-safe API — in-process
-(:class:`~repro.service.client.InProcessClient`) or over stdlib JSON/HTTP
-(one route table, :mod:`repro.service.routes`, behind a threaded or an
-asyncio transport; :class:`~repro.service.client.HttpServiceClient`) —
-and are admission-checked, batched into shared re-plans, and
-backpressured when the ad-hoc queue fills.  ``repro serve`` is the CLI
-entry point; see docs/ARCHITECTURE.md for how the batch and
-service paths share the engine core.
+ledger); submissions arrive through its thread-safe API — called
+in-process, or over stdlib JSON/HTTP (one route table,
+:mod:`repro.service.routes`, behind a threaded or an asyncio transport;
+:class:`~repro.service.client.HttpServiceClient`) — and are
+admission-checked, batched into shared re-plans, and backpressured when
+the ad-hoc queue fills.  ``repro serve`` is the CLI entry point; see
+docs/ARCHITECTURE.md for how the batch and service paths share the
+engine core.
 
 Fault tolerance (docs/ROBUSTNESS.md): accepted submissions are journaled
 write-ahead (:mod:`repro.service.journal`) and replayed on restart;
@@ -30,7 +30,6 @@ from repro.service.api import (
 )
 from repro.service.client import (
     HttpServiceClient,
-    InProcessClient,
     ServiceError,
     ServiceUnavailableError,
 )
@@ -44,7 +43,6 @@ from repro.service.top import render_dashboard, run_top
 __all__ = [
     "AsyncServiceHTTPServer",
     "HttpServiceClient",
-    "InProcessClient",
     "JournalRecord",
     "QueueFullError",
     "Request",

@@ -1,11 +1,13 @@
-"""Clients for the scheduler service: in-process and JSON-over-HTTP.
+"""The JSON-over-HTTP client for the scheduler service.
 
-Both speak the same surface (submit workflow / submit ad-hoc / status /
-plan / metrics) and return the same :mod:`repro.service.api` value
+It speaks the client subset of
+:class:`~repro.service.core.SchedulerService`'s surface under the same
+names (``submit_workflow`` / ``submit_adhoc`` / ``status`` / ``plan`` /
+``metrics`` / ``slo``) and returns the same :mod:`repro.service.api` value
 objects, so test code and tooling can swap a local service for a remote
 one by changing one constructor.
 
-Robustness semantics shared by both clients (docs/ROBUSTNESS.md):
+Robustness semantics (docs/ROBUSTNESS.md):
 
 * A shed ad-hoc submission (``queue_full``) raises the typed
   :class:`~repro.service.api.QueueFullError` — backpressure is an
@@ -45,7 +47,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "HttpServiceClient",
-    "InProcessClient",
     "ServiceError",
     "ServiceUnavailableError",
 ]
@@ -178,61 +179,6 @@ class CircuitBreaker:
             }
 
 
-def _raise_if_shed(result: SubmitResult) -> SubmitResult:
-    if not result.accepted and result.reason == "queue_full":
-        raise QueueFullError(
-            f"ad-hoc job {result.id!r} shed: queue full "
-            f"(depth {result.queue_depth})",
-            queue_depth=result.queue_depth,
-        )
-    return result
-
-
-class InProcessClient:
-    """Thin client over a :class:`~repro.service.core.SchedulerService`
-    running in this process — the reference implementation of the client
-    surface."""
-
-    def __init__(self, service):
-        self._service = service
-
-    def submit_workflow(
-        self,
-        workflow: Workflow,
-        *,
-        idempotency_key: str | None = None,
-        request_id: str | None = None,
-    ) -> SubmitResult:
-        return self._service.submit_workflow(
-            workflow, idempotency_key=idempotency_key, request_id=request_id
-        )
-
-    def submit_adhoc(
-        self,
-        job: Job,
-        *,
-        idempotency_key: str | None = None,
-        request_id: str | None = None,
-    ) -> SubmitResult:
-        return _raise_if_shed(
-            self._service.submit_adhoc(
-                job, idempotency_key=idempotency_key, request_id=request_id
-            )
-        )
-
-    def status(self) -> ServiceStatus:
-        return self._service.status()
-
-    def plan(self) -> dict:
-        return self._service.plan_snapshot()
-
-    def metrics(self) -> dict:
-        return self._service.metrics_snapshot()
-
-    def slo(self) -> dict:
-        return self._service.slo_snapshot()
-
-
 class HttpServiceClient:
     """Client for the stdlib HTTP frontend (:mod:`repro.service.http`).
 
@@ -315,7 +261,14 @@ class HttpServiceClient:
             idempotency_key=idempotency_key or str(uuid.uuid4()),
             request_id=request_id or uuid.uuid4().hex,
         )
-        return _raise_if_shed(SubmitResult.from_dict(body))
+        result = SubmitResult.from_dict(body)
+        if not result.accepted and result.reason == "queue_full":
+            raise QueueFullError(
+                f"ad-hoc job {result.id!r} shed: queue full "
+                f"(depth {result.queue_depth})",
+                queue_depth=result.queue_depth,
+            )
+        return result
 
     # -- queries -----------------------------------------------------------------------
 

@@ -32,7 +32,8 @@ Design points:
   and returns the run's :class:`~repro.simulator.result.SimulationResult`
   — the same object a batch run produces, so outcome equivalence is
   directly checkable.  ``kill()`` simulates a crash instead (no drain, no
-  flush) for chaos testing the journal recovery.
+  flush) for chaos testing the journal recovery, and ``restart()`` brings
+  the dead service back on its journal with its trace and metrics intact.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ class SchedulerService:
 
     The HTTP frontend (:mod:`repro.service.http`) wraps exactly this
     surface; see :class:`~repro.service.api.ServiceConfig` for the knobs.
+    It is also the in-process shard a
+    :class:`~repro.cluster.router.ShardRouter` drives: its method names are
+    :class:`~repro.cluster.shards.RemoteShard`'s, and ``name`` is the
+    shard name the router stamps on its answers.
     """
 
     def __init__(
@@ -113,32 +118,49 @@ class SchedulerService:
         *,
         scheduler: Scheduler | None = None,
         obs: Observability | None = None,
+        name: str = "",
     ):
-        self.state = ServiceState(cluster, config, scheduler=scheduler, obs=obs)
+        self.name = name
         self.cluster = cluster
-        self.config = self.state.config
-        self.obs = self.state.obs
-        self.scheduler = self.state.scheduler
-        self._core = self.state.core
-        self._commands: "queue.Queue[_Command]" = queue.Queue()
-        self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
-        self._stopped = threading.Event()
-        self._killed = threading.Event()
-        self._result: Optional[SimulationResult] = None
-        self._batch_open_since: Optional[float] = None
-        self._batch_last_arrival = 0.0
-        self._arrivals_seen = self.state.arrivals
-        # Rolling service-path metrics (bounded memory; see repro.obs.windowed)
-        # and the SLO tracker reading the engine's slo.* feed metrics.
+        self._begin_life(
+            ServiceState(cluster, config, scheduler=scheduler, obs=obs)
+        )
+        # What outlives a restart: the observability handle (registry and
+        # trace sink), the rolling service-path metrics (bounded memory;
+        # see repro.obs.windowed) and the SLO tracker reading the engine's
+        # slo.* feed metrics.
+        self.obs = self.state.obs
         self._submit_requests = self.obs.windowed_counter(
             "service.submit.requests"
         )
         self._submit_latency = self.obs.windowed_histogram(
             "service.submit.seconds"
         )
-        self.slo = SLOTracker(self.obs.registry, self.config.slo)
-        self._status = self.state.status(running=False)
+        self._slo = SLOTracker(self.obs.registry, self.config.slo)
+
+    def _begin_life(self, state: ServiceState) -> None:
+        """Bind one life of the service: its state, its command queue and
+        loop thread, its lifecycle flags and its batch window."""
+        self.state = state
+        self.config = state.config
+        self.scheduler = state.scheduler
+        self._core = state.core
+        self._commands: "queue.Queue[_Command]" = queue.Queue()
+        self._thread: Optional[threading.Thread] = None
+        self._stopped = threading.Event()
+        self._killed = threading.Event()
+        self._result: Optional[SimulationResult] = None
+        self._batch_open_since: Optional[float] = None
+        self._batch_last_arrival = 0.0
+        self._arrivals_seen = state.arrivals
+        self._status = state.status(running=False)
+
+    @property
+    def journal_path(self) -> str | None:
+        """Where the write-ahead journal lives (None when unjournaled); the
+        supervisor reads it to fail over a shard that stays dead."""
+        return self.config.journal_path
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -176,10 +198,6 @@ class SchedulerService:
         self._thread.join(timeout=timeout)
         return result
 
-    def stop(self, timeout: float | None = None) -> SimulationResult:
-        """Alias for :meth:`drain` (SIGTERM semantics: drain, then exit)."""
-        return self.drain(timeout=timeout)
-
     def kill(self, timeout: float | None = None) -> None:
         """Simulate a crash (SIGKILL semantics): stop without draining.
 
@@ -195,8 +213,22 @@ class SchedulerService:
             self._commands.put(_Command("call", lambda: None))
             self._thread.join(timeout=timeout)
 
-    @property
-    def running(self) -> bool:
+    def restart(self) -> "SchedulerService":
+        """Bring a dead service back on the same config, exactly as a
+        restarted process would: a fresh :class:`ServiceState` replays the
+        journal (accepted work and unsettled handoff tombstones come
+        back), with the scheduler built from ``config.scheduler``.  The
+        observability handle, the windowed submit metrics and the SLO
+        tracker carry over, so the trace and the metrics continue across
+        the restart.  Raises :class:`RuntimeError` while the loop lives:
+        two loops must never write one journal."""
+        if self.alive():
+            raise RuntimeError("service is running; kill or drain it first")
+        self.state.close()
+        self._begin_life(ServiceState(self.cluster, self.config, obs=self.obs))
+        return self.start()
+
+    def alive(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
     @property
@@ -204,7 +236,7 @@ class SchedulerService:
         return self.state.draining
 
     def result(self) -> SimulationResult:
-        """The final result (only after :meth:`drain`/:meth:`stop`)."""
+        """The final result (only after :meth:`drain`)."""
         if self._result is None:
             raise RuntimeError("service has not drained yet")
         return self._result
@@ -289,7 +321,7 @@ class SchedulerService:
         with self._lock:
             return self._status
 
-    def plan_snapshot(self) -> dict:
+    def plan(self) -> dict:
         """The live allocation plan as a JSON-friendly dict.
 
         Empty for schedulers that do not expose a plan (duck-typed on a
@@ -318,7 +350,7 @@ class SchedulerService:
             "jobs": jobs,
         }
 
-    def metrics_snapshot(self) -> dict:
+    def metrics(self) -> dict:
         """Metrics registry snapshot (retried around racy registrations).
 
         Strict-JSON safe: non-finite floats (unset gauges, empty-histogram
@@ -331,9 +363,13 @@ class SchedulerService:
                 continue
         return {}
 
-    def slo_snapshot(self) -> dict:
+    def slo(self) -> dict:
         """SLO status (error budget, burn rate, decide p99) as a JSON dict."""
-        return json_safe(self.slo.snapshot())
+        return json_safe(self._slo.snapshot())
+
+    def queue_depth(self) -> int:
+        """Ad-hoc jobs waiting or running (the router's spill signal)."""
+        return self.status().queue_depth
 
     # -- event loop -----------------------------------------------------------------
 
@@ -456,8 +492,8 @@ class SchedulerService:
     # meaning as a closure on the event-loop thread (the same single-writer
     # discipline as submissions), so a migration can never race an
     # admission against the same headroom; the protocol is documented
-    # there.  Reads that only touch a dict snapshot (owns_workflow,
-    # workflow_ids, orphan_info) go direct.
+    # there.  Reads that only touch a dict snapshot (owns,
+    # workflow_ids, orphans) go direct.
 
     def migrate_out(
         self, workflow_id: str, *, dest: str, epoch: int,
@@ -480,7 +516,7 @@ class SchedulerService:
             lambda: self.state.migrate_in(workflow, key, epoch), timeout
         )
 
-    def restore_workflow(
+    def restore(
         self, workflow: Workflow, *, key: str | None = None,
         timeout: float | None = None,
     ) -> SubmitResult:
@@ -494,13 +530,13 @@ class SchedulerService:
         """Restore an orphaned handoff from its journaled tombstone."""
         return self._call(lambda: self.state.restore_orphan(workflow_id), timeout)
 
-    def confirm_migration(
+    def confirm(
         self, workflow_id: str, *, epoch: int, timeout: float | None = None
     ) -> dict:
         """Settle an outbound handoff: the destination durably owns it."""
         return self._call(lambda: self.state.confirm(workflow_id, epoch), timeout)
 
-    def owns_workflow(self, workflow_id: str) -> bool:
+    def owns(self, workflow_id: str) -> bool:
         """True when this shard's engine currently owns the workflow."""
         return workflow_id in self._core.workflows
 
@@ -508,16 +544,16 @@ class SchedulerService:
         """Ids of every workflow this shard currently owns (snapshot)."""
         return self._core.workflow_ids()
 
-    def orphan_info(self) -> dict[str, dict]:
+    def orphans(self) -> dict[str, dict]:
         """Unsettled outbound handoffs: id -> {dest, epoch} (snapshot)."""
         return self.state.orphan_info()
 
-    def demand_skyline(self, timeout: float | None = None) -> dict:
+    def skyline(self, timeout: float | None = None) -> dict:
         """Committed-demand saturation summary (the rebalancer's signal),
         computed on the loop thread for a consistent snapshot."""
         return self._call(self.state.skyline, timeout)
 
-    def migration_candidates(
+    def candidates(
         self, max_n: int = 8, timeout: float | None = None
     ) -> list[dict]:
         """Not-yet-started workflows this shard could hand off."""

@@ -375,17 +375,17 @@ class ServiceRoutes(Routes):
         shard_post = ("migrate-out", "migrate-in", "restore", "confirm")
         table = {
             ("GET", "/status"): lambda _: reply(200, service.status().to_dict()),
-            ("GET", "/plan"): lambda _: reply(200, service.plan_snapshot()),
-            ("GET", "/slo"): lambda _: reply(200, service.slo_snapshot()),
+            ("GET", "/plan"): lambda _: reply(200, service.plan()),
+            ("GET", "/slo"): lambda _: reply(200, service.slo()),
             # Liveness: answering at all is the signal.
             ("GET", "/healthz"): lambda _: reply(200, {"ok": True}),
             ("GET", "/readyz"): self._readyz,
             ("GET", "/shard/skyline"): lambda _: reply(
-                200, service.demand_skyline()
+                200, service.skyline()
             ),
             ("GET", "/shard/candidates"): self._candidates,
             ("GET", "/shard/orphans"): lambda _: reply(
-                200, {"orphans": service.orphan_info()}
+                200, {"orphans": service.orphans()}
             ),
             ("GET", "/shard/workflows"): lambda _: reply(
                 200, {"workflows": sorted(service.workflow_ids())}
@@ -398,10 +398,10 @@ class ServiceRoutes(Routes):
         )
 
     def metrics_snapshot(self) -> dict:
-        return self.service.metrics_snapshot()
+        return self.service.metrics()
 
     def _readyz(self, request: Request) -> Response:
-        running, draining = self.service.running, self.service.draining
+        running, draining = self.service.alive(), self.service.draining
         ready = running and not draining
         return reply(
             200 if ready else 503,
@@ -414,14 +414,14 @@ class ServiceRoutes(Routes):
         except ValueError:
             max_n = 8
         return reply(
-            200, {"candidates": self.service.migration_candidates(max_n)}
+            200, {"candidates": self.service.candidates(max_n)}
         )
 
     def _owns(self, request: Request) -> Response:
         workflow_id = request.arg("workflow")
         if not workflow_id:
             return reply(400, {"error": "missing ?workflow=<id>"})
-        owns = self.service.owns_workflow(workflow_id)
+        owns = self.service.owns(workflow_id)
         return reply(200, {"workflow_id": workflow_id, "owns": owns})
 
     def _shard_post(self, request: Request) -> Response:
@@ -454,7 +454,7 @@ class ServiceRoutes(Routes):
                 return reply(_submit_status(result), result.to_dict())
             if request.path == "/shard/restore":
                 if "workflow" in body:
-                    result = service.restore_workflow(
+                    result = service.restore(
                         workflow_from_dict(body["workflow"]), key=body.get("key")
                     )
                 else:
@@ -462,7 +462,7 @@ class ServiceRoutes(Routes):
                 return reply(200, result.to_dict())
             return reply(
                 200,
-                service.confirm_migration(
+                service.confirm(
                     str(body["workflow_id"]), epoch=int(body.get("epoch", 0))
                 ),
             )

@@ -217,7 +217,7 @@ def _run_journal(trace, capacity, seed: int) -> list[str]:
             for wid in moved:
                 service.migrate_out(wid, dest="elsewhere", epoch=1)
                 if rng.random() < 0.5:
-                    service.confirm_migration(wid, epoch=1)
+                    service.confirm(wid, epoch=1)
             service.kill(timeout=60)
             ledger = service.state.ledger()
             service = SchedulerService(capacity, config)

@@ -4,12 +4,13 @@ Nothing here is collected directly (no ``Test`` prefix).  A test module
 binds these classes to a transport — ``tests/test_service_http.py`` to the
 threaded server, ``tests/test_service_aio.py`` to the asyncio one — by
 subclassing them together with :class:`Threaded` or :class:`Asyncio`, and
-to the router backend (two ``LocalShard`` s behind a ``ShardRouter``) by
-adding :class:`Router`.  The classes that only need the submission
-dialect — :class:`Dialect`, :class:`Rejections`, :class:`RequestIds`,
-:class:`Idempotency`, :class:`ConnectionHandling` — run against both
-backends; :class:`ServiceViews`, :class:`Lifecycle`, :class:`EndToEnd`
-and :class:`ClientConnections` read single-service answers.
+to the router backend (two ``SchedulerService`` shards behind a
+``ShardRouter``) by adding :class:`Router`.  The classes that only need
+the submission dialect — :class:`Dialect`, :class:`Rejections`,
+:class:`RequestIds`, :class:`Idempotency`, :class:`ConnectionHandling` —
+run against both backends; :class:`ServiceViews`, :class:`Lifecycle`,
+:class:`EndToEnd` and :class:`ClientConnections` read single-service
+answers.
 
 Each test binds an ephemeral port (port=0), drives the real socket, and
 shuts down in a fixture — no fixed ports, no leaked threads.
@@ -28,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.cluster import LocalShard, RouterRoutes, ShardRouter, slice_capacity
+from repro.cluster import RouterRoutes, ShardRouter, slice_capacity
 from repro.model.cluster import ClusterCapacity
 from repro.model.workflow import Workflow
 from repro.obs import parse_prometheus
@@ -79,14 +80,11 @@ class Served:
     def __init__(self, transport, backend: str, config: ServiceConfig, start=True):
         cluster = ClusterCapacity.uniform(cpu=40, mem=80)
         if backend == "router":
-            shards = [
-                LocalShard(f"shard{i}", capacity, config)
+            self.services = [
+                SchedulerService(capacity, config, name=f"shard{i}")
                 for i, capacity in enumerate(slice_capacity(cluster, 2))
             ]
-            for shard in shards:
-                shard.service = SchedulerService(shard.cluster, config)
-            self.services = [shard.service for shard in shards]
-            routes = RouterRoutes(ShardRouter(shards))
+            routes = RouterRoutes(ShardRouter(self.services))
         else:
             self.services = [SchedulerService(cluster, config)]
             routes = ServiceRoutes(self.services[0])
@@ -112,7 +110,7 @@ class Served:
         """Shut the frontend down, then drain whatever still runs."""
         self.server.shutdown()
         self.client.close()
-        return [s.drain(timeout=60) for s in self.services if s.running]
+        return [s.drain(timeout=60) for s in self.services if s.alive()]
 
     def connections(self) -> float:
         """Connections the frontend has accepted so far."""
@@ -551,7 +549,7 @@ class ClientConnections(Frontend):
             client.close()
             served.start_services()
             served.stop()
-        metrics = served.service.metrics_snapshot()
+        metrics = served.service.metrics()
         assert metrics["service.submit.seconds"]["count"] == 1.0
 
     def test_threads_share_one_client(self, served):

@@ -11,11 +11,11 @@ because admission dedupes on idempotency keys, not on transport luck.
 import pytest
 
 from repro.chaos import ChaosTransport, ChaosTransportConfig
-from repro.cluster import DetectorConfig, FailureDetector, LocalShard, slice_capacity
+from repro.cluster import DetectorConfig, FailureDetector, slice_capacity
 from repro.model.cluster import ClusterCapacity
 from repro.model.workflow import Workflow
 from repro.obs import Observability
-from repro.service import ServiceConfig
+from repro.service import SchedulerService, ServiceConfig
 from repro.service.client import (
     CircuitBreaker,
     CircuitOpenError,
@@ -44,7 +44,7 @@ def make_shard(tmp_path, name="s0"):
         journal_fsync=False,
     )
     capacity = slice_capacity(ClusterCapacity.uniform(cpu=60, mem=120), 3)[0]
-    return LocalShard(name, capacity, config).start()
+    return SchedulerService(capacity, config, name=name).start()
 
 
 def make_workflow(wid: str) -> Workflow:

@@ -15,7 +15,6 @@ import pytest
 from repro.cluster import (
     DetectorConfig,
     FailureDetector,
-    LocalShard,
     Rebalancer,
     ShardRouter,
     Supervisor,
@@ -24,7 +23,7 @@ from repro.cluster import (
 )
 from repro.model.cluster import ClusterCapacity
 from repro.model.workflow import Workflow
-from repro.service import ServiceConfig
+from repro.service import SchedulerService, ServiceConfig
 from repro.verify import check_cross_shard_conservation
 from tests.conftest import adhoc_job, deadline_job
 
@@ -52,7 +51,7 @@ def make_fleet(tmp_path):
             journal_path=str(tmp_path / f"shard{i}.jsonl"),
             journal_fsync=False,
         )
-        shards.append(LocalShard(f"s{i}", capacity, config).start())
+        shards.append(SchedulerService(capacity, config, name=f"s{i}").start())
     return shards
 
 

@@ -26,7 +26,6 @@ from repro.chaos import ChaosTransport, ChaosTransportConfig
 from repro.cluster import (
     DetectorConfig,
     FailureDetector,
-    LocalShard,
     ShardRouter,
     Supervisor,
     SupervisorConfig,
@@ -34,7 +33,7 @@ from repro.cluster import (
 )
 from repro.model.cluster import ClusterCapacity
 from repro.model.workflow import Workflow
-from repro.service import ServiceConfig
+from repro.service import SchedulerService, ServiceConfig
 from repro.verify import check_cross_shard_conservation
 from tests.conftest import deadline_job
 
@@ -66,7 +65,7 @@ class Driver:
                 journal_path=str(tmp_path / f"shard{i}.jsonl"),
                 journal_fsync=False,
             )
-            shard = LocalShard(f"s{i}", capacity, config).start()
+            shard = SchedulerService(capacity, config, name=f"s{i}").start()
             self.transports.append(
                 ChaosTransport(shard, ChaosTransportConfig(seed=seed + i))
             )

@@ -23,10 +23,10 @@ import random
 
 import pytest
 
-from repro.cluster import LocalShard, ShardRouter, slice_capacity
+from repro.cluster import ShardRouter, slice_capacity
 from repro.model.cluster import ClusterCapacity
 from repro.model.workflow import Workflow
-from repro.service import ServiceConfig
+from repro.service import SchedulerService, ServiceConfig
 from repro.verify import check_cross_shard_conservation
 from tests.conftest import deadline_job
 
@@ -46,7 +46,7 @@ def make_fleet(tmp_path):
             journal_path=str(tmp_path / f"shard{i}.jsonl"),
             journal_fsync=False,
         )
-        shards.append(LocalShard(f"s{i}", capacity, config).start())
+        shards.append(SchedulerService(capacity, config, name=f"s{i}").start())
     return shards
 
 

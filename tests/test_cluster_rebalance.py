@@ -1,10 +1,10 @@
 """Integration tests: migration protocol and skyline rebalancer over
-real :class:`LocalShard` fleets.
+real fleets of in-process :class:`SchedulerService` shards.
 
 Shards run in *realtime* mode with an hour-long slot, so the virtual
 clock effectively never advances during a test — submitted workflows
 stay un-started and migratable, making every migration scenario
-deterministic.  Crash scenarios use ``LocalShard.kill`` + ``restart``
+deterministic.  Crash scenarios use ``SchedulerService.kill`` + ``restart``
 (same journal), exactly the recovery path a crashed ``repro serve``
 process takes.
 """
@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.cluster import (
-    LocalShard,
     RebalanceConfig,
     Rebalancer,
     ShardRouter,
@@ -22,7 +21,7 @@ from repro.cluster import (
 )
 from repro.model.cluster import ClusterCapacity
 from repro.model.workflow import Workflow
-from repro.service import ServiceConfig
+from repro.service import SchedulerService, ServiceConfig
 from repro.verify import check_cross_shard_conservation
 from tests.conftest import deadline_job
 
@@ -48,7 +47,7 @@ def frozen_config(tmp_path, index: int) -> ServiceConfig:
 def fleet(tmp_path):
     cluster = ClusterCapacity.uniform(cpu=40, mem=80)
     shards = [
-        LocalShard(f"s{i}", capacity, frozen_config(tmp_path, i)).start()
+        SchedulerService(capacity, frozen_config(tmp_path, i), name=f"s{i}").start()
         for i, capacity in enumerate(slice_capacity(cluster, 2))
     ]
     yield shards
@@ -121,15 +120,15 @@ class TestMigrationProtocol:
         config = ServiceConfig(
             journal_path=str(tmp_path / "v.jsonl"), journal_fsync=False
         )
-        shard = LocalShard("v0", cluster, config).start()
+        shard = SchedulerService(cluster, config, name="v0").start()
         try:
             assert shard.submit_workflow(chain("w1", deadline=60)).accepted
             deadline = time.monotonic() + 30
-            while not shard.service._core.workflow_started("w1"):
+            while not shard._core.workflow_started("w1"):
                 assert time.monotonic() < deadline, "workflow never started"
                 time.sleep(0.01)
             with pytest.raises(ValueError, match="not withdrawable"):
-                shard.service.migrate_out("w1", dest="v1", epoch=1)
+                shard.migrate_out("w1", dest="v1", epoch=1)
         finally:
             shard.kill()
 

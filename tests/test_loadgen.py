@@ -25,7 +25,7 @@ def served():
     server = serve_http(service)
     yield server
     server.shutdown()
-    if service.running:
+    if service.alive():
         service.drain(timeout=120)
 
 

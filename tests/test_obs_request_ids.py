@@ -66,7 +66,7 @@ def traced_served(tmp_path):
     client = HttpServiceClient(server.url, timeout=30)
     yield service, server, client, trace_path
     server.shutdown()
-    if service.running:
+    if service.alive():
         service.drain(timeout=60)
     sink.close()
 

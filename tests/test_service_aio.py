@@ -53,4 +53,4 @@ class TestRouter(
     suite.Idempotency,
     suite.ConnectionHandling,
 ):
-    """The submission dialect against two ``LocalShard`` s behind a router."""
+    """The submission dialect against two ``SchedulerService`` shards behind a router."""

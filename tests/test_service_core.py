@@ -236,7 +236,7 @@ class TestBackpressure:
         service, _, _ = run_service(
             cluster, submissions, config=ServiceConfig(adhoc_queue_limit=1)
         )
-        metrics = service.metrics_snapshot()
+        metrics = service.metrics()
         assert metrics["service.queue.shed"]["value"] == 2.0
 
 
@@ -247,7 +247,7 @@ class TestBatchedReplanning:
         submissions = [("wf", chain(f"w{i}", deadline=90)) for i in range(5)]
         service, results, final = run_service(cluster, submissions)
         assert all(r.accepted for r in results)
-        metrics = service.metrics_snapshot()
+        metrics = service.metrics()
         hist = metrics["service.replan.batch_size"]
         assert hist["p50"] > 1  # acceptance criterion: p50 batch size > 1
         assert hist["max"] == 5.0
@@ -261,7 +261,7 @@ class TestBatchedReplanning:
             for i in range(3)
         ]
         service, _, _ = run_service(cluster, submissions)
-        hist = service.metrics_snapshot()["service.replan.batch_size"]
+        hist = service.metrics()["service.replan.batch_size"]
         assert hist["count"] == 3.0
         assert hist["max"] == 1.0
 
@@ -282,7 +282,7 @@ class TestBatchedReplanning:
         finally:
             final = service.drain(timeout=60)
         assert final.finished
-        hist = service.metrics_snapshot()["service.replan.batch_size"]
+        hist = service.metrics()["service.replan.batch_size"]
         assert hist["max"] == 3.0
         assert hist["count"] == 1.0
 
@@ -334,12 +334,12 @@ class TestObservability:
         service, _, _ = run_service(
             cluster, [("adhoc", adhoc_job("a", arrival=0))]
         )
-        metrics = service.metrics_snapshot()
+        metrics = service.metrics()
         assert metrics["service.queue.depth"]["value"] == 0.0  # drained
 
     def test_plan_snapshot_shape(self, cluster):
         service, _, _ = run_service(cluster, [("wf", chain("c"))])
-        plan = service.plan_snapshot()
+        plan = service.plan()
         assert set(plan) >= {"origin_slot", "horizon", "jobs"}
 
     def test_utilisation_survives_json_round_trip(self, cluster):

@@ -18,10 +18,9 @@ from repro.chaos import ChaosConfig, chaos_solver
 from repro.lp.solver import install_fault_injector
 from repro.model.cluster import ClusterCapacity
 from repro.model.workflow import Workflow
-from repro.obs import MemorySink, Observability
+from repro.obs import JsonlSink, MemorySink, Observability, read_trace
 from repro.service import (
     HttpServiceClient,
-    InProcessClient,
     QueueFullError,
     SchedulerService,
     ServiceConfig,
@@ -93,7 +92,7 @@ class TestCrashRecovery:
         for i in range(3):
             assert service.submit_adhoc(adhoc_job(f"a{i}", arrival=0)).accepted
         service.kill(timeout=30)
-        assert not service.running
+        assert not service.alive()
         with pytest.raises(RuntimeError, match="without a result"):
             service.drain()
 
@@ -108,6 +107,51 @@ class TestCrashRecovery:
             assert result.workflows[workflow.workflow_id].completion_slot is not None
         for i in range(3):
             assert result.jobs[f"a{i}"].completion_slot is not None
+
+    def test_restart_keeps_the_trace(self, cluster, tmp_path):
+        # One service object across a crash: the restart replays the
+        # journal but keeps its observability handle, so the trace file
+        # continues instead of being reopened (and truncated) by a new one.
+        trace = tmp_path / "trace.jsonl"
+        config = ServiceConfig(
+            journal_path=str(tmp_path / "j.jsonl"),
+            journal_fsync=False,
+            scheduler="FIFO",
+        )
+        service = SchedulerService(
+            cluster, config, name="s0", obs=Observability(sink=JsonlSink(trace))
+        ).start()
+        assert service.submit_workflow(chain("w1"), request_id="req-w1").accepted
+        service.kill(timeout=30)
+        assert service.restart() is service and service.alive()
+        assert service.owns("w1")  # replayed from the journal
+        assert service.submit_workflow(chain("w2"), request_id="req-w2").accepted
+        service.drain(timeout=120)
+        service.obs.close()
+        assert b"\0" not in trace.read_bytes()
+        events = read_trace(trace)
+        request_ids = {event.get("request_id") for event in events}
+        assert {"req-w1", "req-w2"} <= request_ids
+        assert [e["type"] for e in events].count("service_start") == 2
+        seqs = [event["seq"] for event in events]
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+
+    def test_restart_refuses_a_live_service(self, cluster, tmp_path):
+        path = tmp_path / "j.jsonl"
+        service = SchedulerService(
+            cluster, ServiceConfig(journal_path=str(path), journal_fsync=False)
+        ).start()
+        assert service.submit_workflow(chain("w1"), idempotency_key="k1").accepted
+        journal = service.state.journal
+        with pytest.raises(RuntimeError, match="running"):
+            service.restart()
+        # Still the one loop writing the one journal it had.
+        assert service.alive() and service.state.journal is journal
+        assert service.submit_workflow(chain("w2"), idempotency_key="k2").accepted
+        service.drain(timeout=120)
+        records, skipped = read_journal(path)
+        assert skipped == 0
+        assert [record.key for record in records] == ["k1", "k2"]
 
     def test_recovery_restores_idempotency_keys(self, cluster, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -140,9 +184,9 @@ class TestCrashRecovery:
         assert service.submit_workflow(chain("w"), idempotency_key="K").accepted
         service.migrate_out("w", dest="s1", epoch=1)
         if confirmed:
-            service.confirm_migration("w", epoch=1)
+            service.confirm("w", epoch=1)
         live = service.submit_workflow(chain("w"), idempotency_key="K")
-        assert live.accepted and not service.owns_workflow("w")
+        assert live.accepted and not service.owns("w")
         service.kill(timeout=30)
         n_records = len(read_journal(path)[0])
 
@@ -150,9 +194,9 @@ class TestCrashRecovery:
         restarted = SchedulerService(cluster, config, obs=obs).start()
         retry = restarted.submit_workflow(chain("w"), idempotency_key="K")
         assert retry.accepted and retry.reason == "admitted"
-        assert not restarted.owns_workflow("w")
+        assert not restarted.owns("w")
         held = {} if confirmed else {"w": {"dest": "s1", "epoch": 1}}
-        assert restarted.orphan_info() == held
+        assert restarted.orphans() == held
         assert restarted.status().accepted_workflows == 0
         hits = obs.registry.snapshot()["service.idempotent.hits"]
         assert hits["value"] == 1
@@ -225,16 +269,17 @@ class TestBackpressure:
         service.start()
         service.drain(timeout=120)
 
-    def test_inprocess_client_raises_queue_full(self, cluster):
+    def test_service_returns_queue_full(self, cluster):
+        # The shard shed convention the router spills on: a full queue is
+        # a returned decision, not an exception (HttpServiceClient raises).
         service = SchedulerService(
             cluster,
             ServiceConfig(adhoc_queue_limit=1, realtime=True, slot_seconds=300.0),
         ).start()
-        client = InProcessClient(service)
-        assert client.submit_adhoc(adhoc_job("a0", arrival=0)).accepted
-        with pytest.raises(QueueFullError) as excinfo:
-            client.submit_adhoc(adhoc_job("a1", arrival=0))
-        assert excinfo.value.queue_depth == 1
+        assert service.submit_adhoc(adhoc_job("a0", arrival=0)).accepted
+        shed = service.submit_adhoc(adhoc_job("a1", arrival=0))
+        assert not shed.accepted and shed.reason == "queue_full"
+        assert shed.queue_depth == 1
         service.drain(timeout=120)
 
 
@@ -285,7 +330,7 @@ def served(cluster):
     client = HttpServiceClient(server.url, timeout=30)
     yield service, server, client
     server.shutdown()
-    if service.running:
+    if service.alive():
         service.drain(timeout=120)
 
 
