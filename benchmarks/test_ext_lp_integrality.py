@@ -22,8 +22,8 @@ from repro.core.lexmin import lexmin_schedule
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.lp.problem import LinearProgram
 from repro.lp.solver import solve_lp
-from repro.lp.unimodular import max_fractionality
 from repro.model.resources import CPU, MEM, ResourceVector
+from tests.unimodular import max_fractionality
 
 RES = (CPU, MEM)
 N_INSTANCES = 20

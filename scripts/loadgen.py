@@ -140,6 +140,12 @@ def run_load(
 
     def sender() -> None:
         client = HttpServiceClient(url, max_retries=1)
+        try:
+            send(client)
+        finally:
+            client.close()
+
+    def send(client: HttpServiceClient) -> None:
         interval = concurrency / rate
         next_send = time.monotonic()
         while time.monotonic() < deadline:

@@ -27,7 +27,6 @@ from repro.core.lexmin import LexminResult, LexminWarmHint, lexmin_schedule
 from repro.core.lp_formulation import ScheduleProblem, build_schedule_problem
 from repro.core.placement import JobDemand, PlannerConfig, caps_array
 from repro.core.replan import CachedPlan, PlanCache, PlanRequest
-from repro.core.scalarization import g_scalarization, lex_leq, scalarized_schedule
 from repro.core.toposort import grouped_topological_sets
 
 __all__ = [
@@ -51,9 +50,6 @@ __all__ = [
     "critical_path_length",
     "critical_path_windows",
     "decompose_deadline",
-    "g_scalarization",
     "grouped_topological_sets",
-    "lex_leq",
     "lexmin_schedule",
-    "scalarized_schedule",
 ]

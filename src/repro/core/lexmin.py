@@ -46,12 +46,15 @@ _FREEZE_RELAX = 1e-7  # relative slack added to frozen caps (numerical safety)
 class LexminWarmHint:
     """Seed for a warm-started lexmin solve: the previous solve's skyline.
 
-    HiGHS (through scipy) exposes no basis warm-start, so the reusable artefact
-    of a solve is its *level vector*: the per-cell normalised loads of the
-    final balanced allocation.  When consecutive solves see near-identical
-    job mixes, that skyline is already (near-)lexmin-optimal — imposing it
-    as frozen caps reduces the whole ladder to two LPs (one exact theta
-    solve, one balancing solve) instead of up to ``max_rounds + 1``.
+    The backend makes a fresh HiGHS per LP and keeps no basis between
+    solves: ``linprog`` exposes none, and the ``_core`` object the backend
+    drives does, but a reused basis can move an LP to another vertex, and
+    so change the plan.  The reusable artefact of a solve is therefore its
+    *level vector*: the per-cell normalised loads of the final balanced
+    allocation.  When consecutive solves see near-identical job mixes, that
+    skyline is already (near-)lexmin-optimal — imposing it as frozen caps
+    reduces the whole ladder to two LPs (one exact theta solve, one
+    balancing solve) instead of up to ``max_rounds + 1``.
 
     Attributes:
         theta: the previous solve's minimax ``max z/C``.

@@ -6,7 +6,7 @@ Two variable layouts are supported:
   ``x_it^r`` per (job, slot, resource), demand equalities per (job,
   resource), and per-(slot, resource) utilisation rows.  The constraint
   matrix has the interval structure of Lemma 2 (totally unimodular), which
-  the tests verify with :mod:`repro.lp.unimodular`.
+  ``tests/unimodular.py`` verifies.
 
 * ``mode="coupled"`` — one variable ``y_it`` per (job, slot) counting
   *task-slots* granted; the per-resource allocation is ``y_it *

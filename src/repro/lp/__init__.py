@@ -6,22 +6,19 @@ reproduction solves every LP with scipy's HiGHS
 :func:`repro.lp.solver.solve_lp`, which adds the fault hook, the wall-time
 budget and the counters.
 
-:mod:`repro.lp.unimodular` checks Lemma 2's total-unimodularity claim on
-generated instances; Lemma 2's transportation network itself is executable
-as the integer max-flow of :func:`repro.core.placement.max_placement`.
+Lemma 2's transportation network is executable as the integer max-flow of
+:func:`repro.core.placement.max_placement`; its total-unimodularity claim
+is checked on generated instances by ``tests/unimodular.py``.
 """
 
 from repro.lp.problem import LinearProgram, LPSolution, LPStatus
 from repro.lp.solver import SolverFailure, install_fault_injector, solve_lp
-from repro.lp.unimodular import has_consecutive_ones_columns, is_totally_unimodular
 
 __all__ = [
     "LPSolution",
     "LPStatus",
     "LinearProgram",
     "SolverFailure",
-    "has_consecutive_ones_columns",
     "install_fault_injector",
-    "is_totally_unimodular",
     "solve_lp",
 ]

@@ -1,49 +1,142 @@
-"""The LP solver: scipy's HiGHS interface (called by :func:`repro.lp.solver.solve_lp`)."""
+"""The LP solver: the HiGHS that scipy ships (called by :func:`repro.lp.solver.solve_lp`).
+
+The model goes straight to ``scipy.optimize._highspy._core``, the object
+``linprog(method="highs")`` itself drives, with the options ``linprog`` sets,
+so every answer is ``linprog``'s bit for bit (``tests/test_lp_backend.py``
+holds the two against each other).  What is skipped is ``linprog``'s Python
+around the solve: input canonicalisation, the ``A_ub``/``A_eq`` stack and
+its CSC conversion (the matrix goes in row-wise, as the two CSR blocks
+already are), option validation and the result object.
+
+Only ``_core`` names that scipy's own ``_highs_wrapper.py`` uses are read.
+A fresh ``_Highs`` is made per call, because threaded shards solve
+concurrently.  ``kHighsInf`` is IEEE infinity, so infinite variable bounds
+pass as they are.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.optimize._highspy._core as _h
 
 from repro.lp.problem import LinearProgram, LPSolution, LPStatus
 from repro.obs import current_obs
 
-_STATUS_MAP = {
-    0: LPStatus.OPTIMAL,
-    1: LPStatus.ERROR,  # iteration limit
-    2: LPStatus.INFEASIBLE,
-    3: LPStatus.UNBOUNDED,
-    4: LPStatus.ERROR,
+
+def _options() -> _h.HighsOptions:
+    """``linprog(method="highs")``'s options.  Read-only once built: every
+    ``passOptions`` copies it."""
+    options = _h.HighsOptions()
+    options.presolve = "on"
+    # Dual simplex, set by value: scipy moved ``simplex_constants``.
+    options.simplex_strategy = 1
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = 0
+    return options
+
+
+_OPTIONS = _options()
+
+#: ``linprog``'s status mapping (``_highs_to_scipy_status_message``): every
+#: other model status, time and iteration limits included, is ERROR.
+_STATUS = {
+    _h.HighsModelStatus.kOptimal: LPStatus.OPTIMAL,
+    _h.HighsModelStatus.kInfeasible: LPStatus.INFEASIBLE,
+    _h.HighsModelStatus.kModelError: LPStatus.INFEASIBLE,
+    _h.HighsModelStatus.kUnbounded: LPStatus.UNBOUNDED,
 }
+
+#: ``linprog``'s post-solve feasibility tolerance, ``sqrt(1e-9) * 10``.
+_FEASIBILITY_TOL = np.sqrt(1e-9) * 10
+
+
+def _check_finite(problem: LinearProgram) -> None:
+    """Reject what ``linprog``'s input checks reject: non-finite data."""
+    for name, values in (
+        ("c", problem.c),
+        ("A_ub", problem.a_ub.data),
+        ("b_ub", problem.b_ub),
+        ("A_eq", problem.a_eq.data),
+        ("b_eq", problem.b_eq),
+    ):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must not contain inf or nan")
+
+
+def _model(problem: LinearProgram) -> _h.HighsLp:
+    """``lhs <= [A_ub; A_eq] x <= rhs``, the matrix passed row-wise.
+
+    Lists, not arrays: the bindings copy a list two to three times faster.
+    """
+    a_ub, a_eq = problem.a_ub, problem.a_eq
+    n_col, n_row = problem.n_variables, problem.n_constraints
+    lp = _h.HighsLp()
+    lp.num_col_ = n_col
+    lp.num_row_ = n_row
+    lp.col_cost_ = problem.c.tolist()
+    lp.col_lower_ = problem.lb.tolist()
+    lp.col_upper_ = problem.ub.tolist()
+    lp.row_lower_ = [-_h.kHighsInf] * a_ub.shape[0] + problem.b_eq.tolist()
+    lp.row_upper_ = problem.b_ub.tolist() + problem.b_eq.tolist()
+    matrix = lp.a_matrix_
+    matrix.format_ = _h.MatrixFormat.kRowwise
+    matrix.num_col_ = n_col
+    matrix.num_row_ = n_row
+    matrix.start_ = a_ub.indptr.tolist() + (a_eq.indptr[1:] + a_ub.nnz).tolist()
+    matrix.index_ = a_ub.indices.tolist() + a_eq.indices.tolist()
+    matrix.value_ = a_ub.data.tolist() + a_eq.data.tolist()
+    return lp
+
+
+def _feasible(problem: LinearProgram, x: np.ndarray, row: np.ndarray, objective: float) -> bool:
+    """``linprog``'s ``_check_result``: an optimum must hold within tolerance."""
+    tol = _FEASIBILITY_TOL
+    m_ub = problem.a_ub.shape[0]
+    slack = problem.b_ub - row[:m_ub]
+    con = problem.b_eq - row[m_ub:]
+    if np.isnan(objective) or np.isnan(x).any() or np.isnan(row).any():
+        return False
+    return bool(
+        np.all((x >= problem.lb - tol) & (x <= problem.ub + tol))
+        and not (slack < -tol).any()
+        and not (np.abs(con) > tol).any()
+    )
 
 
 def solve(problem: LinearProgram) -> LPSolution:
     """Solve with HiGHS dual simplex (vertex solutions, duals available)."""
-    res = linprog(
-        c=problem.c,
-        A_ub=problem.a_ub if problem.a_ub.shape[0] else None,
-        b_ub=problem.b_ub if problem.b_ub.size else None,
-        A_eq=problem.a_eq if problem.a_eq.shape[0] else None,
-        b_eq=problem.b_eq if problem.b_eq.size else None,
-        bounds=np.column_stack([problem.lb, problem.ub]),
-        method="highs",
-    )
-    status = _STATUS_MAP.get(res.status, LPStatus.ERROR)
-    if getattr(res, "nit", None) is not None:
-        current_obs().histogram("lp.backend.highs.iterations").observe(int(res.nit))
+    _check_finite(problem)
+    highs = _h._Highs()
+    highs.passOptions(_OPTIONS)
+    solved = False
+    if highs.passModel(_model(problem)) == _h.HighsStatus.kError:
+        model_status = _h.HighsModelStatus.kModelError
+    else:
+        solved = highs.run() != _h.HighsStatus.kError
+        model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = info.simplex_iteration_count if solved else 0
+    current_obs().histogram("lp.backend.highs.iterations").observe(iterations)
+    status = _STATUS.get(model_status, LPStatus.ERROR)
+    message = highs.modelStatusToString(model_status)
+    if status is LPStatus.OPTIMAL and not solved:
+        status = LPStatus.ERROR  # linprog: "optimal" with no solution
     if status is not LPStatus.OPTIMAL:
-        return LPSolution(status=status, message=str(res.message))
-    duals_ub = None
-    duals_eq = None
-    if getattr(res, "ineqlin", None) is not None and problem.a_ub.shape[0]:
-        duals_ub = np.asarray(res.ineqlin.marginals, dtype=float)
-    if getattr(res, "eqlin", None) is not None and problem.a_eq.shape[0]:
-        duals_eq = np.asarray(res.eqlin.marginals, dtype=float)
+        return LPSolution(status=status, message=message)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    row = np.array(solution.row_value)
+    objective = info.objective_function_value
+    if not _feasible(problem, x, row, objective):
+        return LPSolution(status=LPStatus.ERROR, message=f"{message} outside tolerance")
+    duals = np.array(solution.row_dual)
+    m_ub = problem.a_ub.shape[0]
     return LPSolution(
         status=LPStatus.OPTIMAL,
-        x=np.asarray(res.x, dtype=float),
-        objective=float(res.fun),
-        duals_ub=duals_ub,
-        duals_eq=duals_eq,
-        message=str(res.message),
+        x=x,
+        objective=float(objective),
+        duals_ub=duals[:m_ub] if m_ub else None,
+        duals_eq=duals[m_ub:] if problem.a_eq.shape[0] else None,
+        message=message,
     )

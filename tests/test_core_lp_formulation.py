@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
-from repro.lp.unimodular import (
+from repro.model.resources import CPU, MEM, ResourceVector
+from tests.unimodular import (
     has_consecutive_ones_columns,
     is_totally_unimodular,
 )
-from repro.model.resources import CPU, MEM, ResourceVector
 
 RES = (CPU, MEM)
 

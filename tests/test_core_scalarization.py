@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.lexmin import lexmin_schedule
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
-from repro.core.scalarization import g_scalarization, lex_leq, scalarized_schedule
 from repro.model.resources import CPU, MEM, ResourceVector
+from tests.scalarization import g_scalarization, lex_leq, scalarized_schedule
 
 RES = (CPU, MEM)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lp.unimodular import (
+from tests.unimodular import (
     has_consecutive_ones_columns,
     is_totally_unimodular,
     max_fractionality,
