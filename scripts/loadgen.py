@@ -17,9 +17,9 @@ or import :func:`run_load` (the CI obs-smoke and shard-smoke jobs do
 both).
 
 ``--concurrency N`` spreads the target rate over N sender threads (each
-paced at rate/N with its own HTTP connection pool), which is how the
-throughput benchmark saturates the asyncio frontend — one thread tops out
-at the client's own request round-trip rate long before the server does.
+paced at rate/N with its own HTTP connection pool), which is how to
+saturate the server — one thread tops out at the client's own request
+round-trip rate long before the server does.
 Submission indices stay globally unique across senders, so ids and
 request ids never collide.
 

@@ -338,14 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "workflows from their journals (docs/ROBUSTNESS.md)",
     )
     _add_fields(serve, DetectorConfig)
-    serve.add_argument(
-        "--async",
-        dest="async_http",
-        action="store_true",
-        help="serve over the asyncio HTTP transport instead of the "
-        "thread-per-connection stdlib server (same routes, with or without "
-        "--shards; see BENCH_throughput.json)",
-    )
     _add_fields(serve, ServiceConfig, batch_window_s=0.05)
     serve.add_argument(
         "--trace-out",
@@ -687,19 +679,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _serve_until_signal(args: argparse.Namespace, routes, banner: list[str]) -> None:
-    """Serve *routes* on the transport ``--async`` picks until SIGTERM or
-    Ctrl-C, then stop accepting requests; the caller drains its backend.
-    *banner* is printed first, ``{url}`` and ``{frontend}`` filled into
-    its first line."""
+    """Serve *routes* over HTTP until SIGTERM or Ctrl-C, then stop
+    accepting requests; the caller drains its backend.  *banner* is
+    printed first, ``{url}`` filled into its first line."""
     import signal
     import threading
 
-    from repro.service import AsyncServiceHTTPServer, ServiceHTTPServer
+    from repro.service import ServiceHTTPServer
 
-    transport = AsyncServiceHTTPServer if args.async_http else ServiceHTTPServer
-    server = transport(routes, args.host, args.port).start()
-    frontend = "asyncio" if args.async_http else "threaded"
-    print(banner[0].format(url=server.url, frontend=frontend), flush=True)
+    server = ServiceHTTPServer(routes, args.host, args.port).start()
+    print(banner[0].format(url=server.url), flush=True)
     for line in banner[1:]:
         print(line, flush=True)
 
@@ -775,7 +764,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         service = SchedulerService(cluster, config, obs=obs).start()
         banner = [
-            f"serving {args.scheduler} on {{url}} ({{frontend}} frontend)",
+            f"serving {args.scheduler} on {{url}}",
             "endpoints: POST /workflows  POST /jobs  GET /plan  GET /status  "
             "GET /metrics[?format=prometheus]  GET /slo  GET /healthz  "
             "GET /readyz",

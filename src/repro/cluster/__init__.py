@@ -13,8 +13,8 @@ fleet status; the
 not-yet-started workflows from saturated to slack shards via a
 journal-backed two-phase handoff that survives crashes on either side.
 :class:`RouterRoutes` serves the whole fleet behind the same HTTP
-dialect as a single ``repro serve`` (``repro serve --shards N``), over
-either transport; :class:`RouterHTTPServer` is the threaded one.
+dialect as a single ``repro serve`` (``repro serve --shards N``), and
+:class:`RouterHTTPServer` binds it to the threaded transport.
 
 Availability (docs/ROBUSTNESS.md): the :class:`FailureDetector` probes
 the fleet on a heartbeat and caches a ``live → suspect → dead`` verdict

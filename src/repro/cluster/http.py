@@ -6,9 +6,8 @@ the trace wire format, :class:`~repro.service.api.SubmitResult` answers,
 the same request-id, idempotency and ``Retry-After`` rules — to a
 :class:`ShardRouter`, so every existing client (``HttpServiceClient``,
 ``scripts/loadgen.py``, curl) points at the router unchanged.  Each
-answer carries the deciding shard's name in the ``shard`` field.  Either
-transport serves it: :class:`RouterHTTPServer` is the threaded one,
-``repro serve --shards N --async`` the asyncio one.
+answer carries the deciding shard's name in the ``shard`` field.
+:class:`RouterHTTPServer` binds it to the threaded transport.
 
 Fleet views replace the single-service ones: ``GET /status``,
 ``/metrics`` and ``/slo`` return ``{"aggregate": ..., "shards": {...}}``

@@ -6,7 +6,7 @@ workload; this package serves a *dynamic* one.  A single event-loop thread
 the thread-free :class:`~repro.service.state.ServiceState` (engine core +
 ledger); submissions arrive through its thread-safe API — called
 in-process, or over stdlib JSON/HTTP (one route table,
-:mod:`repro.service.routes`, behind a threaded or an asyncio transport;
+:mod:`repro.service.routes`, behind a threaded transport;
 :class:`~repro.service.client.HttpServiceClient`) — and are
 admission-checked, batched into shared re-plans, and backpressured when
 the ad-hoc queue fills.  ``repro serve`` is the CLI entry point; see
@@ -20,7 +20,6 @@ shedding surface as typed errors (:class:`~repro.service.api.
 ServiceSaturatedError`, :class:`~repro.service.api.QueueFullError`).
 """
 
-from repro.service.aio import AsyncServiceHTTPServer
 from repro.service.api import (
     QueueFullError,
     ServiceConfig,
@@ -41,7 +40,6 @@ from repro.service.state import ServiceState
 from repro.service.top import render_dashboard, run_top
 
 __all__ = [
-    "AsyncServiceHTTPServer",
     "HttpServiceClient",
     "JournalRecord",
     "QueueFullError",

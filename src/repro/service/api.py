@@ -25,8 +25,8 @@ __all__ = [
     "SubmitResult",
 ]
 
-#: How long a synchronous ``submit_*`` call, or a transport awaiting one,
-#: waits for the service's event loop before ``TimeoutError``.
+#: How long a synchronous ``submit_*`` call waits for the service's event
+#: loop before ``TimeoutError``.
 SUBMIT_TIMEOUT_S = 30.0
 
 

@@ -8,8 +8,8 @@ while the backend decides.  It knows no path, status code or header of
 the dialect: :func:`serve_http` hands it the table over one
 :class:`~repro.service.core.SchedulerService`,
 :class:`repro.cluster.http.RouterHTTPServer` the one over a shard
-router.  It is the default ``repro serve`` frontend; ``--async`` swaps
-in :mod:`repro.service.aio` over the same table.
+router.  It is ``repro serve``'s one frontend, with or without
+``--shards``.
 """
 
 from __future__ import annotations
@@ -17,14 +17,17 @@ from __future__ import annotations
 import contextlib
 import logging
 import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.service.aio import IO_TIMEOUT_S
 from repro.service.core import SchedulerService
 from repro.service.routes import Request, Routes, ServiceRoutes
 
 __all__ = ["ServiceHTTPServer", "serve_http"]
+
+#: Per-read timeout and keep-alive idle limit of a connection.
+IO_TIMEOUT_S = 30.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -37,6 +40,11 @@ class _Handler(BaseHTTPRequestHandler):
         headers = {name.lower(): value for name, value in self.headers.items()}
         request = Request(self.command, self.path, headers)
         request.body = self.rfile.read(request.length)
+        if len(request.body) < request.length:
+            # The client closed before its declared body arrived: acting
+            # on the part that did could queue a job nobody sent whole.
+            self.close_connection = True
+            return
         response = self.server.routes.handle(request)  # type: ignore[attr-defined]
         # Nothing after this response is read from the socket when the
         # table says close, or the client asked to (parse_request's flag).
@@ -86,6 +94,17 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         self._connections.add(request)
         self.routes.obs.counter("http.connections").inc()
         super().process_request(request, client_address)
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that resets or stalls is routine; any other error
+        # escaping a handler is a bug and keeps the stdlib's traceback.
+        error = sys.exc_info()[1]
+        if isinstance(error, (ConnectionError, TimeoutError)):
+            self.routes.obs.log(
+                logging.DEBUG, "http %s dropped: %r", client_address[0], error
+            )
+        else:
+            super().handle_error(request, client_address)
 
     def shutdown_request(self, request) -> None:
         super().shutdown_request(request)

@@ -1,11 +1,11 @@
 """The HTTP wire dialect, written once and transport-free.
 
 A :class:`Routes` object turns one parsed :class:`Request` into one
-:class:`Response`; it never sees a socket.  The transports
-(:mod:`repro.service.http`, thread per connection, and
-:mod:`repro.service.aio`, one asyncio loop) only move bytes to and from
-these two types, so "admitted" means the same thing however the request
-arrived.  This module owns path/method lookup (404, and 405 with
+:class:`Response`; it never sees a socket.  The transport
+(:mod:`repro.service.http`) only moves bytes to and from these two
+types, and socket-free tests call :meth:`Routes.handle` directly, so
+"admitted" means the same thing however the request arrived.  This
+module owns path/method lookup (404, and 405 with
 ``Allow``), the body limit and JSON checks, ``X-Request-Id``
 accept-or-mint, ``Idempotency-Key``, the reject-reason -> status map,
 ``Retry-After``, strict JSON encoding and the ``http.requests`` /
@@ -66,11 +66,11 @@ import re
 import time
 from dataclasses import dataclass, field
 from http.client import responses as _HTTP_REASONS
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import PROMETHEUS_CONTENT_TYPE, new_request_id, render_prometheus
-from repro.service.api import SUBMIT_TIMEOUT_S, ServiceSaturatedError, SubmitResult
+from repro.service.api import ServiceSaturatedError, SubmitResult
 from repro.workloads.traces import (
     job_from_dict,
     workflow_from_dict,
@@ -83,7 +83,6 @@ __all__ = [
     "Response",
     "Routes",
     "ServiceRoutes",
-    "Submission",
     "json_body",
     "reply",
 ]
@@ -206,39 +205,10 @@ def _submit_status(result: SubmitResult) -> int:
     return 200 if result.accepted else _REJECT_STATUS.get(result.reason, 400)
 
 
-class Submission(NamedTuple):
-    """A parsed ``POST /workflows`` or ``POST /jobs``, ready to decide."""
-
-    submit: Callable  # the backend's submit_workflow / submit_adhoc
-    entity: object  # the Workflow or Job
-    key: str | None  # Idempotency-Key, if the client sent one
-    request_id: str
-
-    def call(self, **how):
-        """Hand the entity to the backend; ``wait=False`` asks a backend
-        that offers one for a future instead of blocking."""
-        return self.submit(
-            self.entity,
-            idempotency_key=self.key,
-            request_id=self.request_id,
-            **how,
-        )
-
-
 class Routes:
     """Method/path lookup over a table of handlers, plus the submission
     dialect; subclasses bind a backend by passing its ``submit_*``
-    callables and the rest of its table.
-
-    A transport calls :meth:`handle` and blocks.  One that can wait
-    without blocking runs the two halves of a submission itself —
-    :meth:`parse_submission`, then ``submission.call(wait=False)``, then
-    :meth:`submission_response` — and calls :meth:`record`.
-    """
-
-    #: Seconds a transport may await ``Submission.call(wait=False)``'s
-    #: future; None when the backend's submit can only block.
-    submit_timeout_s: float | None = None
+    callables and the rest of its table."""
 
     def __init__(
         self,
@@ -256,28 +226,18 @@ class Routes:
         }
         self._table = {("GET", "/metrics"): self._metrics, **table}
 
-    def record(self, start: float) -> None:
-        """Count one request that began at ``perf_counter()`` *start* —
-        from its body being read to its response being ready to write."""
-        self._requests.inc()
-        self._seconds.observe(time.perf_counter() - start)
-
     def handle(self, request: Request) -> Response:
-        """Answer *request*, blocking while the backend decides."""
+        """Answer *request*, blocking while the backend decides; counted
+        from its body being read to its response being ready to write."""
         start = time.perf_counter()
         try:
-            submission = self.parse_submission(request)
-            if submission is None:
+            target = self._submissions.get(request.path)
+            if target is None or request.method != "POST" or request.refused:
                 return self._route(request)
-            if isinstance(submission, Response):
-                return submission
-            try:
-                outcome = submission.call()
-            except Exception as error:  # mapped (or re-raised) just below
-                outcome = error
-            return self.submission_response(submission, outcome)
+            return self._submit(request, *target)
         finally:
-            self.record(start)
+            self._requests.inc()
+            self._seconds.observe(time.perf_counter() - start)
 
     def _route(self, request: Request) -> Response:
         if request.refused is not None:
@@ -307,15 +267,10 @@ class Routes:
         """The JSON body of ``GET /metrics``."""
         raise NotImplementedError
 
-    # -- the two halves of a submission -------------------------------------------
-
-    def parse_submission(self, request: Request) -> "Submission | Response | None":
-        """First half: the parsed submission, or the error response that
-        answers it; None when *request* is not a readable submission."""
-        target = self._submissions.get(request.path)
-        if target is None or request.method != "POST" or request.refused:
-            return None
-        parse, submit = target
+    def _submit(self, request: Request, parse: Callable, submit: Callable) -> Response:
+        """A ``POST /workflows`` or ``POST /jobs``: parse the entity, hand
+        it to the backend, and map the decision — or the exception the
+        backend's submit raised — to status + headers + body."""
         request_id = request.headers.get("x-request-id", "").strip()
         if not _REQUEST_ID_OK.match(request_id):
             request_id = new_request_id()
@@ -329,37 +284,32 @@ class Routes:
             return reply(
                 400, {"error": f"malformed submission: {error}"}, id_header
             )
-        key = request.headers.get("idempotency-key") or None
-        return Submission(submit, entity, key, request_id)
-
-    def submission_response(
-        self, submission: Submission, outcome: "SubmitResult | Exception"
-    ) -> Response:
-        """Second half: the backend's decision, or the exception its
-        submit raised, as status + headers + body."""
-        id_header = {"X-Request-Id": submission.request_id}
-        if isinstance(outcome, ServiceSaturatedError):
+        try:
+            result = submit(
+                entity,
+                idempotency_key=request.headers.get("idempotency-key") or None,
+                request_id=request_id,
+            )
+        except ServiceSaturatedError as error:
             # Control-path backpressure: the command queue is full.  Tell
             # the client when to come back instead of queueing it blind.
             return reply(
                 503,
-                {"error": str(outcome), "retry_after_s": outcome.retry_after_s},
-                {"Retry-After": _retry_after(outcome.retry_after_s), **id_header},
+                {"error": str(error), "retry_after_s": error.retry_after_s},
+                {"Retry-After": _retry_after(error.retry_after_s), **id_header},
             )
-        if isinstance(outcome, _TIMEOUTS):
+        except _TIMEOUTS:
             return reply(
                 504, {"error": "scheduler did not answer in time"}, id_header
             )
-        if isinstance(outcome, RuntimeError):  # service stopped
-            return reply(503, {"error": str(outcome)}, id_header)
-        if isinstance(outcome, Exception):
-            raise outcome
+        except RuntimeError as error:  # service stopped
+            return reply(503, {"error": str(error)}, id_header)
         # Echo the id the submission was actually processed under (an
         # idempotent replay answers with the original submission's id).
-        headers = {"X-Request-Id": outcome.request_id or submission.request_id}
-        if not outcome.accepted and outcome.reason in _RETRYABLE_REASONS:
+        headers = {"X-Request-Id": result.request_id or request_id}
+        if not result.accepted and result.reason in _RETRYABLE_REASONS:
             headers["Retry-After"] = _retry_after(1.0)
-        return reply(_submit_status(outcome), outcome.to_dict(), headers)
+        return reply(_submit_status(result), result.to_dict(), headers)
 
 
 class ServiceRoutes(Routes):
@@ -371,7 +321,6 @@ class ServiceRoutes(Routes):
 
     def __init__(self, service):
         self.service = service
-        self.submit_timeout_s = SUBMIT_TIMEOUT_S
         shard_post = ("migrate-out", "migrate-in", "restore", "confirm")
         table = {
             ("GET", "/status"): lambda _: reply(200, service.status().to_dict()),

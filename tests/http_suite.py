@@ -1,16 +1,14 @@
-"""The one HTTP frontend suite, run by every transport over every backend.
+"""The one HTTP frontend suite, run over every backend.
 
-Nothing here is collected directly (no ``Test`` prefix).  A test module
-binds these classes to a transport — ``tests/test_service_http.py`` to the
-threaded server, ``tests/test_service_aio.py`` to the asyncio one — by
-subclassing them together with :class:`Threaded` or :class:`Asyncio`, and
-to the router backend (two ``SchedulerService`` shards behind a
-``ShardRouter``) by adding :class:`Router`.  The classes that only need
-the submission dialect — :class:`Dialect`, :class:`Rejections`,
-:class:`RequestIds`, :class:`Idempotency`, :class:`ConnectionHandling` —
-run against both backends; :class:`ServiceViews`, :class:`Lifecycle`,
-:class:`EndToEnd` and :class:`ClientConnections` read single-service
-answers.
+Nothing here is collected directly (no ``Test`` prefix).
+``tests/test_service_http.py`` binds these classes to the single-service
+backend by subclassing them, and to the router backend (two
+``SchedulerService`` shards behind a ``ShardRouter``) by adding
+:class:`Router`.  The classes that only need the submission dialect —
+:class:`Dialect`, :class:`Rejections`, :class:`RequestIds`,
+:class:`Idempotency`, :class:`ConnectionHandling` — run against both
+backends; :class:`ServiceViews`, :class:`Lifecycle`, :class:`EndToEnd`
+and :class:`ClientConnections` read single-service answers.
 
 Each test binds an ephemeral port (port=0), drives the real socket, and
 shuts down in a fixture — no fixed ports, no leaked threads.
@@ -34,7 +32,6 @@ from repro.model.cluster import ClusterCapacity
 from repro.model.workflow import Workflow
 from repro.obs import parse_prometheus
 from repro.service import (
-    AsyncServiceHTTPServer,
     HttpServiceClient,
     SchedulerService,
     ServiceConfig,
@@ -74,10 +71,10 @@ def raw_request(url, method="GET", payload=None, headers=None):
 
 
 class Served:
-    """A backend behind a transport: ``services`` holds the one
+    """A backend behind the HTTP server: ``services`` holds the one
     ``SchedulerService``, or the router's two shards' services."""
 
-    def __init__(self, transport, backend: str, config: ServiceConfig, start=True):
+    def __init__(self, backend: str, config: ServiceConfig, start=True):
         cluster = ClusterCapacity.uniform(cpu=40, mem=80)
         if backend == "router":
             self.services = [
@@ -90,7 +87,7 @@ class Served:
             routes = ServiceRoutes(self.services[0])
         if start:
             self.start_services()
-        self.server = transport(routes).start()
+        self.server = ServiceHTTPServer(routes).start()
         self.url = self.server.url
         self.client = HttpServiceClient(self.url, timeout=30)
 
@@ -117,26 +114,17 @@ class Served:
         return self.server.routes.obs.registry.snapshot()["http.connections"]["value"]
 
 
-class Threaded:
-    transport = ServiceHTTPServer
-
-
-class Asyncio:
-    transport = AsyncServiceHTTPServer
-
-
 class Router:
     backend = "router"
 
 
 class Frontend:
-    """Fixture base; a binding supplies ``transport`` (and ``backend``)."""
+    """Fixture base; a binding may set ``backend``."""
 
-    transport = None
     backend = "service"
 
     def serve(self, config: ServiceConfig, start: bool = True) -> Served:
-        return Served(self.transport, self.backend, config, start)
+        return Served(self.backend, config, start)
 
     @pytest.fixture
     def served(self):
@@ -220,7 +208,7 @@ class ServiceViews(Frontend):
         # request itself is counted only after its snapshot is taken —
         # the submit is visible).
         assert metrics["http.requests"]["value"] >= 1.0
-        # Recorded by the service for blocking and awaiting submitters alike.
+        # Recorded by the service itself, enqueue to decision.
         assert metrics["service.submit.seconds"]["count"] == 1.0
 
     def test_metrics_json_is_strict(self, served):
@@ -454,6 +442,21 @@ class ConnectionHandling(Frontend):
         # The server itself is unharmed.
         assert raw_request(served.url + "/healthz")[0] == 200
 
+    def test_truncated_body_is_not_acted_on(self, served):
+        # The client declares more body than it sends, then closes its
+        # side: the valid JSON that did arrive must not be submitted.
+        body = json.dumps(job_to_dict(adhoc_job("a", arrival=0))).encode()
+        with socket.create_connection(served.address(), timeout=30) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(body) + 50}\r\n\r\n".encode()
+                + body
+            )
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(65536) == b""  # closed with no response
+        assert all(service.status().n_jobs == 0 for service in served.services)
+
     def test_unreadable_content_length_400_and_closed(self, served):
         conn = http.client.HTTPConnection(*served.address(), timeout=30)
         try:
@@ -474,7 +477,7 @@ class Lifecycle(Frontend):
         served.server.shutdown()
         served.server.shutdown()  # second call must be a no-op
         # The port is free again: a new server can bind it.
-        second = self.transport(ServiceRoutes(served.service), port=port).start()
+        second = ServiceHTTPServer(ServiceRoutes(served.service), port=port).start()
         try:
             status, _, _ = raw_request(second.url + "/healthz")
             assert status == 200
@@ -525,7 +528,7 @@ class ClientConnections(Frontend):
         deadline = time.monotonic() + 10
         while old._connections and time.monotonic() < deadline:
             time.sleep(0.01)
-        served.server = self.transport(old.routes, port=port).start()
+        served.server = ServiceHTTPServer(old.routes, port=port).start()
         try:
             again = client.submit_workflow(chain("w"), idempotency_key="key-1")
         finally:

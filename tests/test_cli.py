@@ -227,8 +227,8 @@ class TestErrorHandling:
 
 
 class TestServe:
-    def test_async_sharded_boots_answers_and_drains(self, tmp_path):
-        """``--async`` with ``--shards``: one route table, either transport."""
+    def test_sharded_boots_answers_and_drains(self, tmp_path):
+        """``--shards``: the router's route table behind the HTTP server."""
         import os
         import signal
         import subprocess
@@ -241,7 +241,7 @@ class TestServe:
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
-                "--async", "--shards", "2", "--journal", str(tmp_path / "wal"),
+                "--shards", "2", "--journal", str(tmp_path / "wal"),
             ],
             env={**os.environ, "PYTHONPATH": src},
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
@@ -331,7 +331,7 @@ class TestFlagSurface:
         "verify": "--cpu --mem --slot-seconds --workload",
         "report": "--out --scale --seed",
         "compare": "--algorithms --cpu --mem --trace",
-        "serve": "--async --batch-window --chaos-fault-prob --chaos-seed "
+        "serve": "--batch-window --chaos-fault-prob --chaos-seed "
         "--chaos-slow-prob --chaos-slow-s --cpu --dead-after --error-high "
         "--error-low --failover --fault-seed --host --journal --max-setback "
         "--mem --no-admission --port --probe-interval --queue-limit "

@@ -4,7 +4,7 @@
 scripted backend, so the whole status table — every rejection reason,
 every exception a submit can raise, 404/405, the body rules — is pinned
 without a server.  tests/http_suite.py runs the same dialect end to end
-over both transports and both backends.
+over both backends.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from repro.service import (
     ServiceSaturatedError,
     SubmitResult,
 )
-from repro.service.api import SUBMIT_TIMEOUT_S
-from repro.service.routes import MAX_BODY_BYTES, Submission, reply
+from repro.service.routes import MAX_BODY_BYTES, reply
 from repro.workloads.traces import job_to_dict
 from tests.conftest import adhoc_job
 
@@ -181,15 +180,6 @@ class TestSubmissionHalves:
         assert response.headers["X-Request-Id"] == "rid-9"
         assert backend.calls == []
 
-    def test_a_transport_can_run_the_halves_itself(self, routes, backend):
-        assert routes.parse_submission(request("GET", "/jobs")) is None
-        assert routes.parse_submission(request("POST", "/status", JOB)) is None
-        submission = routes.parse_submission(request("POST", "/jobs", JOB))
-        assert isinstance(submission, Submission)
-        response = routes.submission_response(submission, submission.call())
-        assert response.status == 200
-        assert routes.submit_timeout_s is None  # this backend only blocks
-
 
 class TestBodyLimit:
     @pytest.mark.parametrize(
@@ -275,16 +265,6 @@ class TestServiceRoutes:
             "ready": False, "running": False, "draining": False,
         }
         assert service_routes.handle(request("GET", "/healthz")).status == 200
-
-    def test_awaitable_submissions(self, service_routes):
-        assert service_routes.submit_timeout_s == SUBMIT_TIMEOUT_S
-        submission = service_routes.parse_submission(request("POST", "/jobs", JOB))
-        future = submission.call(wait=False)
-        service_routes.service.start()
-        response = service_routes.submission_response(
-            submission, future.result(timeout=30)
-        )
-        assert response.status == 200 and body_of(response)["reason"] == "queued"
 
     def test_shard_surface_errors(self, service_routes):
         service_routes.service.start()
