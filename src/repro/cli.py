@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import logging
 import sys
 from typing import Sequence
@@ -756,6 +757,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"slow_prob={chaos.solver_slow_prob} seed={chaos.seed}",
                 flush=True,
             )
+        # Only the import heap exists yet, and it lives as long as the process.
+        # Frozen, no collection walks it, not even at exit; later objects are.
+        gc.freeze()
         if args.shards > 1:
             return _serve_sharded(args, cluster, config, detector, supervisor)
         sink = _trace_sink(args)

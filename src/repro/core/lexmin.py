@@ -34,6 +34,7 @@ from scipy import sparse
 
 from repro.core.lp_formulation import ScheduleProblem
 from repro.lp.problem import LinearProgram, LPSolution, LPStatus
+from repro.lp.scipy_backend import Highs
 from repro.lp.solver import SolverFailure, solve_lp
 from repro.obs import current_obs
 
@@ -46,10 +47,10 @@ _FREEZE_RELAX = 1e-7  # relative slack added to frozen caps (numerical safety)
 class LexminWarmHint:
     """Seed for a warm-started lexmin solve: the previous solve's skyline.
 
-    The backend makes a fresh HiGHS per LP and keeps no basis between
-    solves: ``linprog`` exposes none, and the ``_core`` object the backend
-    drives does, but a reused basis can move an LP to another vertex, and
-    so change the plan.  The reusable artefact of a solve is therefore its
+    A ladder solves its LPs on one HiGHS, but each new model drops the
+    previous basis: the ``_core`` object the backend drives could keep it,
+    but a reused basis can move an LP to another vertex, and so change the
+    plan.  The reusable artefact of a solve is therefore its
     *level vector*: the per-cell normalised loads of the final balanced
     allocation.  When consecutive solves see near-identical job mixes, that
     skyline is already (near-)lexmin-optimal — imposing it as frozen caps
@@ -160,41 +161,6 @@ def build_round_lp(
         lb=np.zeros(n_vars + 1),
         ub=np.concatenate([problem.var_ub, [np.inf]]),
     )
-
-
-def _balancing_solve(
-    problem: ScheduleProblem,
-    frozen_value: np.ndarray,
-    caps: np.ndarray,
-    *,
-    front_load: bool,
-    solve_budget_s: float | None = None,
-):
-    """Final solve: minimise total normalised load under the frozen caps.
-
-    With time-invariant caps the total normalised load is a constant, so a
-    small *earliness* term picks the representative optimum that front-loads
-    work within the frozen skyline: the minimax value is untouched (the caps
-    bound every slot) but estimation noise and joint overload become far
-    less likely to turn into deadline misses.
-    """
-    weights = 1.0 / caps
-    c_final = np.asarray(weights @ problem.a_util).ravel()
-    if front_load:
-        horizon = max(problem.horizon, 1)
-        earliness = (problem.var_meta[:, 1] + 1.0) / horizon
-        eps = 1e-3 * max(float(np.min(c_final[c_final > 0], initial=1.0)), 1e-6)
-        c_final = c_final + eps * earliness
-    lp_final = LinearProgram(
-        c=c_final,
-        a_ub=problem.a_util,
-        b_ub=frozen_value,
-        a_eq=problem.a_eq,
-        b_eq=problem.b_eq,
-        lb=np.zeros(problem.n_vars),
-        ub=problem.var_ub,
-    )
-    return solve_lp(lp_final, tag="balance", time_budget_s=solve_budget_s)
 
 
 def _cap_at(theta: float | np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -329,14 +295,34 @@ def lexmin_schedule(
     if np.any(caps <= 0):
         raise ValueError("every utilisation cell must have positive capacity")
 
-    def balance(frozen: np.ndarray) -> LPSolution:
-        return _balancing_solve(
-            problem,
-            frozen,
-            caps,
-            front_load=front_load,
-            solve_budget_s=solve_budget_s,
+    highs = Highs()  # every LP of the ladder solves on it
+
+    def balance(frozen_value: np.ndarray) -> LPSolution:
+        """Final solve: minimise total normalised load under the frozen caps.
+
+        With time-invariant caps the total normalised load is a constant, so a
+        small *earliness* term picks the representative optimum that front-loads
+        work within the frozen skyline: the minimax value is untouched (the caps
+        bound every slot) but estimation noise and joint overload become far
+        less likely to turn into deadline misses.
+        """
+        weights = 1.0 / caps
+        c_final = np.asarray(weights @ problem.a_util).ravel()
+        if front_load:
+            horizon = max(problem.horizon, 1)
+            earliness = (problem.var_meta[:, 1] + 1.0) / horizon
+            eps = 1e-3 * max(float(np.min(c_final[c_final > 0], initial=1.0)), 1e-6)
+            c_final = c_final + eps * earliness
+        lp_final = LinearProgram(
+            c=c_final,
+            a_ub=problem.a_util,
+            b_ub=frozen_value,
+            a_eq=problem.a_eq,
+            b_eq=problem.b_eq,
+            lb=np.zeros(problem.n_vars),
+            ub=problem.var_ub,
         )
+        return solve_lp(lp_final, tag="balance", time_budget_s=solve_budget_s, highs=highs)
 
     pieces = assemble_round_pieces(problem, caps)
     active = np.arange(n_cells)
@@ -348,7 +334,7 @@ def lexmin_schedule(
         if max_rounds is not None and rounds >= max_rounds:
             break
         lp = build_round_lp(problem, active, frozen_value, caps, pieces)
-        sol = solve_lp(lp, tag="round", time_budget_s=solve_budget_s)
+        sol = solve_lp(lp, tag="round", time_budget_s=solve_budget_s, highs=highs)
         if not _answered(sol, "round"):
             return LexminResult(status="infeasible")
         x_full = sol.x

@@ -9,9 +9,9 @@ its CSC conversion (the matrix goes in row-wise, as the two CSR blocks
 already are), option validation and the result object.
 
 Only ``_core`` names that scipy's own ``_highs_wrapper.py`` uses are read.
-A fresh ``_Highs`` is made per call, because threaded shards solve
-concurrently.  ``kHighsInf`` is IEEE infinity, so infinite variable bounds
-pass as they are.
+A call solves on its caller's :class:`Highs`, never on module state, because
+threaded shards solve concurrently.  ``kHighsInf`` is IEEE infinity, so
+infinite variable bounds pass as they are.
 """
 
 from __future__ import annotations
@@ -49,6 +49,27 @@ _STATUS = {
 
 #: ``linprog``'s post-solve feasibility tolerance, ``sqrt(1e-9) * 10``.
 _FEASIBILITY_TOL = np.sqrt(1e-9) * 10
+
+
+class Highs:
+    """One HiGHS for a sequence of solves, owned by one caller on one thread.
+
+    ``passModel`` resets the basis, solution and info, so a reused instance
+    answers as a fresh one.  A solve whose ``passModel`` or ``run`` failed
+    or raised discards it."""
+
+    _core: _h._Highs | None = None
+
+    def take(self) -> _h._Highs:
+        """The instance, held by one solve until :meth:`keep` returns it."""
+        core, self._core = self._core, None
+        if core is None:
+            core = _h._Highs()
+            core.passOptions(_OPTIONS)
+        return core
+
+    def keep(self, core: _h._Highs) -> None:
+        self._core = core
 
 
 def _check_finite(problem: LinearProgram) -> None:
@@ -104,27 +125,30 @@ def _feasible(problem: LinearProgram, x: np.ndarray, row: np.ndarray, objective:
     )
 
 
-def solve(problem: LinearProgram) -> LPSolution:
-    """Solve with HiGHS dual simplex (vertex solutions, duals available)."""
+def solve(problem: LinearProgram, highs: Highs | None = None) -> LPSolution:
+    """Solve with HiGHS dual simplex (vertex solutions, duals available),
+    on *highs*'s instance or a fresh one."""
     _check_finite(problem)
-    highs = _h._Highs()
-    highs.passOptions(_OPTIONS)
+    highs = highs if highs is not None else Highs()
+    core = highs.take()
     solved = False
-    if highs.passModel(_model(problem)) == _h.HighsStatus.kError:
+    if core.passModel(_model(problem)) == _h.HighsStatus.kError:
         model_status = _h.HighsModelStatus.kModelError
     else:
-        solved = highs.run() != _h.HighsStatus.kError
-        model_status = highs.getModelStatus()
-    info = highs.getInfo()
+        solved = core.run() != _h.HighsStatus.kError
+        model_status = core.getModelStatus()
+    if solved:
+        highs.keep(core)
+    info = core.getInfo()
     iterations = info.simplex_iteration_count if solved else 0
     current_obs().histogram("lp.backend.highs.iterations").observe(iterations)
     status = _STATUS.get(model_status, LPStatus.ERROR)
-    message = highs.modelStatusToString(model_status)
+    message = core.modelStatusToString(model_status)
     if status is LPStatus.OPTIMAL and not solved:
         status = LPStatus.ERROR  # linprog: "optimal" with no solution
     if status is not LPStatus.OPTIMAL:
         return LPSolution(status=status, message=message)
-    solution = highs.getSolution()
+    solution = core.getSolution()
     x = np.array(solution.col_value)
     row = np.array(solution.row_value)
     objective = info.objective_function_value

@@ -92,12 +92,14 @@ def solve_lp(
     *,
     tag: str | None = None,
     time_budget_s: float | None = None,
+    highs: scipy_backend.Highs | None = None,
 ) -> LPSolution:
     """Solve *problem* with HiGHS: one attempt, under the guardrails above.
 
     ``tag`` attributes the solve to a caller-chosen purpose (e.g.
     ``"round"``) via an ``lp.solve.tag.<tag>`` counter.  ``time_budget_s``
-    bounds the attempt's wall time.  A fault or a blown budget raises
+    bounds the attempt's wall time.  ``highs`` is the instance to solve on,
+    a fresh one without it.  A fault or a blown budget raises
     :class:`SolverFailure`; INFEASIBLE and UNBOUNDED are returned.
     """
     obs = current_obs()
@@ -110,7 +112,7 @@ def solve_lp(
         try:
             if injector is not None:
                 injector(problem)
-            solution = scipy_backend.solve(problem)
+            solution = scipy_backend.solve(problem, highs)
         except Exception as exc:  # the solver blew up: a fault, not an answer
             error = exc
     elapsed = time.perf_counter() - start

@@ -10,8 +10,9 @@ them to resources, validates capacity, and executes.
 from __future__ import annotations
 
 import abc
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from repro.core.allocation import AllocationPlan
 from repro.model.events import Event
 from repro.model.resources import ResourceVector
 from repro.obs import current_obs
@@ -76,6 +77,37 @@ class Scheduler(abc.ABC):
         return fit_units(leftover, job.unit_demand, wanted)
 
     @staticmethod
+    def grant_planned(
+        plan: AllocationPlan, view: ClusterView, runnable: dict, grants: dict[str, int]
+    ) -> ResourceVector:
+        """Grant each of *runnable*'s deadline jobs, in id order, the units
+        *plan* holds for it at the view's slot that fit; return what is left."""
+        leftover = view.capacity_now()
+        for job_id, job in sorted(runnable.items()):
+            planned = plan.units_for(job_id, view.slot)
+            fit = fit_units(leftover, job.unit_demand, planned)
+            units = min(planned, job.believed_remaining_units, job.max_parallel, fit)
+            if units > 0:
+                grants[job_id] = units
+                leftover = leftover.saturating_sub(job.unit_demand * units)
+        return leftover
+
+    @staticmethod
+    def top_up(
+        jobs: Iterable[DeadlineJobView], leftover: ResourceVector, grants: dict[str, int]
+    ) -> ResourceVector:
+        """Grant *jobs*, in order, the further units they can run that fit
+        *leftover*; return what is left."""
+        for job in jobs:
+            already = grants.get(job.job_id, 0)
+            room = min(job.believed_remaining_units, job.max_parallel) - already
+            units = fit_units(leftover, job.unit_demand, room)
+            if units > 0:
+                grants[job.job_id] = already + units
+                leftover = leftover.saturating_sub(job.unit_demand * units)
+        return leftover
+
+    @staticmethod
     def serve_adhoc_fifo(
         view: ClusterView, leftover: ResourceVector, grants: dict[str, int]
     ) -> ResourceVector:
@@ -97,11 +129,20 @@ class Scheduler(abc.ABC):
             [job.job_id, job.unit_demand, job.pending_units - grants.get(job.job_id, 0)]
             for job in view.waiting_adhoc_jobs()
         ]
+        return Scheduler.fill_progressively(active, leftover, grants)
+
+    @staticmethod
+    def fill_progressively(
+        active: list[list], leftover: ResourceVector, grants: dict[str, int]
+    ) -> ResourceVector:
+        """Progressive filling: rounds of one task unit to each ``[job_id,
+        unit demand, room, ...]`` item of *active* with room that fits
+        *leftover*, until none does; return what is left."""
         progress = True
         while progress:
             progress = False
             for item in active:
-                job_id, demand, room = item
+                job_id, demand, room = item[:3]
                 if room <= 0:
                     continue
                 if fit_units(leftover, demand, 1):

@@ -56,10 +56,6 @@ class EdfScheduler(Scheduler):
                 job.job_id,
             ),
         )
-        for job in ordered:
-            units = self.grant_deadline_job(job, leftover)
-            if units:
-                grants[job.job_id] = units
-                leftover = leftover.saturating_sub(job.unit_demand * units)
+        leftover = self.top_up(ordered, leftover, grants)
         self.serve_adhoc_fifo(view, leftover, grants)
         return grants

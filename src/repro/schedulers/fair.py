@@ -45,18 +45,7 @@ class FairScheduler(Scheduler):
         active.sort(key=lambda item: item[0])
 
         if not self.drf:
-            progress = True
-            while progress:
-                progress = False
-                for item in active:
-                    job_id, demand, room, _share = item
-                    if room <= 0:
-                        continue
-                    if fit_units(leftover, demand, 1):
-                        grants[job_id] = grants.get(job_id, 0) + 1
-                        item[2] -= 1
-                        leftover = leftover.saturating_sub(demand)
-                        progress = True
+            self.fill_progressively(active, leftover, grants)
             return grants
 
         # DRF progressive filling: serve the job with the smallest granted

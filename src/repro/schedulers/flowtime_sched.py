@@ -41,7 +41,7 @@ from repro.lp.solver import SolverFailure
 from repro.model.events import Event, EventKind
 from repro.obs import current_obs
 from repro.schedulers.base import Assignment, Scheduler
-from repro.simulator.view import ClusterView, fit_units
+from repro.simulator.view import ClusterView
 
 
 class FlowTimeScheduler(Scheduler):
@@ -209,43 +209,24 @@ class FlowTimeScheduler(Scheduler):
         if degraded:
             current_obs().counter("sched.degraded.slots").inc()
 
-        leftover = view.capacity_now()
         grants: dict[str, int] = {}
-        for job_id, job in sorted(runnable.items()):
-            planned = plan.units_for(job_id, view.slot)
-            units = min(
-                planned,
-                job.believed_remaining_units,
-                job.max_parallel,
-                fit_units(leftover, job.unit_demand, planned),
-            )
-            if units > 0:
-                grants[job_id] = units
-                leftover = leftover.saturating_sub(job.unit_demand * units)
+        leftover = self.grant_planned(plan, view, runnable, grants)
+        ordered = sorted(
+            runnable.values(),
+            key=lambda j: (
+                self._windows[j.job_id].deadline_slot
+                if j.job_id in self._windows
+                else view.slot,
+                j.job_id,
+            ),
+        )
 
         if degraded:
             # EDF greedy for the current slot: the stale plan may not cover
             # this slot at all (new arrivals, horizon run-out), so deadline
             # work is topped up by urgency *before* ad-hoc jobs — in a
             # fault, meeting deadlines outranks ad-hoc turnaround.
-            ordered = sorted(
-                runnable.values(),
-                key=lambda j: (
-                    self._windows[j.job_id].deadline_slot
-                    if j.job_id in self._windows
-                    else view.slot,
-                    j.job_id,
-                ),
-            )
-            for job in ordered:
-                already = grants.get(job.job_id, 0)
-                room = (
-                    min(job.believed_remaining_units, job.max_parallel) - already
-                )
-                units = fit_units(leftover, job.unit_demand, room)
-                if units > 0:
-                    grants[job.job_id] = already + units
-                    leftover = leftover.saturating_sub(job.unit_demand * units)
+            leftover = self.top_up(ordered, leftover, grants)
 
         # Everything the flattened deadline skyline does not use goes to
         # ad-hoc jobs *now* — this is how FlowTime wins Fig. 4(c).  The
@@ -253,20 +234,5 @@ class FlowTimeScheduler(Scheduler):
         leftover = self.serve_adhoc(self.adhoc_policy, view, leftover, grants)
 
         if self.work_conserving and not leftover.is_zero():
-            ordered = sorted(
-                runnable.values(),
-                key=lambda j: (
-                    self._windows[j.job_id].deadline_slot
-                    if j.job_id in self._windows
-                    else view.slot,
-                    j.job_id,
-                ),
-            )
-            for job in ordered:
-                already = grants.get(job.job_id, 0)
-                room = min(job.believed_remaining_units, job.max_parallel) - already
-                units = fit_units(leftover, job.unit_demand, room)
-                if units > 0:
-                    grants[job.job_id] = already + units
-                    leftover = leftover.saturating_sub(job.unit_demand * units)
+            self.top_up(ordered, leftover, grants)
         return grants

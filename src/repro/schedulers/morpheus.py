@@ -31,7 +31,7 @@ from repro.estimation.history import RunHistory, local_job_id
 from repro.model.events import Event, EventKind
 from repro.model.resources import ResourceVector
 from repro.schedulers.base import Assignment, Scheduler
-from repro.simulator.view import ClusterView, fit_units
+from repro.simulator.view import ClusterView
 
 
 class MorpheusScheduler(Scheduler):
@@ -209,35 +209,19 @@ class MorpheusScheduler(Scheduler):
             plan = self._plan = self._build_reservation(view)
             self._needs_replan = False
 
-        leftover = view.capacity_now()
         grants: dict[str, int] = {}
         runnable = {j.job_id: j for j in view.runnable_deadline_jobs()}
-        for job_id, job in sorted(runnable.items()):
-            planned = plan.units_for(job_id, view.slot)
-            units = min(
-                planned,
-                job.believed_remaining_units,
-                job.max_parallel,
-                fit_units(leftover, job.unit_demand, planned),
-            )
-            if units > 0:
-                grants[job_id] = units
-                leftover = leftover.saturating_sub(job.unit_demand * units)
+        leftover = self.grant_planned(plan, view, runnable, grants)
 
         leftover = self.serve_adhoc(self.adhoc_policy, view, leftover, grants)
 
         if self.work_conserving and not leftover.is_zero():
-            for job in sorted(
+            ordered = sorted(
                 runnable.values(),
                 key=lambda j: self._windows.get(
                     j.job_id,
                     JobWindow(j.job_id, 0, view.slot + 1),
                 ).deadline_slot,
-            ):
-                already = grants.get(job.job_id, 0)
-                room = min(job.believed_remaining_units, job.max_parallel) - already
-                units = fit_units(leftover, job.unit_demand, room)
-                if units > 0:
-                    grants[job.job_id] = already + units
-                    leftover = leftover.saturating_sub(job.unit_demand * units)
+            )
+            self.top_up(ordered, leftover, grants)
         return grants

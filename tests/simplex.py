@@ -95,8 +95,10 @@ class _Tableau:
         self.pivots += 1
 
 
-def solve(problem: LinearProgram) -> LPSolution:
-    """Two-phase simplex solve of *problem*; returns a vertex solution."""
+def solve(problem: LinearProgram, highs: object = None) -> LPSolution:
+    """Two-phase simplex solve of *problem*; returns a vertex solution.
+
+    *highs* is ``scipy_backend.solve``'s instance to reuse, ignored here."""
     n = problem.n_variables
     lb = problem.lb.copy()
     ub = problem.ub.copy()

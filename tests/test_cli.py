@@ -227,6 +227,60 @@ class TestErrorHandling:
 
 
 class TestServe:
+    def test_single_service_drains_on_sigterm(self, tmp_path):
+        """One service in a subprocess: SIGTERM drains it, the process
+        exits 0 after the summary, and its trace and journal hold up."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from repro.model.workflow import Workflow
+        from repro.service import HttpServiceClient
+        from repro.service.journal import read_journal
+        from repro.verify.trace_check import validate_trace
+        from tests.conftest import adhoc_job, deadline_job
+
+        jobs = [deadline_job(f"w-j{i}", "w") for i in range(2)]
+        workflow = Workflow.from_jobs("w", jobs, [("w-j0", "w-j1")], 0, 60)
+        journal, trace = tmp_path / "wal", tmp_path / "run.jsonl"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--journal", str(journal), "--trace-out", str(trace),
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        try:
+            banner = process.stdout.readline()
+            url = re.search(r"serving FlowTime on (http://\S+)", banner)
+            assert url, banner
+            client = HttpServiceClient(url.group(1))
+            try:
+                assert client.submit_workflow(workflow).accepted
+                assert client.submit_adhoc(adhoc_job("t/a", arrival=0)).accepted
+            finally:
+                client.close()
+            process.send_signal(signal.SIGTERM)
+            summary, _ = process.communicate(timeout=60)
+        finally:
+            process.kill()
+        assert process.returncode == 0, summary
+        assert re.search(r"drained after \d+ slots \(finished=True\)", summary), summary
+        assert "workflows: 1 accepted, 0 rejected, 0 missed deadline" in summary
+        assert "ad-hoc:    1 accepted, 0 shed" in summary
+        assert re.search(rf"trace:     wrote \d+ events to {re.escape(str(trace))}", summary)
+        report = validate_trace(read_trace(trace))
+        assert report.ok, report.render()
+        records, _ = read_journal(journal)
+        ids = {
+            r.entity.workflow_id if r.kind == "workflow" else r.entity.job_id
+            for r in records
+        }
+        assert ids == {"w", "t/a"}
+
     def test_sharded_boots_answers_and_drains(self, tmp_path):
         """``--shards``: the router's route table behind the HTTP server."""
         import os

@@ -4,19 +4,29 @@
 directly instead of going through ``linprog``.  ``linprog`` stays here as
 its oracle: on every LP of a small seeded FlowTime run, and on hand-built
 edge cases, the two must agree bit for bit on status, ``x``, both dual
-vectors and the objective.
+vectors and the objective — also when one reused
+:class:`~repro.lp.scipy_backend.Highs` solves them all, and when lexmin
+ladders, each on its own instance, run on many threads at once.
 """
 
 from __future__ import annotations
+
+import os
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from repro.core.lexmin import lexmin_schedule
+from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.lp import LinearProgram, LPStatus, SolverFailure, solve_lp
 from repro.lp import scipy_backend
 from repro.model import ClusterCapacity
+from repro.model.resources import CPU, MEM, ResourceVector
 from repro.schedulers import make_scheduler
 from repro.simulator.engine import Simulation
 from repro.workloads.traces import generate_trace
@@ -48,9 +58,9 @@ def oracle(problem: LinearProgram):
     return status, res.x, duals_ub, duals_eq, float(res.fun)
 
 
-def assert_same(problem: LinearProgram) -> LPStatus:
+def assert_same(problem: LinearProgram, highs: scipy_backend.Highs | None = None) -> LPStatus:
     expected = oracle(problem)
-    got = scipy_backend.solve(problem)
+    got = scipy_backend.solve(problem, highs)
     status, x, duals_ub, duals_eq, objective = expected
     assert got.status is status
     for want, have in ((x, got.x), (duals_ub, got.duals_ub), (duals_eq, got.duals_eq)):
@@ -68,9 +78,9 @@ def flowtime_lps() -> list[LinearProgram]:
     captured: list[LinearProgram] = []
     solve = scipy_backend.solve
 
-    def capture(problem):
+    def capture(problem, highs=None):
         captured.append(problem)
-        return solve(problem)
+        return solve(problem, highs)
 
     capacity = ClusterCapacity.uniform(cpu=32, mem=64)
     trace = generate_trace(
@@ -195,3 +205,109 @@ class TestInputChecks:
             solve_lp(lp)
         assert excinfo.value.reason == "error"
         assert isinstance(excinfo.value.__cause__, ValueError)
+
+
+class TestReusedInstance:
+    """One :class:`~repro.lp.scipy_backend.Highs` for many solves answers
+    as a fresh instance per solve, which is what ``linprog`` builds."""
+
+    INFEASIBLE = LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
+    NON_FINITE = LinearProgram(c=[np.nan, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0])
+
+    def test_shuffled_lps_on_one_instance_match_linprog(self, flowtime_lps):
+        order = list(flowtime_lps)
+        random.Random(7).shuffle(order)
+        highs = scipy_backend.Highs()
+        statuses = []
+        for index, problem in enumerate(order):
+            if index % 5 == 2:
+                assert assert_same(self.INFEASIBLE, highs) is LPStatus.INFEASIBLE
+            if index % 7 == 3:
+                with pytest.raises(ValueError):
+                    scipy_backend.solve(self.NON_FINITE, highs)
+            statuses.append(assert_same(problem, highs))
+        assert LPStatus.OPTIMAL in statuses
+
+    def test_a_solve_that_raises_discards_the_instance(self, monkeypatch):
+        lp = LinearProgram(c=[1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0])
+        highs = scipy_backend.Highs()
+        assert scipy_backend.solve(lp, highs).is_optimal
+        used = highs.take()
+        highs.keep(used)
+
+        def broken_model(problem):
+            raise RuntimeError("broken")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy_backend, "_model", broken_model)
+            with pytest.raises(RuntimeError):
+                scipy_backend.solve(lp, highs)
+        assert highs.take() is not used
+        assert assert_same(lp, highs) is LPStatus.OPTIMAL
+
+
+def _ladder_problems(count: int, seed: int) -> list:
+    """Seeded schedule problems with staggered windows: several lexmin
+    rounds each, so every ladder reuses its instance."""
+    rng = random.Random(seed)
+    problems = []
+    for _ in range(count):
+        horizon = rng.randint(6, 12)
+        entries = []
+        for index in range(rng.randint(3, 6)):
+            release = rng.randint(0, horizon - 2)
+            entries.append(
+                ScheduleEntry(
+                    job_id=f"j{index}",
+                    release=release,
+                    deadline=rng.randint(release + 1, horizon),
+                    units=rng.randint(1, 12),
+                    unit_demand=ResourceVector({CPU: rng.randint(1, 3), MEM: rng.randint(1, 6)}),
+                    max_parallel=rng.randint(2, 8),
+                )
+            )
+        caps = np.column_stack([np.full(horizon, 16.0), np.full(horizon, 40.0)])
+        problems.append(build_schedule_problem(entries, caps, (CPU, MEM)))
+    return problems
+
+
+def _outcome(result) -> tuple:
+    x = None if result.x is None else result.x.tobytes()
+    return result.status, x, result.thetas, result.rounds
+
+
+def test_concurrent_ladders_answer_as_sequential_ones():
+    """More threads than cores, each running every ladder on its own
+    instances, with a short switch interval: each result is the sequential
+    one, bit for bit."""
+    problems = _ladder_problems(12, seed=3)
+    expected = [_outcome(lexmin_schedule(problem)) for problem in problems]
+    assert any(rounds > 1 for *_, rounds in expected)
+    n_threads = (os.cpu_count() or 1) + 2
+    mismatches: list = []
+    errors: list = []
+
+    def work(seed: int) -> None:
+        try:
+            order = list(range(len(problems)))
+            random.Random(seed).shuffle(order)
+            for index in order * 2:
+                got = _outcome(lexmin_schedule(problems[index]))
+                if got != expected[index]:
+                    mismatches.append(index)
+        except Exception as error:  # reported by the assertion below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert mismatches == []

@@ -48,7 +48,7 @@ class TestOneAttempt:
             raise RuntimeError("injected")
 
         monkeypatch.setattr(
-            scipy_backend, "solve", lambda problem: solver_runs.append(problem)
+            scipy_backend, "solve", lambda problem, highs=None: solver_runs.append(problem)
         )
         install_fault_injector(always_fail)
         obs = Observability()
@@ -79,7 +79,9 @@ class TestOneAttempt:
         monkeypatch.setattr(
             scipy_backend,
             "solve",
-            lambda problem: LPSolution(status=LPStatus.ERROR, message="synthetic"),
+            lambda problem, highs=None: LPSolution(
+                status=LPStatus.ERROR, message="synthetic"
+            ),
         )
         obs = Observability()
         with use_obs(obs), pytest.raises(SolverFailure, match="synthetic") as excinfo:

@@ -1,8 +1,12 @@
-"""Unit tests for ResourceVector."""
+"""Unit tests for ResourceVector, and its agreement with the reference
+implementation in ``tests/resources_reference.py``."""
+
+import random
 
 import pytest
 
 from repro.model.resources import CPU, MEM, ResourceVector
+from tests import resources_reference as reference
 
 
 class TestConstruction:
@@ -52,6 +56,14 @@ class TestEquality:
     def test_repr_is_stable(self):
         assert repr(ResourceVector(mem=2, cpu=1)) == "ResourceVector(cpu=1, mem=2)"
 
+    @pytest.mark.parametrize(
+        "other",
+        [{"cpu": -1}, {"cpu": 1.5}, {"cpu": "one"}, {"cpu": None}, {"cpu": float("inf")}],
+    )
+    def test_unequal_to_a_mapping_that_is_no_vector(self, other):
+        assert not ResourceVector(cpu=1) == other
+        assert ResourceVector(cpu=1) != other
+
 
 class TestArithmetic:
     def test_add_unions_resources(self):
@@ -76,10 +88,6 @@ class TestArithmetic:
     def test_multiply_requires_int(self):
         with pytest.raises(TypeError):
             ResourceVector(cpu=2) * 1.5
-
-    def test_elementwise_min(self):
-        out = ResourceVector(cpu=3, mem=1).elementwise_min(ResourceVector(cpu=1, mem=5))
-        assert out == ResourceVector(cpu=1, mem=1)
 
     def test_sum(self):
         vecs = [ResourceVector(cpu=1), ResourceVector(mem=2), ResourceVector(cpu=3)]
@@ -120,3 +128,88 @@ class TestDerived:
 
     def test_dominant_share_empty_is_zero(self):
         assert ResourceVector().dominant_share(ResourceVector(cpu=1)) == 0.0
+
+
+def _outcome(call):
+    """``("ok", value)`` or ``("raises", exception type)``; vectors of
+    either implementation compare by their sorted pairs."""
+    try:
+        value = call()
+    except Exception as error:  # the type is what is compared
+        return "raises", type(error)
+    if isinstance(value, (ResourceVector, reference.ResourceVector)):
+        return "vector", tuple(value.items()), hash(value), repr(value)
+    return "ok", value
+
+
+class TestAgainstReference:
+    """Random vectors through every public operation: the rewrite answers
+    exactly as the ``Mapping``-view implementation it replaced."""
+
+    NAMES = ("cpu", "gpu", "mem")
+
+    def _amounts(self, rng: random.Random) -> dict:
+        # Zeros and missing names on purpose; amounts stay small so that
+        # differences go negative and capacities run out.
+        return {
+            name: rng.choice([0, 0, 1, 2, 3, 5, 8])
+            for name in self.NAMES
+            if rng.random() < 0.7
+        }
+
+    def _pairs(self, rng):
+        """(new, reference, operand for new, operand for reference): an
+        operand is a vector of the same implementation or a plain dict."""
+        mine, theirs = self._amounts(rng), self._amounts(rng)
+        new, ref = ResourceVector(mine), reference.ResourceVector(mine)
+        if rng.random() < 0.5:
+            return new, ref, dict(theirs), dict(theirs)
+        return new, ref, ResourceVector(theirs), reference.ResourceVector(theirs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_operation_matches(self, seed):
+        rng = random.Random(seed)
+        operations = {
+            "add": lambda v, o: v + o,
+            "sub": lambda v, o: v - o,
+            "saturating_sub": lambda v, o: v.saturating_sub(o),
+            "fits_in": lambda v, o: v.fits_in(o),
+            "units_fitting": lambda v, o: v.units_fitting(o),
+            "dominant_share": lambda v, o: v.dominant_share(o),
+            "eq": lambda v, o: v == o,
+            "ne": lambda v, o: v != o,
+            "mul": lambda v, o: v * len(o),
+            "rmul": lambda v, o: (len(o) - 1) * v,
+            "mul_float": lambda v, o: v * 1.5,
+            "copy": lambda v, o: type(v)(v),
+            "kwargs": lambda v, o: type(v)(v, gpu=1),
+            "sum": lambda v, o: type(v).sum([v, v, type(v)(o)]),
+        }
+        lookups = {
+            "getitem": lambda v, n: v[n],
+            "get": lambda v, n: v.get(n, -1),
+            "contains": lambda v, n: n in v,
+        }
+        views = {
+            "items": lambda v: list(v.items()),
+            "keys": lambda v: list(v.keys()),
+            "values": lambda v: list(v.values()),
+            "iter": lambda v: list(v),
+            "len": len,
+            "bool": bool,
+            "is_zero": lambda v: v.is_zero(),
+            "repr": repr,
+            "hash": hash,
+            "dict": dict,
+        }
+        for _ in range(300):
+            new, ref, new_other, ref_other = self._pairs(rng)
+            for name, op in operations.items():
+                assert _outcome(lambda: op(new, new_other)) == _outcome(
+                    lambda: op(ref, ref_other)
+                ), name
+            for name, op in lookups.items():
+                for key in (*self.NAMES, "disk"):
+                    assert op(new, key) == op(ref, key), name
+            for name, op in views.items():
+                assert op(new) == op(ref), name
