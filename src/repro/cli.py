@@ -550,14 +550,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.verify import ScheduleValidator
 
         windows = canonical_windows(trace, cluster)
-        validator = ScheduleValidator(
-            cluster,
-            workflows=trace.workflows,
-            jobs=trace.adhoc_jobs,
-            windows=windows,
-            allow_setbacks=failures is not None,
-        )
-        validator.check_windows(result, report)
+        validator = ScheduleValidator.of_trace(trace, cluster, windows)
+        validator.check_windows(report)
         validator.check_reported(result, summarize(result, windows), report)
         if not report.ok:
             print(report.render(), file=sys.stderr)

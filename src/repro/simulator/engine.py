@@ -154,21 +154,14 @@ class Simulation:
         """
         from repro.verify import ScheduleValidator
 
-        report = (
-            core.verifier.report
-            if core.verifier is not None
-            else None
-        )
         validator = ScheduleValidator(
             self.cluster,
             workflows=core.workflows.values(),
             jobs=[run.job for run in core.job_runs()],
             allow_setbacks=self.config.failures is not None,
         )
-        full = validator.validate(result)
-        if report is not None:
-            report.merge(full)
-        else:
-            report = full
+        report = validator.validate(result)
+        if core.verifier is not None:
+            report = core.verifier.report.merge(report)
         report.raise_if_violations()
         return report

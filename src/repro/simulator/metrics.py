@@ -46,12 +46,15 @@ def adhoc_turnaround_seconds(result: SimulationResult) -> float:
     Turnaround = completion time - submission time.  Jobs that never
     finished (simulation truncated) count with the simulation end as their
     completion, which under-reports — callers should check
-    ``result.finished``.  With no ad-hoc jobs in the workload the metric
-    is undefined and NaN is returned (0.0 would read as "perfect
-    turnaround" in reports); renderers print it as ``n/a``.
+    ``result.finished``; jobs the run ended before they arrived do not
+    count.  With no ad-hoc jobs in the run the metric is undefined and
+    NaN is returned (0.0 would read as "perfect turnaround" in reports);
+    renderers print it as ``n/a``.
     """
     turnarounds = []
     for record in result.jobs_of_kind(JobKind.ADHOC):
+        if record.arrival_slot >= result.n_slots:
+            continue
         if record.completion_slot is not None:
             slots = record.turnaround_slots()
         else:

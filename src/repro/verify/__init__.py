@@ -1,9 +1,11 @@
 """Independent verification subsystem (docs/VERIFICATION.md).
 
 Re-derives scheduler correctness from raw outputs with no code shared with
-the planner: an independent :class:`ScheduleValidator` over simulation
-results, trace-only validation and metric recomputation over JSONL event
-streams, a brute-force differential oracle for tiny instances
+the planner: one checker whose invariants and metric recomputation are
+written once over a :class:`TraceIndex`, with two fronts —
+:meth:`ScheduleValidator.validate` over simulation results and
+:func:`validate_trace` / :func:`recompute_trace_metrics` over JSONL event
+streams — a brute-force differential oracle for tiny instances
 (:mod:`repro.verify.oracle`), a seeded fuzz harness driving the batch,
 re-planning, degraded, and journal-replay paths
 (:mod:`repro.verify.fuzz`), the golden-trace corpus tooling
@@ -12,17 +14,15 @@ sharded deployments (:mod:`repro.verify.cross_shard`).
 """
 
 from repro.verify.cross_shard import check_cross_shard_conservation
-from repro.verify.trace_check import (
-    TraceIndex,
-    recompute_trace_metrics,
-    validate_trace,
-)
 from repro.verify.validator import (
     RuntimeVerifier,
     ScheduleValidator,
+    TraceIndex,
     VerificationError,
     VerificationReport,
     Violation,
+    recompute_trace_metrics,
+    validate_trace,
 )
 
 __all__ = [

@@ -13,7 +13,10 @@ DAGs, ad-hoc stream) and pushes it through one production path —
 
 Every result is checked by the independent :class:`~repro.verify.
 ScheduleValidator` (capacity, precedence, conservation, windows) and its
-reported metrics are recomputed from the records (``check_reported``).
+reported metrics are recomputed from the records (``check_reported``);
+the batch paths also record the run's event trace, check it with
+:func:`~repro.verify.validate_trace`, and require the metrics recomputed
+from it to equal those recomputed from the result.
 A failing case is *shrunk* — workflows and ad-hoc jobs are dropped while
 the failure reproduces — and persisted as a self-contained JSON repro
 (wire-format workload + capacity + violations) for the seed corpus.
@@ -137,39 +140,52 @@ def make_workload(seed: int) -> tuple[SyntheticTrace, ClusterCapacity]:
 # -- one case -----------------------------------------------------------------------
 
 
-def _validate_outcome(trace, capacity, result) -> list[str]:
-    """Independent validation of one run's result; violation strings."""
+def _validate_outcome(trace, capacity, result, events=None) -> list[str]:
+    """Independent validation of one run's result and, when recorded, of
+    its event trace too; violation strings."""
     from repro.analysis.experiments import canonical_windows
     from repro.simulator.metrics import summarize
-    from repro.verify import ScheduleValidator
+    from repro.verify import ScheduleValidator, TraceIndex, validate_trace
+    from repro.verify.validator import METRIC_KEYS, recompute_trace_metrics
 
     windows = canonical_windows(trace, capacity)
-    jobs = [job for wf in trace.workflows for job in wf.jobs] + list(
-        trace.adhoc_jobs
-    )
-    validator = ScheduleValidator(
-        capacity, workflows=trace.workflows, jobs=jobs, windows=windows
-    )
+    validator = ScheduleValidator.of_trace(trace, capacity, windows)
+    index = TraceIndex.of_result(result)
     report = validator.validate(result)
-    validator.check_reported(result, summarize(result, windows), report)
-    return [str(v) for v in report.violations]
+    validator.check_reported(index, summarize(result, windows), report)
+    violations = [str(v) for v in report.violations]
+    if events is not None:
+        report = validate_trace(events, trace=trace, capacity=capacity, windows=windows)
+        violations += [f"trace: {v}" for v in report.violations]
+        ours = validator.recompute_metrics(index)
+        theirs = recompute_trace_metrics(events, trace=trace, windows=windows)
+        violations += [
+            f"fronts disagree on {key}: result {ours[key]!r}, trace {theirs[key]!r}"
+            for key in METRIC_KEYS
+            if ours[key] != theirs[key]
+        ]
+    return violations
 
 
 def _run_batch(trace, capacity, seed: int, *, replan: bool) -> list[str]:
     from repro.analysis.experiments import run_one
+    from repro.obs import Observability
+    from repro.obs.trace import MemorySink
     from repro.simulator.engine import SimulationConfig
 
     kwargs = (
         {"planner": {"plan_cache": True, "warm_start": True}} if replan else None
     )
+    sink = MemorySink()
     outcome = run_one(
         "FlowTime",
         trace,
         capacity,
         config=SimulationConfig(record_execution=True),
         scheduler_kwargs=kwargs,
+        obs=Observability(sink=sink),
     )
-    return _validate_outcome(trace, capacity, outcome.result)
+    return _validate_outcome(trace, capacity, outcome.result, sink.events)
 
 
 def _run_degraded(trace, capacity, seed: int) -> list[str]:

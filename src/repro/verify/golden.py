@@ -192,11 +192,7 @@ def run_golden(case: GoldenCase) -> tuple[list[dict], dict]:
         obs=Observability(sink=sink),
     )
     windows = canonical_windows(trace, capacity)
-    jobs = [job for wf in trace.workflows for job in wf.jobs]
-    jobs += list(trace.adhoc_jobs)
-    validator = ScheduleValidator(
-        capacity, workflows=trace.workflows, jobs=jobs, windows=windows
-    )
+    validator = ScheduleValidator.of_trace(trace, capacity, windows)
     report = validator.validate(outcome.result)
     summary = summarize(outcome.result, windows)
     validator.check_reported(outcome.result, summary, report)

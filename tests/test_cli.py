@@ -238,7 +238,7 @@ class TestServe:
         from repro.model.workflow import Workflow
         from repro.service import HttpServiceClient
         from repro.service.journal import read_journal
-        from repro.verify.trace_check import validate_trace
+        from repro.verify import validate_trace
         from tests.conftest import adhoc_job, deadline_job
 
         jobs = [deadline_job(f"w-j{i}", "w") for i in range(2)]

@@ -23,15 +23,18 @@ from repro.model.resources import CPU, MEM, ResourceVector
 from repro.model.workflow import Workflow
 from repro.obs import Observability
 from repro.obs.trace import MemorySink
+from repro.service import ServiceConfig, ServiceState
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.failures import FailureModel
 from repro.simulator.metrics import summarize
 from repro.verify import (
     ScheduleValidator,
+    TraceIndex,
     VerificationError,
     recompute_trace_metrics,
     validate_trace,
 )
+from repro.verify.validator import METRIC_KEYS
 from repro.workloads.traces import SyntheticTrace, generate_trace
 from tests.conftest import adhoc_job, deadline_job
 
@@ -59,24 +62,53 @@ EDGES = [
 
 
 @pytest.fixture(scope="module")
-def good_run():
-    """One known-good verified run, shared (copied) by the mutation tests."""
+def good_recorded():
+    """One known-good run with its result and its event trace."""
     capacity = ClusterCapacity.uniform(cpu=16, mem=32)
     workflow = diamond()
     adhoc = [adhoc_job("a0", arrival=0), adhoc_job("a1", arrival=3)]
     trace = SyntheticTrace(workflows=(workflow,), adhoc_jobs=tuple(adhoc))
+    sink = MemorySink()
     outcome = run_one(
         "FlowTime",
         trace,
         capacity,
         config=SimulationConfig(record_execution=True),
+        obs=Observability(sink=sink),
     )
     windows = canonical_windows(trace, capacity)
     jobs = list(workflow.jobs) + adhoc
     validator = ScheduleValidator(
         capacity, workflows=(workflow,), jobs=jobs, windows=windows
     )
-    return validator, outcome.result, windows
+    return validator, outcome.result, windows, trace, sink.events
+
+
+@pytest.fixture(scope="module")
+def good_run(good_recorded):
+    """One known-good verified run, shared (copied) by the mutation tests."""
+    validator, result, windows, _, _ = good_recorded
+    return validator, result, windows
+
+
+@pytest.fixture(scope="module")
+def good_trace(good_recorded):
+    """The same run's events and a function that validates a copy of them."""
+    validator, _, windows, trace, events = good_recorded
+
+    def check(mutated):
+        return validate_trace(
+            mutated, trace=trace, capacity=validator.cluster, windows=windows
+        )
+
+    return events, check
+
+
+def _events_of(events, kind):
+    return [event for event in events if event["type"] == kind]
+
+
+FRONTS = ("result", "trace")
 
 
 class TestKnownGoodNeverFlagged:
@@ -93,12 +125,34 @@ class TestKnownGoodNeverFlagged:
 
 
 class TestMutationsAlwaysFlagged:
-    """Hypothesis: every mutation of a good schedule trips the validator."""
+    """Hypothesis: every mutation of a good schedule trips the validator,
+    on both fronts: the result and the run's event trace."""
 
+    @pytest.mark.parametrize("front", FRONTS)
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
-    def test_capacity_bump_is_flagged(self, good_run, data):
+    def test_capacity_bump_is_flagged(self, good_run, good_trace, front, data):
         validator, result, _ = good_run
+        if front == "trace":
+            events, check = good_trace
+            mutated = [dict(event) for event in events]
+            placements = _events_of(mutated, "task_placement")
+            bumped = data.draw(st.sampled_from(placements), label="placement")
+            slot = bumped["slot"]
+            demand = validator.jobs[bumped["job_id"]].execution_tasks.demand
+            name = data.draw(st.sampled_from(sorted(demand.keys())), label="r")
+            excess = data.draw(st.integers(1, 10), label="excess")
+            placed = sum(
+                validator.jobs[e["job_id"]].execution_tasks.demand.get(name, 0)
+                * e["units"]
+                for e in placements
+                if e["slot"] == slot
+            )
+            room = validator.cluster.at(slot)[name] - placed
+            bumped["units"] += room // demand[name] + excess
+            report = check(mutated)
+            assert any(v.check == "capacity.placed" for v in report.violations)
+            return
         mutated = copy.deepcopy(result)
         slot = data.draw(st.integers(0, mutated.n_slots - 1), label="slot")
         r = data.draw(st.integers(0, len(mutated.resources) - 1), label="r")
@@ -109,11 +163,23 @@ class TestMutationsAlwaysFlagged:
         assert not report.ok
         assert any(v.check == "capacity.used" for v in report.violations)
 
+    @pytest.mark.parametrize("front", FRONTS)
     @settings(deadline=None, max_examples=20)
     @given(edge=st.sampled_from(EDGES))
-    def test_swapped_precedence_is_flagged(self, good_run, edge):
+    def test_swapped_precedence_is_flagged(self, good_run, good_trace, front, edge):
         validator, result, _ = good_run
         parent_id, child_id = edge
+        if front == "trace":
+            events, check = good_trace
+            mutated = [dict(event) for event in events]
+            done = {e["job_id"]: e for e in _events_of(mutated, "job_completed")}
+            parent, child = done[parent_id], done[child_id]
+            parent["slot"], child["slot"] = child["slot"], parent["slot"]
+            report = check(mutated)
+            assert any(
+                v.check.startswith("precedence.") for v in report.violations
+            )
+            return
         mutated = copy.deepcopy(result)
         jobs = dict(mutated.jobs)
         parent, child = jobs[parent_id], jobs[child_id]
@@ -130,10 +196,28 @@ class TestMutationsAlwaysFlagged:
             v.check.startswith("precedence.") for v in report.violations
         )
 
+    @pytest.mark.parametrize("front", FRONTS)
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
-    def test_shifted_execution_slot_is_flagged(self, good_run, data):
+    def test_shifted_execution_slot_is_flagged(
+        self, good_run, good_trace, front, data
+    ):
         validator, result, _ = good_run
+        if front == "trace":
+            events, check = good_trace
+            mutated = [dict(event) for event in events]
+            (run_end,) = _events_of(mutated, "run_end")
+            shifted = data.draw(
+                st.sampled_from(_events_of(mutated, "task_placement")),
+                label="placement",
+            )
+            direction = data.draw(st.sampled_from([-1, 1]), label="direction")
+            target = shifted["slot"] + direction
+            if not 0 <= target < run_end["n_slots"]:
+                target = shifted["slot"] - direction
+            shifted["slot"] = target
+            assert not check(mutated).ok
+            return
         mutated = copy.deepcopy(result)
         executed_slots = [
             (slot, job_id)
@@ -271,27 +355,43 @@ def _example_workloads():
         scientific=True,
         seed=15,
     )
+    # Cut off at slot 12, before one workflow (start 20) and one ad-hoc
+    # job (slot 25) arrive: the fronts and summarize must still agree.
+    late = diamond("late", deadline=60)
+    truncated = SyntheticTrace(
+        workflows=(
+            diamond(),
+            Workflow.from_jobs("late", late.jobs, late.edges, 20, 60),
+        ),
+        adhoc_jobs=(adhoc_job("a0", arrival=0), adhoc_job("a1", arrival=25)),
+    )
     return [
-        pytest.param(quickstart, quickstart_cap, id="quickstart"),
-        pytest.param(mixed, mixed_cap, id="mixed_cluster"),
-        pytest.param(online, mixed_cap, id="online_service"),
-        pytest.param(scientific, mixed_cap, id="scientific"),
+        pytest.param(quickstart, quickstart_cap, None, id="quickstart"),
+        pytest.param(mixed, mixed_cap, None, id="mixed_cluster"),
+        pytest.param(online, mixed_cap, None, id="online_service"),
+        pytest.param(scientific, mixed_cap, None, id="scientific"),
+        pytest.param(
+            truncated, ClusterCapacity.uniform(cpu=16, mem=32), 12,
+            id="truncated",
+        ),
     ]
 
 
 class TestExampleWorkloadRegression:
     """Reported metrics == trace-recomputed metrics on the example shapes."""
 
-    @pytest.mark.parametrize("trace,capacity", _example_workloads())
-    def test_reported_equals_recomputed(self, trace, capacity):
+    @pytest.mark.parametrize("trace,capacity,max_slots", _example_workloads())
+    def test_reported_equals_recomputed(self, trace, capacity, max_slots):
         sink = MemorySink()
+        limit = {} if max_slots is None else {"max_slots": max_slots}
         outcome = run_one(
             "FlowTime",
             trace,
             capacity,
-            config=SimulationConfig(record_execution=True),
+            config=SimulationConfig(record_execution=True, **limit),
             obs=Observability(sink=sink),
         )
+        assert outcome.result.finished == (max_slots is None)
         windows = canonical_windows(trace, capacity)
         jobs = [j for wf in trace.workflows for j in wf.jobs]
         jobs += list(trace.adhoc_jobs)
@@ -325,12 +425,20 @@ class TestExampleWorkloadRegression:
             assert recomputed["adhoc_turnaround_s"] == pytest.approx(
                 reported["adhoc_turnaround_s"]
             )
+        # The one recomputation, read from each front, equals summarize.
+        from_result = validator.recompute_metrics(
+            TraceIndex.of_result(outcome.result)
+        )
+        for key in METRIC_KEYS:
+            assert from_result[key] == recomputed[key], key
+            assert from_result[key] == pytest.approx(reported[key]), key
 
     def test_failure_injection_shape_with_setbacks(self):
         """The failure_injection example: setbacks allowed, still clean."""
         capacity = ClusterCapacity.uniform(cpu=24, mem=48)
         workflow = diamond(deadline=80)
         trace = SyntheticTrace(workflows=(workflow,), adhoc_jobs=())
+        sink = MemorySink()
         outcome = run_one(
             "FlowTime",
             trace,
@@ -339,6 +447,7 @@ class TestExampleWorkloadRegression:
                 record_execution=True,
                 failures=FailureModel(setback_prob=0.3, seed=4),
             ),
+            obs=Observability(sink=sink),
         )
         windows = canonical_windows(trace, capacity)
         validator = ScheduleValidator(
@@ -353,6 +462,12 @@ class TestExampleWorkloadRegression:
             outcome.result, summarize(outcome.result, windows), report
         )
         assert report.ok, report.render()
+        # The trace records the lost units, so its conservation stays exact.
+        assert sink.of_type("job_setback")
+        trace_report = validate_trace(
+            sink.events, trace=trace, capacity=capacity, windows=windows
+        )
+        assert trace_report.ok, trace_report.render()
 
 
 class TestTraceChecker:
@@ -385,6 +500,40 @@ class TestTraceChecker:
             tampered, trace=trace, capacity=capacity, windows=windows
         )
         assert not report.ok
+
+    def test_preemptions_must_match_the_placements(self, good_trace):
+        events, check = good_trace
+        kept = [e for e in events if e["type"] != "job_preempted"]
+        assert len(kept) < len(events)
+        report = check(kept)
+        assert any(v.check == "trace.preemption" for v in report.violations)
+
+    def test_workflow_served_after_its_start_is_clean(self):
+        """The service decomposes a late workflow from its declared start,
+        so the canonical windows begin before its arrival; both fronts
+        accept them and still see the arrival."""
+        capacity = ClusterCapacity.uniform(cpu=16, mem=32)
+        sink = MemorySink()
+        config = ServiceConfig(scheduler="FIFO", record_execution=True)
+        state = ServiceState(capacity, config, obs=Observability(sink=sink))
+        for _ in range(5):
+            state.step()
+        workflow = diamond()
+        assert state.submit("workflow", workflow).accepted
+        state.run_out()
+        trace = SyntheticTrace(workflows=(workflow,), adhoc_jobs=())
+        windows = canonical_windows(trace, capacity)
+        assert windows == {k: state.windows[k] for k in windows}
+        assert any(
+            e["type"] == "workflow_arrived" and e["slot"] == 5 for e in sink.events
+        )
+        report = validate_trace(
+            sink.events, trace=trace, capacity=capacity, windows=windows
+        )
+        assert report.ok, report.render()
+        validator = ScheduleValidator.of_trace(trace, capacity, windows)
+        report = validator.validate(state.core.result())
+        assert report.ok, report.render()
 
     def test_metrics_need_run_markers(self):
         with pytest.raises(ValueError):
