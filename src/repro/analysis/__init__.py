@@ -11,7 +11,6 @@ from repro.analysis.gantt import render_gantt, render_utilization
 from repro.analysis.reporting import (
     format_comparison_table,
     format_series,
-    run_report,
 )
 from repro.analysis.stats import MetricSummary, ReplicationResult, replicate
 
@@ -28,5 +27,4 @@ __all__ = [
     "replicate",
     "run_comparison",
     "run_one",
-    "run_report",
 ]

@@ -41,6 +41,7 @@ from repro.analysis.gantt import render_gantt, render_utilization
 from repro.analysis.reporting import (
     format_comparison_table,
     format_phase_table,
+    format_slo,
     format_slowest_slot,
     turnaround_ratios,
 )
@@ -50,7 +51,7 @@ from repro.core.decomposition import decompose_deadline
 from repro.core.placement import PlannerConfig
 from repro.estimation.errors import ErrorModel
 from repro.model.cluster import ClusterCapacity
-from repro.obs import JsonlSink, Observability, SLOConfig
+from repro.obs import JsonlSink, Observability, SLOConfig, SLOTracker
 from repro.schedulers.registry import available_schedulers
 from repro.service.api import ServiceConfig
 from repro.simulator.engine import SimulationConfig
@@ -236,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics",
         action="store_true",
         help="print the per-phase timing table (decompose, lp.build, "
-        "lp.solve, sched.decide, sim.slot, ...)",
+        "lp.solve, sched.decide, sim.slot, ...) and the SLO status",
     )
     _add_cluster_args(run)
     _add_fault_args(run)
@@ -266,13 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "event's recorded value)",
     )
     _add_cluster_args(ver)
-
-    report = sub.add_parser(
-        "report", help="regenerate the core paper figures as one Markdown file"
-    )
-    report.add_argument("--out", help="write to this path (default: stdout)")
-    report.add_argument("--scale", choices=["quick", "full"], default="quick")
-    report.add_argument("--seed", type=int, default=15)
 
     cmp_parser = sub.add_parser(
         "compare", help="run several schedulers over the same trace"
@@ -575,6 +569,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         slowest = format_slowest_slot(result.metrics)
         if slowest:
             print(slowest)
+        # The engine feeds the slo.* metrics in a batch run too; read them
+        # back the way the service's GET /slo does.
+        print(format_slo(SLOTracker(obs.registry).snapshot()))
     if args.gantt:
         print()
         print(render_gantt(result))
@@ -656,20 +653,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print("\nad-hoc turnaround relative to FlowTime:")
         for name, ratio in turnaround_ratios(comparison).items():
             print(f"  {name:<14} {ratio:5.2f}x")
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.reporting import run_report
-
-    text = run_report(scale=args.scale, seed=args.seed)
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
     return 0
 
 
@@ -919,7 +902,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "verify": _cmd_verify,
     "compare": _cmd_compare,
-    "report": _cmd_report,
     "serve": _cmd_serve,
     "trace": _cmd_trace,
     "top": _cmd_top,

@@ -27,6 +27,7 @@ solve's skyline warm-starts the lexmin ladder on near-identical ones; see
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import replace
 from typing import Iterator
 
@@ -223,11 +224,7 @@ class FlowTimePlanner:
                 # nothing) is the LP that just failed: same answer.
                 continue
             problem = build_schedule_problem(
-                entries,
-                caps_array(capacity, now_slot, rung_horizon),
-                resources,
-                mode=config.formulation,
-                per_slot_caps=config.per_slot_caps,
+                entries, caps_array(capacity, now_slot, rung_horizon), resources
             )
             result = lexmin_schedule(
                 problem,
@@ -239,7 +236,8 @@ class FlowTimePlanner:
             hint = None
             grants = None
             if result.is_optimal:
-                grants = self._quantize(problem, result.x, config)
+                with suppress(IntegralizationError):
+                    grants = quantize_coupled(problem, result.x)
             if grants is None:
                 if not result.warm:  # a cold re-solve could still differ
                     failed = (entries, rung_horizon)
@@ -281,72 +279,3 @@ class FlowTimePlanner:
             degraded=True,
         )
 
-    def _quantize(
-        self, problem, x, config: PlannerConfig
-    ) -> dict[str, np.ndarray] | None:
-        """Integral grants from the fractional solution, or None on failure."""
-        if config.formulation == "coupled":
-            try:
-                return quantize_coupled(problem, x)
-            except IntegralizationError:
-                return None
-        return self._units_from_paper(problem, x)
-
-    @staticmethod
-    def _paper_fractional_units(problem, x) -> dict[tuple[int, int], float]:
-        """Fractional task-slot units implied by paper-mode variables.
-
-        A task-slot needs all its resources in the same slot, so the
-        fractional unit count at (entry, slot) is the minimum across
-        resources of ``x_it^r / demand_r`` — the conversion a
-        container-based executor applies.
-        """
-        per_cell: dict[tuple[int, int], float] = {}
-        r_names = problem.resources
-        for var, (e_index, slot, r) in enumerate(problem.var_meta):
-            demand = problem.entries[e_index].unit_demand[r_names[r]]
-            if not demand:
-                continue
-            value = max(float(x[var]), 0.0) / demand
-            key = (e_index, slot)
-            per_cell[key] = min(per_cell.get(key, math.inf), value)
-        return per_cell
-
-    def _units_from_paper(self, problem, x) -> dict[str, np.ndarray]:
-        """Integral task-slot grants from a paper-mode solution.
-
-        The per-resource LP can decouple resources (cpu skewed to one slot,
-        memory to another), which would lose units under a pure min-floor
-        conversion.  We therefore rebuild the *coupled* problem over the
-        same entries and run the shared quantiser on the fractional unit
-        counts, which re-places the lost remainders within capacity.  If
-        even that fails (pathological decoupling) we fall back to the plain
-        floor conversion — the event-driven re-plan picks up the shortfall.
-        """
-        per_cell = self._paper_fractional_units(problem, x)
-        coupled = build_schedule_problem(
-            problem.entries,
-            problem.caps,
-            problem.resources,
-            mode="coupled",
-            per_slot_caps=True,
-        )
-        y = np.zeros(coupled.n_vars)
-        for var, (e_index, slot, _r) in enumerate(coupled.var_meta):
-            y[var] = per_cell.get((e_index, slot), 0.0)
-        try:
-            return quantize_coupled(coupled, y)
-        except IntegralizationError:
-            horizon = problem.horizon
-            grants = {
-                entry.job_id: np.zeros(horizon, dtype=int)
-                for entry in problem.entries
-            }
-            for (e_index, slot), value in per_cell.items():
-                entry = problem.entries[e_index]
-                units = int(math.floor(value + 1e-9))
-                if units:
-                    grants[entry.job_id][slot] = min(
-                        units, entry.max_parallel, entry.units
-                    )
-            return grants

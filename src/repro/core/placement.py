@@ -32,7 +32,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import maximum_flow
 
 from repro.core.decomposition_types import JobWindow
-from repro.core.lp_formulation import Mode, ScheduleEntry, build_schedule_problem
+from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.lp.problem import LinearProgram
 from repro.lp.solver import solve_lp
 from repro.model.cluster import ClusterCapacity
@@ -52,9 +52,6 @@ class PlannerConfig:
     Attributes:
         slack_slots: deadline slack in slots (the paper's default is 60 s =
             6 slots of 10 s).  0 disables slack (the Fig. 5 ablation).
-        formulation: "coupled" (default; task-slot variables, executable) or
-            "paper" (per-resource variables, Lemma-2-faithful).
-        per_slot_caps: bound per-slot grants by the job's parallelism.
         max_lexmin_rounds: minimax refinement rounds (None = exact lexmin;
             small values keep re-planning fast with near-identical plans).
         horizon_slots: hard cap on the planning horizon (None = plan until
@@ -83,8 +80,6 @@ class PlannerConfig:
     """
 
     slack_slots: int = 6
-    formulation: Mode = "coupled"
-    per_slot_caps: bool = True
     max_lexmin_rounds: int | None = 4
     horizon_slots: int | None = None
     front_load: bool = True

@@ -17,7 +17,7 @@ A FlowTime deployment promises two things its operators can page on:
 metrics (``slo.workflows.total`` / ``slo.workflows.missed`` counters,
 ``slo.decide.seconds`` histogram) at the source, and the tracker computes
 budget arithmetic at query time (``GET /slo``, ``repro top``,
-``run_report``).  It holds no state of its own, so batch and service runs
+``repro run --metrics``).  It holds no state of its own, so batch and service runs
 get identical SLO math from the same registry.
 """
 

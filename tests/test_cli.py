@@ -161,6 +161,7 @@ class TestRun:
         assert "sched.decide" in out
         assert "sim.slot" in out
         assert "slowest slot:" in out
+        assert "SLO status:" in out
 
     def test_verbose_implies_metrics(self, trace_path, capsys):
         assert main(["-v", "run", "--trace", str(trace_path),
@@ -383,7 +384,6 @@ class TestFlagSurface:
         "--scheduler --setback-prob --slot-seconds --solve-budget --trace "
         "--trace-out --verify",
         "verify": "--cpu --mem --slot-seconds --workload",
-        "report": "--out --scale --seed",
         "compare": "--algorithms --cpu --mem --trace",
         "serve": "--batch-window --chaos-fault-prob --chaos-seed "
         "--chaos-slow-prob --chaos-slow-s --cpu --dead-after --error-high "

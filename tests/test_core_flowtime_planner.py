@@ -38,7 +38,6 @@ class TestPlannerConfig:
     def test_defaults(self):
         config = PlannerConfig()
         assert config.slack_slots == 6
-        assert config.formulation == "coupled"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -136,16 +135,6 @@ class TestHorizonCap:
 
 
 class TestPaperFormulation:
-    def test_paper_mode_plans_executable_grants(self, cluster):
-        planner = FlowTimePlanner(
-            PlannerConfig(slack_slots=0, formulation="paper")
-        )
-        plan = make_plan(planner, 0, [demand(units=6, deadline=6, parallel=3)], cluster)
-        # Paper mode converts per-resource allocations to task units; the
-        # total may fall short only when resources decouple, which cannot
-        # happen for a single job on an idle cluster.
-        assert plan.total_units("j") == 6
-
     def test_capacity_respected_in_every_slot(self, cluster):
         demands = [
             demand(job_id=f"j{i}", units=12, deadline=6, cores=2, mem=4, parallel=6)

@@ -10,13 +10,14 @@ gives.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.allocation import greedy_fill
+from repro.core.allocation import IntegralizationError, greedy_fill, quantize_coupled
 from repro.core.flowtime import FlowTimePlanner, _clamp
 from repro.core.lexmin import (
     assemble_round_pieces,
@@ -108,9 +109,9 @@ def eager_plan(planner: FlowTimePlanner, request: PlanRequest):
         caps = caps_array(capacity, now, rung_horizon)
         problem = build_schedule_problem(entries, caps, capacity.resources)
         result = lexmin_schedule(problem, max_rounds=config.max_lexmin_rounds)
-        grants = planner._quantize(problem, result.x, config) if result.is_optimal else None
-        if grants is not None:
-            return grants, rung_horizon, False
+        if result.is_optimal:
+            with suppress(IntegralizationError):
+                return quantize_coupled(problem, result.x), rung_horizon, False
     caps = caps_array(capacity, now, stretched)
     return greedy_fill(_clamp(plain, stretched), caps, capacity.resources), stretched, True
 

@@ -141,8 +141,9 @@ class TestSnapshot:
         json.dumps(snapshot, allow_nan=False)  # must not raise
 
     def test_engine_feeds_tracker_in_batch_run(self, small_cluster):
-        # The integration point run_report relies on: a plain simulation
-        # populates the slo.* metrics without any service in the picture.
+        # The integration point `repro run --metrics` relies on: a plain
+        # simulation populates the slo.* metrics without any service in the
+        # picture.
         from repro.model.job import Job, TaskSpec
         from repro.model.resources import CPU, MEM, ResourceVector
         from repro.model.workflow import Workflow
