@@ -41,7 +41,7 @@ from repro.analysis.sweeps import sweep
 from repro.core.allocation import greedy_fill, quantize_coupled
 from repro.core.critical_path import critical_path_length, critical_path_windows
 from repro.core.decomposition import _set_min_runtime, decompose_deadline
-from repro.core.lexmin import assemble_round_pieces, build_round_lp, lexmin_schedule
+from repro.core.lexmin import LadderLayout, lexmin_schedule
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.core.placement import PlannerConfig
 from repro.core.toposort import grouped_topological_sets
@@ -672,14 +672,7 @@ def minimax_lp(seed: int) -> LinearProgram:
     caps[:, 0], caps[:, 1] = 20, 40
     problem = build_schedule_problem(entries, caps, RES)
     cell_caps = problem.cell_caps()
-    n_cells = cell_caps.size
-    return build_round_lp(
-        problem,
-        np.arange(n_cells),
-        np.full(n_cells, np.inf),
-        cell_caps,
-        assemble_round_pieces(problem, cell_caps),
-    )
+    return LadderLayout(problem, cell_caps).lp(np.full(cell_caps.size, np.inf))
 
 
 def ext4_rows() -> Rows:

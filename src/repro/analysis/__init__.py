@@ -8,10 +8,7 @@ from repro.analysis.experiments import (
     run_one,
 )
 from repro.analysis.gantt import render_gantt, render_utilization
-from repro.analysis.reporting import (
-    format_comparison_table,
-    format_series,
-)
+from repro.analysis.reporting import format_comparison_table
 from repro.analysis.stats import MetricSummary, ReplicationResult, replicate
 
 __all__ = [
@@ -21,7 +18,6 @@ __all__ = [
     "MetricSummary",
     "ReplicationResult",
     "format_comparison_table",
-    "format_series",
     "render_gantt",
     "render_utilization",
     "replicate",

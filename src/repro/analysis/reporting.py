@@ -1,19 +1,19 @@
 """Paper-style textual reports: tables of runs, phases and SLOs.
 
 :func:`format_comparison_table`, :func:`format_phase_table`,
-:func:`format_series`, :func:`format_slo`, :func:`format_slowest_slot` and
+:func:`format_slo`, :func:`format_slowest_slot` and
 :func:`turnaround_ratios` keep the CLI's output consistent and
 dependency-free (no plotting: the artefacts are tables).  The paper's
 figures are the claims of ``benchmarks/claims.py``.
 
-The documented public surface is ``format_comparison_table`` and
-``format_series`` (both re-exported from :mod:`repro.analysis`); the other
-formatters are stable helpers.
+The documented public surface is ``format_comparison_table``
+(re-exported from :mod:`repro.analysis`); the other formatters are stable
+helpers.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "PHASE_ORDER",
     "format_comparison_table",
     "format_phase_table",
-    "format_series",
     "format_slo",
     "format_slowest_slot",
     "turnaround_ratios",
@@ -171,31 +170,6 @@ def format_comparison_table(
                 else 0.0
             )
             row += f"{per_call:>16.2f}"
-        lines.append(row)
-    return "\n".join(lines)
-
-
-def format_series(
-    title: str,
-    xs: Sequence[float],
-    series: Mapping[str, Sequence[float]],
-    *,
-    x_label: str = "x",
-    fmt: str = "{:.3f}",
-) -> str:
-    """A figure as a table: one x column, one column per series."""
-    names = list(series)
-    widths = [max(len(x_label), 10)] + [max(len(n), 12) for n in names]
-    lines = [title]
-    header = f"{x_label:>{widths[0]}}" + "".join(
-        f"{name:>{width}}" for name, width in zip(names, widths[1:])
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for i, x in enumerate(xs):
-        row = f"{x:>{widths[0]}.6g}"
-        for name, width in zip(names, widths[1:]):
-            row += f"{fmt.format(series[name][i]):>{width}}"
         lines.append(row)
     return "\n".join(lines)
 

@@ -153,13 +153,11 @@ def quantize_coupled(
                 f"{entry.job_id}: floored grants exceed its demand"
             )
         cap = min(entry.max_parallel, entry.units)
-        window = list(range(entry.release, entry.deadline))
-        # Prefer slots with the largest fractional part.
-        order = sorted(
-            window,
-            key=lambda s: frac[e_index][s] - np.floor(frac[e_index][s] + 1e-9),
-            reverse=True,
-        )
+        # Prefer slots with the largest fractional part; parts equal to 1e-9
+        # keep slot order (an LP answer's last bits follow its basis).
+        part = frac[e_index][entry.release : entry.deadline]
+        part = np.round(part - np.floor(part + 1e-9), 9)
+        order = (entry.release + np.argsort(-part, kind="stable")).tolist()
 
         def try_place(slot: int) -> bool:
             if grants[e_index][slot] >= cap:

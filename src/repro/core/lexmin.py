@@ -9,8 +9,9 @@ overflows doubles), so — like production implementations of minimax fair
 allocation — we compute the same optimum iteratively:
 
 1. Solve ``min theta`` subject to ``z_t^r <= theta * C_t^r`` over the
-   *active* cells, plus the demand equalities, per-variable bounds, and the
-   hard capacity rows ``z <= C``.
+   *active* cells, plus the demand equalities, per-variable bounds, and
+   ``theta <= 1``, which stands in for the hard capacity rows ``z <= C``
+   (:class:`LadderLayout`).
 2. Cells that must be saturated at ``theta*`` in every optimum (identified
    by a non-zero dual multiplier; if degeneracy hides the duals, by being at
    ``theta*``) are *frozen*: their load is capped at ``theta* C_t^r``.
@@ -21,13 +22,14 @@ allocation — we compute the same optimum iteratively:
 
 The first round's ``theta*`` is exactly the paper's ``max z/C`` optimum;
 subsequent rounds refine lower-order components of the sorted utilisation
-vector.
+vector.  Every LP of a ladder is one model (:class:`LadderLayout`); each
+round after the first re-runs from the previous round's basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -47,15 +49,14 @@ _FREEZE_RELAX = 1e-7  # relative slack added to frozen caps (numerical safety)
 class LexminWarmHint:
     """Seed for a warm-started lexmin solve: the previous solve's skyline.
 
-    A ladder solves its LPs on one HiGHS, but each new model drops the
-    previous basis: the ``_core`` object the backend drives could keep it,
-    but a reused basis can move an LP to another vertex, and so change the
-    plan.  The reusable artefact of a solve is therefore its
-    *level vector*: the per-cell normalised loads of the final balanced
-    allocation.  When consecutive solves see near-identical job mixes, that
-    skyline is already (near-)lexmin-optimal — imposing it as frozen caps
-    reduces the whole ladder to two LPs (one exact theta solve, one
-    balancing solve) instead of up to ``max_rounds + 1``.
+    A ladder re-solves its rounds from the previous basis, but a new ladder
+    starts from nothing: its problem is another model.  The reusable
+    artefact of a solve is therefore its *level vector*: the per-cell
+    normalised loads of the final balanced allocation.  When consecutive
+    solves see near-identical job mixes, that skyline is already
+    (near-)lexmin-optimal — imposing it as frozen caps reduces the whole
+    ladder to two LPs (one exact theta solve, one balancing solve) instead
+    of up to ``max_rounds + 1``.
 
     Attributes:
         theta: the previous solve's minimax ``max z/C``.
@@ -98,69 +99,49 @@ class LexminResult:
         return self.status == "optimal"
 
 
-class RoundPieces(NamedTuple):
-    """What every round LP of one ladder shares, assembled once."""
+class LadderLayout:
+    """The one model every LP of a lexmin ladder is, so that the ladder's
+    :class:`~repro.lp.scipy_backend.Highs` solves each round after the
+    first warm.
 
-    #: ``[[a_util | -C], [a_util | 0]]``: row ``k`` is cell ``k`` while
-    #: active (``load - theta * C``), row ``n_cells + k`` the same cell
-    #: under a fixed cap (frozen value or hard capacity).
-    rows: sparse.csr_matrix
-    #: ``[a_eq | 0]``: the demand equalities with the theta column.
-    a_eq: sparse.csr_matrix
-
-
-def _zero_column(a: sparse.csr_matrix) -> sparse.csr_matrix:
-    """``[a | 0]``: a CSR matrix widens without touching its arrays."""
-    return sparse.csr_matrix(
-        (a.data, a.indices, a.indptr), shape=(a.shape[0], a.shape[1] + 1)
-    )
-
-
-def assemble_round_pieces(problem: ScheduleProblem, caps: np.ndarray) -> RoundPieces:
-    """The round-invariant blocks of :func:`build_round_lp` for *problem*."""
-    theta_col = sparse.csr_matrix(-caps[:, None])
-    active_form = sparse.hstack([problem.a_util, theta_col], format="csr")
-    capped_form = _zero_column(problem.a_util)
-    return RoundPieces(
-        rows=sparse.vstack([active_form, capped_form], format="csr"),
-        a_eq=_zero_column(problem.a_eq),
-    )
-
-
-def build_round_lp(
-    problem: ScheduleProblem,
-    active: Sequence[int],
-    frozen_value: np.ndarray,
-    caps: np.ndarray,
-    pieces: RoundPieces,
-) -> LinearProgram:
-    """One lexmin round subproblem: ``min theta`` over the active cells.
-
-    Variables are the allocation variables plus a trailing theta column.
-    Rows, in order: active cells (``load - theta * C <= 0``), frozen cells
-    (``load <= frozen_value``), and the hard capacity rows (``load <= C``).
-    *pieces* are the ladder's :class:`RoundPieces`
-    (:func:`assemble_round_pieces`), so that a round only gathers rows.
+    The allocation variables plus a trailing ``0 <= theta <= 1``.  Row
+    ``k`` is cell ``k``: ``load - theta * C <= 0`` while active, ``load <=
+    cap`` once frozen at *cap* (theta coefficient an explicit 0).  The
+    demand equalities ``[a_eq | 0]`` close it.  ``theta <= 1`` replaces the
+    hard capacity rows ``load <= C``: an active cell has ``load <= theta C
+    <= C`` and a frozen cap is at most ``C`` (:func:`_cap_at`), so the
+    feasible ``x`` and every ``theta*`` are those of the model with them.
     """
-    n_vars = problem.n_vars
-    n_cells = len(problem.util_cells)
-    active = np.asarray(active, dtype=np.intp)
-    frozen_idx = np.flatnonzero(np.isfinite(frozen_value))
-    # Hard capacity rows (constraint (4)) close the block: z <= C per cell.
-    rows = np.concatenate(
-        [active, n_cells + frozen_idx, np.arange(n_cells, 2 * n_cells)]
-    )
-    return LinearProgram(
-        c=np.concatenate([np.zeros(n_vars), [1.0]]),
-        a_ub=pieces.rows[rows],
-        b_ub=np.concatenate(
-            [np.zeros(active.size), frozen_value[frozen_idx], caps]
-        ),
-        a_eq=pieces.a_eq,
-        b_eq=problem.b_eq,
-        lb=np.zeros(n_vars + 1),
-        ub=np.concatenate([problem.var_ub, [np.inf]]),
-    )
+
+    def __init__(self, problem: ScheduleProblem, caps: np.ndarray):
+        n_vars, a_eq = problem.n_vars, problem.a_eq
+        # A row's theta entry is its last: freezing zeroes a known entry.
+        self._rows = sparse.hstack([problem.a_util, -caps[:, None]], format="csr")
+        self._theta_at = self._rows.indptr[1:] - 1
+        self._round_cost = np.zeros(n_vars + 1)
+        self._round_cost[-1] = 1.0
+        self._a_eq = sparse.csr_matrix(  # [a_eq | 0] on a_eq's own arrays
+            (a_eq.data, a_eq.indices, a_eq.indptr), shape=(a_eq.shape[0], n_vars + 1)
+        )
+        self._b_eq = problem.b_eq
+        self._lb = np.zeros(n_vars + 1)
+        self._ub = np.append(problem.var_ub, 1.0)
+
+    def lp(self, frozen_value: np.ndarray, cost: np.ndarray | None = None) -> LinearProgram:
+        """Cells of finite *frozen_value* frozen there; ``min theta`` (a
+        round), or *cost* on the allocation variables (the balancing LP)."""
+        frozen = np.isfinite(frozen_value)
+        a_ub = self._rows.copy()
+        a_ub.data[self._theta_at[frozen]] = 0.0
+        return LinearProgram(
+            c=self._round_cost if cost is None else np.append(cost, 0.0),
+            a_ub=a_ub,
+            b_ub=np.where(frozen, frozen_value, 0.0),
+            a_eq=self._a_eq,
+            b_eq=self._b_eq,
+            lb=self._lb,
+            ub=self._ub,
+        )
 
 
 def _cap_at(theta: float | np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -220,7 +201,7 @@ def _finish_warm(
     sol = balance(frozen)
     if sol.status is not LPStatus.OPTIMAL:
         return None
-    x = sol.x
+    x = sol.x[: problem.n_vars]
     utilisation = np.asarray(problem.a_util @ x).ravel() / caps
     if float(utilisation.max(initial=0.0)) > theta * (1.0 + tol) + tol:
         return None  # exactness check failed: hint would worsen the minimax
@@ -233,6 +214,24 @@ def _finish_warm(
         utilisation=utilisation,
         warm=True,
     )
+
+
+def _balance_cost(problem: ScheduleProblem, caps: np.ndarray, front_load: bool) -> np.ndarray:
+    """The final solve's cost: total normalised load.
+
+    With time-invariant caps the total normalised load is a constant, so a
+    small *earliness* term picks the representative optimum that front-loads
+    work within the frozen skyline: the minimax value is untouched (the caps
+    bound every slot) but estimation noise and joint overload become far
+    less likely to turn into deadline misses.
+    """
+    c_final = np.asarray((1.0 / caps) @ problem.a_util).ravel()
+    if front_load:
+        horizon = max(problem.horizon, 1)
+        earliness = (problem.var_meta[:, 1] + 1.0) / horizon
+        eps = 1e-3 * max(float(np.min(c_final[c_final > 0], initial=1.0)), 1e-6)
+        c_final = c_final + eps * earliness
+    return c_final
 
 
 def _answered(sol: LPSolution, stage: str) -> bool:
@@ -295,36 +294,17 @@ def lexmin_schedule(
     if np.any(caps <= 0):
         raise ValueError("every utilisation cell must have positive capacity")
 
-    highs = Highs()  # every LP of the ladder solves on it
+    layout = LadderLayout(problem, caps)
+    highs = Highs()  # every round solves on it, warm after the first
+
+    c_final = _balance_cost(problem, caps, front_load)
 
     def balance(frozen_value: np.ndarray) -> LPSolution:
-        """Final solve: minimise total normalised load under the frozen caps.
+        """Final solve: minimise ``c_final`` under the frozen caps.  Fresh:
+        a new cost is far from the rounds' basis, and presolve shrinks it."""
+        lp_final = layout.lp(frozen_value, c_final)
+        return solve_lp(lp_final, tag="balance", time_budget_s=solve_budget_s)
 
-        With time-invariant caps the total normalised load is a constant, so a
-        small *earliness* term picks the representative optimum that front-loads
-        work within the frozen skyline: the minimax value is untouched (the caps
-        bound every slot) but estimation noise and joint overload become far
-        less likely to turn into deadline misses.
-        """
-        weights = 1.0 / caps
-        c_final = np.asarray(weights @ problem.a_util).ravel()
-        if front_load:
-            horizon = max(problem.horizon, 1)
-            earliness = (problem.var_meta[:, 1] + 1.0) / horizon
-            eps = 1e-3 * max(float(np.min(c_final[c_final > 0], initial=1.0)), 1e-6)
-            c_final = c_final + eps * earliness
-        lp_final = LinearProgram(
-            c=c_final,
-            a_ub=problem.a_util,
-            b_ub=frozen_value,
-            a_eq=problem.a_eq,
-            b_eq=problem.b_eq,
-            lb=np.zeros(problem.n_vars),
-            ub=problem.var_ub,
-        )
-        return solve_lp(lp_final, tag="balance", time_budget_s=solve_budget_s, highs=highs)
-
-    pieces = assemble_round_pieces(problem, caps)
     active = np.arange(n_cells)
     frozen_value = np.full(n_cells, np.inf)
     thetas: list[float] = []
@@ -333,7 +313,7 @@ def lexmin_schedule(
     while active.size:
         if max_rounds is not None and rounds >= max_rounds:
             break
-        lp = build_round_lp(problem, active, frozen_value, caps, pieces)
+        lp = layout.lp(frozen_value)
         sol = solve_lp(lp, tag="round", time_budget_s=solve_budget_s, highs=highs)
         if not _answered(sol, "round"):
             return LexminResult(status="infeasible")
@@ -350,7 +330,7 @@ def lexmin_schedule(
 
         to_freeze = active[:0]
         if sol.duals_ub is not None:
-            to_freeze = active[np.abs(sol.duals_ub[: active.size]) > _DUAL_TOL]
+            to_freeze = active[np.abs(sol.duals_ub[active]) > _DUAL_TOL]
         if not to_freeze.size:  # degeneracy hid the duals: saturation decides
             loads = np.asarray(problem.a_util[active] @ x_full[:n_vars]).ravel()
             saturated = loads / caps[active] >= theta - tol * max(theta, 1.0)
@@ -371,7 +351,7 @@ def lexmin_schedule(
     if not _answered(sol, "final solve"):
         return LexminResult(status="infeasible")
 
-    x = sol.x
+    x = sol.x[:n_vars]
     utilisation = np.asarray(problem.a_util @ x).ravel() / caps
     return LexminResult(
         status="optimal",

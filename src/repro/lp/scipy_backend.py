@@ -2,7 +2,7 @@
 
 The model goes straight to ``scipy.optimize._highspy._core``, the object
 ``linprog(method="highs")`` itself drives, with the options ``linprog`` sets,
-so every answer is ``linprog``'s bit for bit (``tests/test_lp_backend.py``
+so a fresh solve is ``linprog``'s bit for bit (``tests/test_lp_backend.py``
 holds the two against each other).  What is skipped is ``linprog``'s Python
 around the solve: input canonicalisation, the ``A_ub``/``A_eq`` stack and
 its CSC conversion (the matrix goes in row-wise, as the two CSR blocks
@@ -54,22 +54,24 @@ _FEASIBILITY_TOL = np.sqrt(1e-9) * 10
 class Highs:
     """One HiGHS for a sequence of solves, owned by one caller on one thread.
 
-    ``passModel`` resets the basis, solution and info, so a reused instance
-    answers as a fresh one.  A solve whose ``passModel`` or ``run`` failed
-    or raised discards it."""
+    It keeps :attr:`last`, its last optimum, and solves an LP of the same
+    layout (:func:`_same_layout`) warm (:func:`_warm_run`); any other LP is
+    passed anew and answers as on a fresh instance.  A solve whose
+    ``passModel`` or ``run`` failed or raised discards the instance."""
 
     _core: _h._Highs | None = None
+    last: LinearProgram | None = None
 
     def take(self) -> _h._Highs:
         """The instance, held by one solve until :meth:`keep` returns it."""
-        core, self._core = self._core, None
+        core, self._core, self.last = self._core, None, None
         if core is None:
             core = _h._Highs()
             core.passOptions(_OPTIONS)
         return core
 
-    def keep(self, core: _h._Highs) -> None:
-        self._core = core
+    def keep(self, core: _h._Highs, optimal: LinearProgram | None = None) -> None:
+        self._core, self.last = core, optimal
 
 
 def _check_finite(problem: LinearProgram) -> None:
@@ -110,6 +112,43 @@ def _model(problem: LinearProgram) -> _h.HighsLp:
     return lp
 
 
+def _same_layout(last: LinearProgram, problem: LinearProgram) -> bool:
+    """*problem* differs from *last* only in what a warm solve pushes: its
+    costs, upper bounds, ``b_ub`` and the values of ``A_ub``."""
+    a, b, a_eq, b_eq = last.a_ub, problem.a_ub, last.a_eq, problem.a_eq
+    pairs = [(a.indptr, b.indptr), (a.indices, b.indices), (last.b_eq, problem.b_eq)]
+    pairs += [(a_eq.indptr, b_eq.indptr), (a_eq.indices, b_eq.indices), (a_eq.data, b_eq.data)]
+    pairs.append((last.lb, problem.lb))
+    return a.shape == b.shape and all(np.array_equal(x, y) for x, y in pairs)
+
+
+def _warm_run(core: _h._Highs, last: LinearProgram, problem: LinearProgram) -> tuple:
+    """Push the entries of *problem* that differ from *last*, *core*'s
+    model, and run primal simplex from the kept basis: ``(run did not
+    fail, status)``.  Primal, because a lexmin round keeps the previous
+    optimum feasible; dual simplex from it ran several times longer than a
+    fresh solve on large ladders."""
+    cols = np.flatnonzero(last.c != problem.c).astype(np.int32)
+    core.changeColsCost(cols.size, cols, problem.c[cols])
+    cols = np.flatnonzero(last.ub != problem.ub).astype(np.int32)
+    core.changeColsBounds(cols.size, cols, problem.lb[cols], problem.ub[cols])
+    for row in np.flatnonzero(last.b_ub != problem.b_ub).tolist():
+        core.changeRowBounds(row, -_h.kHighsInf, float(problem.b_ub[row]))
+    a_ub = problem.a_ub
+    changed = np.flatnonzero(last.a_ub.data != a_ub.data)
+    rows = np.searchsorted(a_ub.indptr, changed, side="right") - 1
+    for row, col, value in zip(
+        rows.tolist(), a_ub.indices[changed].tolist(), a_ub.data[changed].tolist()
+    ):
+        core.changeCoeff(row, col, value)
+    core.setOptionValue("simplex_strategy", 4)
+    try:
+        solved = core.run() != _h.HighsStatus.kError
+    finally:
+        core.setOptionValue("simplex_strategy", 1)
+    return solved, core.getModelStatus()
+
+
 def _feasible(problem: LinearProgram, x: np.ndarray, row: np.ndarray, objective: float) -> bool:
     """``linprog``'s ``_check_result``: an optimum must hold within tolerance."""
     tol = _FEASIBILITY_TOL
@@ -127,18 +166,35 @@ def _feasible(problem: LinearProgram, x: np.ndarray, row: np.ndarray, objective:
 
 def solve(problem: LinearProgram, highs: Highs | None = None) -> LPSolution:
     """Solve with HiGHS dual simplex (vertex solutions, duals available),
-    on *highs*'s instance or a fresh one."""
+    on *highs*'s instance or a fresh one.
+
+    A warm answer that is not optimal is never returned: the LP is solved
+    again on a fresh instance, counted in ``lp.solve.warm_fallback``."""
     _check_finite(problem)
     highs = highs if highs is not None else Highs()
+    last = highs.last
     core = highs.take()
+    if last is not None and _same_layout(last, problem):
+        solution = _answer(core, problem, *_warm_run(core, last, problem))
+        if solution.is_optimal:
+            highs.keep(core, problem)
+            return solution
+        current_obs().counter("lp.solve.warm_fallback").inc()
+        core = Highs().take()
     solved = False
     if core.passModel(_model(problem)) == _h.HighsStatus.kError:
         model_status = _h.HighsModelStatus.kModelError
     else:
         solved = core.run() != _h.HighsStatus.kError
         model_status = core.getModelStatus()
+    solution = _answer(core, problem, solved, model_status)
     if solved:
-        highs.keep(core)
+        highs.keep(core, problem if solution.is_optimal else None)
+    return solution
+
+
+def _answer(core: _h._Highs, problem: LinearProgram, solved: bool, model_status) -> LPSolution:
+    """``linprog``'s reading of *core*'s run on *problem*."""
     info = core.getInfo()
     iterations = info.simplex_iteration_count if solved else 0
     current_obs().histogram("lp.backend.highs.iterations").observe(iterations)

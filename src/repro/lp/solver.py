@@ -98,8 +98,8 @@ def solve_lp(
 
     ``tag`` attributes the solve to a caller-chosen purpose (e.g.
     ``"round"``) via an ``lp.solve.tag.<tag>`` counter.  ``time_budget_s``
-    bounds the attempt's wall time.  ``highs`` is the instance to solve on,
-    a fresh one without it.  A fault or a blown budget raises
+    bounds the attempt's wall time.  ``highs`` is the instance to solve on
+    (warm after a same-layout optimum), a fresh one without it.  A fault or a blown budget raises
     :class:`SolverFailure`; INFEASIBLE and UNBOUNDED are returned.
     """
     obs = current_obs()

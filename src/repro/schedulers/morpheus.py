@@ -155,36 +155,27 @@ class MorpheusScheduler(Scheduler):
             deadline = max(window.deadline_slot - now, release + 1)
             grant = np.zeros(horizon, dtype=int)
             remaining = job.believed_remaining_units
-            demand = [job.unit_demand[name] for name in resources]
-            slots = list(range(release, min(deadline, horizon)))
-            # Spill past the inferred deadline when the window cannot hold
-            # the job (Morpheus reservations are best-effort too).
-            spill = list(range(min(deadline, horizon), horizon))
-            for candidate_slots in (slots, spill):
-                while remaining > 0 and candidate_slots:
-                    # Pick the slot whose max normalised load after adding one
-                    # unit is smallest (lowest-skyline water filling).
-                    best_slot, best_height = None, None
-                    for slot in candidate_slots:
-                        if grant[slot] >= job.max_parallel:
-                            continue
-                        if any(
-                            load[slot, r] + demand[r] > caps[slot, r]
-                            for r in range(len(resources))
-                        ):
-                            continue
-                        height = max(
-                            (load[slot, r] + demand[r]) / caps[slot, r]
-                            for r in range(len(resources))
-                            if caps[slot, r] > 0
-                        )
-                        if best_height is None or height < best_height:
-                            best_slot, best_height = slot, height
-                    if best_slot is None:
+            demand = np.array([job.unit_demand[name] for name in resources], dtype=float)
+            end = min(deadline, horizon)
+            # The window, then a spill past the inferred deadline when the
+            # window cannot hold the job (Morpheus reservations are
+            # best-effort too).
+            for lo, hi in ((release, end), (end, horizon)):
+                while remaining > 0 and hi > lo:
+                    # The slot whose max normalised load after one more unit
+                    # is smallest (lowest-skyline water filling), the first
+                    # of equals, among those the unit fits.
+                    after, room = load[lo:hi] + demand, caps[lo:hi]
+                    heights = np.divide(
+                        after, room, out=np.full_like(after, -np.inf), where=room > 0
+                    ).max(axis=1)
+                    full = (grant[lo:hi] >= job.max_parallel) | (after > room).any(axis=1)
+                    heights[full] = np.inf
+                    slot = lo + int(np.argmin(heights))
+                    if heights[slot - lo] == np.inf:
                         break
-                    grant[best_slot] += 1
-                    for r in range(len(resources)):
-                        load[best_slot, r] += demand[r]
+                    grant[slot] += 1
+                    load[slot] += demand
                     remaining -= 1
             grants[job.job_id] = grant
             unit_demands[job.job_id] = job.unit_demand

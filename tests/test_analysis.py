@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.experiments import canonical_windows, run_comparison, run_one
 from repro.analysis.reporting import (
     format_comparison_table,
-    format_series,
     turnaround_ratios,
 )
 from repro.model.cluster import ClusterCapacity
@@ -72,13 +71,3 @@ class TestReporting:
         ratios = turnaround_ratios(comparison, baseline="FlowTime")
         assert ratios["FlowTime"] == pytest.approx(1.0)
         assert ratios["FIFO"] > 0
-
-    def test_format_series(self):
-        text = format_series(
-            "Fig. X",
-            [1, 2, 3],
-            {"alg": [0.1, 0.2, 0.3]},
-            x_label="n",
-        )
-        assert "Fig. X" in text
-        assert text.count("\n") == 5  # title + header + rule + 3 rows

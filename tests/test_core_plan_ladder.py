@@ -1,12 +1,15 @@
 """The plan path solves only the LPs whose answers it uses.
 
-Three contracts: a plan that fits its windows costs one problem build and
+Four contracts: a plan that fits its windows costs one problem build and
 no max-placement, and an over-committed one whose jobs share a binding
 resource still no max-placement *LP*; the lazy relaxation ladder returns,
 grant array for grant array, the plan of an eager ladder that builds every
-rung up front (written here as a test-only oracle); and a round LP gathered
-from a ladder's pre-assembled pieces is the LP the block-by-block assembly
-gives.
+rung up front (written here as a test-only oracle); every LP of a lexmin
+ladder is one fixed layout whose round ``theta*`` is that of the round LP
+assembled block by block with the hard-capacity rows; and the warm ladder
+answers as the cold one that solved each such LP on a fresh HiGHS (also a
+test-only oracle here), and falls back to a fresh instance when a warm run
+is not optimal.
 """
 
 import math
@@ -19,11 +22,8 @@ from scipy import sparse
 
 from repro.core.allocation import IntegralizationError, greedy_fill, quantize_coupled
 from repro.core.flowtime import FlowTimePlanner, _clamp
-from repro.core.lexmin import (
-    assemble_round_pieces,
-    build_round_lp,
-    lexmin_schedule,
-)
+from repro.core import lexmin
+from repro.core.lexmin import LadderLayout, lexmin_schedule
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.core.placement import (
     JobDemand,
@@ -33,9 +33,11 @@ from repro.core.placement import (
     max_placement,
 )
 from repro.core.replan import PlanRequest
+from repro.lp import LinearProgram, scipy_backend
 from repro.model.cluster import ClusterCapacity
 from repro.model.resources import ResourceVector
 from repro.obs import Observability, use_obs
+from tests.test_lp_backend import _ladder_problems
 
 CLUSTER = ClusterCapacity.uniform(cpu=10, mem=20)
 
@@ -193,8 +195,11 @@ class TestLazyEqualsEager:
         assert sum(seen.values()) - seen.get("0", 0) >= 50, seen
 
 
-def reference_round_lp(problem, active, frozen_value, caps):
-    """The round LP assembled block by block, as it was before the pieces."""
+def reference_round_lp(problem, active, frozen_value, caps) -> LinearProgram:
+    """The round LP assembled block by block, as it was before the fixed
+    layout: active cells (``load - theta * C <= 0``), frozen cells (``load
+    <= frozen_value``), then the hard capacity rows (``load <= C``), with
+    theta unbounded above."""
     active = np.asarray(active, dtype=int)
     n_cells = len(problem.util_cells)
 
@@ -207,13 +212,64 @@ def reference_round_lp(problem, active, frozen_value, caps):
     if frozen.size:
         blocks.append(sparse.hstack([problem.a_util[frozen], zero(frozen.size)]))
     blocks.append(sparse.hstack([problem.a_util, zero(n_cells)]))
-    a_ub = sparse.vstack(blocks).tocsr()
-    b_ub = np.concatenate([np.zeros(len(active)), frozen_value[frozen], caps])
-    a_eq = sparse.hstack([problem.a_eq, zero(problem.a_eq.shape[0])]).tocsr()
-    return a_ub, b_ub, a_eq, np.concatenate([problem.var_ub, [np.inf]])
+    return LinearProgram(
+        c=np.concatenate([np.zeros(problem.n_vars), [1.0]]),
+        a_ub=sparse.vstack(blocks).tocsr(),
+        b_ub=np.concatenate([np.zeros(len(active)), frozen_value[frozen], caps]),
+        a_eq=sparse.hstack([problem.a_eq, zero(problem.a_eq.shape[0])]).tocsr(),
+        b_eq=problem.b_eq,
+        ub=np.concatenate([problem.var_ub, [np.inf]]),
+    )
+
+
+def cold_ladder(problem, tol: float = 1e-6):
+    """The lexmin ladder before it kept one model: each round LP built by
+    :func:`reference_round_lp`, the balancing LP over the allocation
+    variables alone, each solved on a fresh HiGHS.  ``(status, thetas,
+    utilisation)``."""
+    caps = problem.cell_caps()
+    active = np.arange(caps.size)
+    frozen_value = np.full(caps.size, np.inf)
+    thetas = []
+    while active.size:
+        sol = scipy_backend.solve(reference_round_lp(problem, active, frozen_value, caps))
+        if not sol.is_optimal:
+            return sol.status.value, thetas, None
+        theta = float(sol.x[-1])
+        thetas.append(theta)
+        to_freeze = active[np.abs(sol.duals_ub[: active.size]) > lexmin._DUAL_TOL]
+        if not to_freeze.size:
+            loads = np.asarray(problem.a_util[active] @ sol.x[:-1]).ravel()
+            to_freeze = active[loads / caps[active] >= theta - tol * max(theta, 1.0)]
+        if not to_freeze.size or theta <= lexmin._THETA_TOL:
+            to_freeze = active
+        frozen_value[to_freeze] = lexmin._cap_at(theta, caps)[to_freeze]
+        active = active[~np.isfinite(frozen_value[active])]
+    sol = scipy_backend.solve(
+        LinearProgram(
+            c=lexmin._balance_cost(problem, caps, front_load=True),
+            a_ub=problem.a_util,
+            b_ub=frozen_value,
+            a_eq=problem.a_eq,
+            b_eq=problem.b_eq,
+            ub=problem.var_ub,
+        )
+    )
+    if not sol.is_optimal:
+        return sol.status.value, thetas, None
+    return "optimal", thetas, np.asarray(problem.a_util @ sol.x).ravel() / caps
+
+
+def round_theta(lp: LinearProgram) -> float | None:
+    """``theta*`` of a round LP on a fresh HiGHS, None when it has none."""
+    sol = scipy_backend.solve(lp)
+    return float(sol.x[-1]) if sol.is_optimal else None
 
 
 class TestRoundPieces:
+    """Every round LP is a piece of the ladder's one fixed layout
+    (:class:`LadderLayout`), and answers as the assembled round."""
+
     @pytest.fixture
     def problem(self):
         entries = [
@@ -227,45 +283,110 @@ class TestRoundPieces:
 
     @pytest.mark.parametrize("frozen_share", [0.0, 0.4, 1.0])
     def test_gathered_rounds_equal_assembled_rounds(self, problem, frozen_share):
+        """Cell ``k`` is row ``k``, with its theta coefficient -C while
+        active and 0 once frozen; without the hard-cap rows its round
+        ``theta*`` is the assembled round's."""
         caps = problem.cell_caps()
         n_cells = caps.size
-        frozen_cells = np.arange(n_cells)[: int(round(frozen_share * n_cells))]
+        full = reference_round_lp(problem, np.arange(n_cells), np.full(n_cells, np.inf), caps)
         frozen_value = np.full(n_cells, np.inf)
-        frozen_value[frozen_cells] = 0.5 * caps[frozen_cells]
-        active = [k for k in range(n_cells) if k not in set(frozen_cells)]
-        pieces = assemble_round_pieces(problem, caps)
-        expected = reference_round_lp(problem, active, frozen_value, caps)
-        lp = build_round_lp(problem, active, frozen_value, caps, pieces)
-        assert lp.a_ub.shape == expected[0].shape
-        assert (lp.a_ub != expected[0]).nnz == 0
-        assert np.array_equal(lp.b_ub, expected[1])
-        assert (lp.a_eq != expected[2]).nnz == 0
-        assert np.array_equal(lp.ub, expected[3])
-        assert np.array_equal(lp.b_eq, problem.b_eq)
-        assert lp.c[-1] == 1.0 and not lp.c[:-1].any()
+        frozen_cells = np.arange(n_cells)[: int(round(frozen_share * n_cells))]
+        frozen_value[frozen_cells] = lexmin._cap_at(round_theta(full), caps)[frozen_cells]
+        active = np.flatnonzero(~np.isfinite(frozen_value))
+
+        lp = LadderLayout(problem, caps).lp(frozen_value)
+        theta_coeffs = np.where(np.isfinite(frozen_value), 0.0, -caps)
+        expected = sparse.hstack([problem.a_util, theta_coeffs[:, None]]).tocsr()
+        assert lp.a_ub.shape == (n_cells, problem.n_vars + 1)
+        assert (lp.a_ub != expected).nnz == 0
+        assert np.array_equal(lp.b_ub, np.where(np.isfinite(frozen_value), frozen_value, 0.0))
+        assert lp.ub[-1] == 1.0 and lp.c[-1] == 1.0 and not lp.c[:-1].any()
+        reference = reference_round_lp(problem, active, frozen_value, caps)
+        assert round_theta(lp) == pytest.approx(round_theta(reference), rel=1e-9, abs=1e-12)
+
+    def test_every_ladder_lp_has_one_layout(self, problem):
+        caps = problem.cell_caps()
+        layout = LadderLayout(problem, caps)
+        frozen_value = np.full(caps.size, np.inf)
+        first = layout.lp(frozen_value)
+        frozen_value[::3] = caps[::3]
+        for lp in (layout.lp(frozen_value), layout.lp(caps, np.ones(problem.n_vars))):
+            assert scipy_backend._same_layout(first, lp)
 
     def test_ladder_rounds_are_the_assembled_rounds(self, problem, monkeypatch):
-        """Every round LP a real ladder hands to the solver — empty, partial
-        and growing frozen sets as they actually occur."""
-        import repro.core.lexmin as lexmin
+        """Every round a real ladder solves warm — empty, partial and
+        growing frozen sets as they actually occur — has the ``theta*`` of
+        the assembled round on a fresh HiGHS."""
+        frozen_sets, thetas = [], []
+        real_lp, real_solve = LadderLayout.lp, lexmin.solve_lp
 
-        checked = []
-        real = lexmin.build_round_lp
+        def recording_lp(self, frozen_value, cost=None):
+            if cost is None:
+                frozen_sets.append(frozen_value.copy())
+            return real_lp(self, frozen_value, cost)
 
-        def checking(problem, active, frozen_value, caps, pieces):
-            lp = real(problem, active, frozen_value, caps, pieces)
-            a_ub, b_ub, a_eq, ub = reference_round_lp(
-                problem, active, frozen_value, caps
-            )
-            assert (lp.a_ub != a_ub).nnz == 0 and np.array_equal(lp.b_ub, b_ub)
-            assert (lp.a_eq != a_eq).nnz == 0 and np.array_equal(lp.ub, ub)
-            checked.append(int(np.isfinite(frozen_value).sum()))
-            return lp
+        def recording_solve(lp, *, tag, **kwargs):
+            sol = real_solve(lp, tag=tag, **kwargs)
+            if tag == "round":
+                thetas.append(float(sol.x[-1]))
+            return sol
 
-        monkeypatch.setattr(lexmin, "build_round_lp", checking)
+        monkeypatch.setattr(LadderLayout, "lp", recording_lp)
+        monkeypatch.setattr(lexmin, "solve_lp", recording_solve)
         result = lexmin_schedule(problem, max_rounds=None)
-        assert result.is_optimal and result.rounds == len(checked) >= 2
-        assert checked[0] == 0 and checked == sorted(set(checked))
+        assert result.is_optimal and result.rounds == len(thetas) >= 2
+        caps = problem.cell_caps()
+        for frozen_value, theta in zip(frozen_sets, thetas):
+            active = np.flatnonzero(~np.isfinite(frozen_value))
+            reference = reference_round_lp(problem, active, frozen_value, caps)
+            assert theta == pytest.approx(round_theta(reference), rel=1e-9, abs=1e-12)
+        frozen = [int(np.isfinite(f).sum()) for f in frozen_sets]
+        assert frozen[0] == 0 and frozen == sorted(set(frozen))
+
+
+class TestWarmLadder:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_warm_ladder_answers_as_the_cold_ladder(self, seed):
+        """Status, round-1 ``theta`` and the sorted utilisation vector: the
+        plan itself may move, since the balancing LP has many optima."""
+        tol = 1e-6
+        for problem in _ladder_problems(12, seed=seed):
+            status, thetas, utilisation = cold_ladder(problem, tol)
+            result = lexmin_schedule(problem, tol=tol)
+            assert result.status == status
+            if status != "optimal":
+                continue
+            assert result.thetas[0] == pytest.approx(thetas[0], rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(
+                np.sort(result.utilisation), np.sort(utilisation), rtol=0, atol=tol
+            )
+
+    def test_a_warm_run_that_is_not_optimal_falls_back_to_a_fresh_instance(
+        self, monkeypatch
+    ):
+        problems = _ladder_problems(6, seed=3)
+        fresh = scipy_backend.solve
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy_backend, "solve", lambda problem, highs=None: fresh(problem))
+            expected = [lexmin_schedule(problem) for problem in problems]
+        real = scipy_backend._warm_run
+
+        def not_optimal(core, last, problem):
+            solved, _ = real(core, last, problem)
+            return solved, scipy_backend._h.HighsModelStatus.kIterationLimit
+
+        monkeypatch.setattr(scipy_backend, "_warm_run", not_optimal)
+        obs = Observability()
+        with use_obs(obs):
+            got = [lexmin_schedule(problem) for problem in problems]
+        for want, have in zip(expected, got):
+            assert have.status == want.status
+            assert have.thetas == want.thetas and have.rounds == want.rounds
+            assert np.array_equal(have.x, want.x)
+        assert any(result.rounds > 1 for result in got)
+        # Every round after a ladder's first was warm, and fell back.
+        rounds = obs.counter("lp.solve.tag.round").value
+        assert obs.counter("lp.solve.warm_fallback").value == rounds - len(problems) > 0
 
 
 class TestVectorisedBookkeeping:

@@ -6,7 +6,9 @@ its oracle: on every LP of a small seeded FlowTime run, and on hand-built
 edge cases, the two must agree bit for bit on status, ``x``, both dual
 vectors and the objective — also when one reused
 :class:`~repro.lp.scipy_backend.Highs` solves them all, and when lexmin
-ladders, each on its own instance, run on many threads at once.
+ladders, each on its own instance, run on many threads at once.  An LP of
+the same layout as the instance's last optimum is solved warm from its
+basis; that answer is the same optimum, not always the same vertex.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from repro.core.lexmin import lexmin_schedule
+from repro.core.lexmin import LadderLayout, lexmin_schedule
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.lp import LinearProgram, LPStatus, SolverFailure, solve_lp
 from repro.lp import scipy_backend
 from repro.model import ClusterCapacity
+from repro.obs import Observability, use_obs
 from repro.model.resources import CPU, MEM, ResourceVector
 from repro.schedulers import make_scheduler
 from repro.simulator.engine import Simulation
@@ -69,6 +72,16 @@ def assert_same(problem: LinearProgram, highs: scipy_backend.Highs | None = None
         else:
             np.testing.assert_array_equal(have, want, strict=True)
     assert got.objective == objective
+    return status
+
+
+def assert_same_optimum(problem: LinearProgram, highs: scipy_backend.Highs) -> LPStatus:
+    """A warm answer: ``linprog``'s status and objective, at some vertex."""
+    status, *_, objective = oracle(problem)
+    got = scipy_backend.solve(problem, highs)
+    assert got.status is status
+    if status is LPStatus.OPTIMAL:
+        assert got.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
     return status
 
 
@@ -208,8 +221,11 @@ class TestInputChecks:
 
 
 class TestReusedInstance:
-    """One :class:`~repro.lp.scipy_backend.Highs` for many solves answers
-    as a fresh instance per solve, which is what ``linprog`` builds."""
+    """One :class:`~repro.lp.scipy_backend.Highs` for many solves.  An LP
+    whose layout differs from the last optimum's is passed as a new model
+    and answers as a fresh instance per solve, which is what ``linprog``
+    builds; a same-layout successor is solved warm from the kept basis and
+    answers the same optimum."""
 
     INFEASIBLE = LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
     NON_FINITE = LinearProgram(c=[np.nan, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0])
@@ -225,8 +241,41 @@ class TestReusedInstance:
             if index % 7 == 3:
                 with pytest.raises(ValueError):
                     scipy_backend.solve(self.NON_FINITE, highs)
-            statuses.append(assert_same(problem, highs))
+            last = highs.last
+            if last is not None and scipy_backend._same_layout(last, problem):
+                statuses.append(assert_same_optimum(problem, highs))
+            else:
+                statuses.append(assert_same(problem, highs))
         assert LPStatus.OPTIMAL in statuses
+
+    def test_a_ladder_on_one_instance_is_solved_warm(self):
+        """Round by round, then the balancing LP: each after the first is
+        warm and is ``linprog``'s optimum, and an unchanged LP re-solves in
+        no simplex iteration.  An LP of another layout in between answers
+        bit for bit and drops the basis."""
+        (problem,) = _ladder_problems(1, seed=5)
+        caps = problem.cell_caps()
+        layout = LadderLayout(problem, caps)
+        frozen = np.full(caps.size, np.inf)
+        round_1 = layout.lp(frozen)
+        theta = scipy_backend.solve(round_1).x[-1]
+        frozen[: caps.size // 2] = (theta + 1e-6) * caps[: caps.size // 2]
+        round_2 = layout.lp(frozen)
+        frozen[caps.size // 2 :] = caps[caps.size // 2 :]
+        balance = layout.lp(frozen, np.ones(problem.n_vars))
+        highs = scipy_backend.Highs()
+        assert_same(round_1, highs)
+        assert highs.last is round_1
+        for successor in (round_2, balance):
+            assert assert_same_optimum(successor, highs) is LPStatus.OPTIMAL
+            assert highs.last is successor
+        obs = Observability()
+        with use_obs(obs):
+            assert assert_same_optimum(balance, highs) is LPStatus.OPTIMAL
+        assert obs.histogram("lp.backend.highs.iterations").sum == 0
+        assert assert_same(self.INFEASIBLE, highs) is LPStatus.INFEASIBLE
+        assert highs.last is None
+        assert assert_same(round_2, highs) is LPStatus.OPTIMAL
 
     def test_a_solve_that_raises_discards_the_instance(self, monkeypatch):
         lp = LinearProgram(c=[1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0])

@@ -231,7 +231,7 @@ PINNED_CHAOS = {
          *range(39, 44), 48, 49],
         28,
     ),
-    3: ([*range(3, 8), 10, 11, *range(13, 22), 37, 38, 39, 41, 42, 43, 44, 49, 50, 51], 26),
+    3: ([*range(3, 8), 10, 11, *range(13, 22), 37, 38, 39, *range(43, 47), 49, 50, 51], 26),
     4: ([*range(1, 9), *range(14, 19), *range(31, 39), 45, 46, 51], 24),
 }
 
