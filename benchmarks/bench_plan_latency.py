@@ -10,11 +10,14 @@ cache and warm-started lexmin buy on exactly that steady-state regime.
 
 For each workload scale it runs the identical recurring trace three times:
 
-* ``cached``   — default planner (plan cache + warm start on),
-* ``no-cache`` — ``plan_cache=False`` (the ``repro run --no-plan-cache``
-  ablation; warm start still on),
-* ``cold``     — ``plan_cache=False, warm_start=False`` (the pre-1.2
-  behaviour: every replan runs the full lexmin ladder).
+* ``cached``   — the planner as shipped (plan cache + warm start, always on),
+* ``no-cache`` — its plan cache swapped for one whose lookups always miss
+  (warm start still on),
+* ``cold``     — every request answered by a fresh planner (no cache, no
+  warm start: every replan runs the full lexmin ladder).
+
+The planner has no switch for either ablation; both are built from
+outside with the tests' oracle helpers (``tests/planning_oracle.py``).
 
 and records ``sched.plan`` / ``lp.solve`` latency percentiles, LP solve
 counts, cache hit rates, and the end-to-end metrics (missed deadlines,
@@ -33,7 +36,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.experiments import run_one
@@ -44,12 +49,12 @@ from repro.workloads.dag_generators import chain_workflow, fork_join_workflow
 from repro.workloads.recurring import RecurringWorkflow
 from repro.workloads.traces import SyntheticTrace
 
-#: The three planner configurations compared at every scale.
-MODES: dict[str, dict] = {
-    "cached": {},
-    "no-cache": {"plan_cache": False},
-    "cold": {"plan_cache": False, "warm_start": False},
-}
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from tests.planning_oracle import cold_planning, hint_only  # noqa: E402
+
+#: The three planner modes compared at every scale, as context managers.
+MODES = {"cached": nullcontext, "no-cache": hint_only, "cold": cold_planning}
 
 
 @dataclass(frozen=True)
@@ -194,18 +199,16 @@ def run_scale(
     trace = build_trace(scale)
     runs: dict[str, dict] = {}
     for mode in scale.modes:
-        outcome = run_one(
-            "FlowTime",
-            trace,
-            capacity,
-            # work_conserving soak depends on leftover capacity, which an
-            # ad-hoc-free steady state keeps periodic anyway; disabling it
-            # removes the one coupling that could differ across modes.
-            scheduler_kwargs={
-                "planner": MODES[mode],
-                "work_conserving": False,
-            },
-        )
+        with MODES[mode]():
+            outcome = run_one(
+                "FlowTime",
+                trace,
+                capacity,
+                # work_conserving soak depends on leftover capacity, which an
+                # ad-hoc-free steady state keeps periodic anyway; disabling it
+                # removes the one coupling that could differ across modes.
+                scheduler_kwargs={"work_conserving": False},
+            )
         result = outcome.result
         hits = result.counter_value("sched.plan.cache.hit")
         misses = result.counter_value("sched.plan.cache.miss")

@@ -2,9 +2,9 @@
 """CI fuzz gate: random workloads through every path, validated end to end.
 
 Runs the seeded fuzz harness (:mod:`repro.verify.fuzz`): each seed's
-random workload is pushed through the cold batch path, the cached/warm-
-started re-planning path, the chaos-degraded path, and the journal
-kill/replay service path, and every result is checked by the independent
+random workload is pushed through the batch path (the product planner,
+plan cache and warm hint included), the chaos-degraded path, and the
+journal kill/replay service path, and every result is checked by the independent
 schedule validator (capacity, precedence, conservation, windows, metric
 recomputation).
 

@@ -16,12 +16,13 @@ the *remaining* demands of all live deadline-aware jobs.  The planner:
    water-filling rather than failing.
 
 The planner has no simulator state and no clocks: it maps a
-:class:`~repro.core.replan.PlanRequest` (now, demands, capacity, config) to
-an :class:`~repro.core.allocation.AllocationPlan`.  Because that mapping is
-deterministic, the planner memoises it — a fingerprint-keyed plan cache
-skips the LP for repeated job mixes (recurring workflows), and the previous
-solve's skyline warm-starts the lexmin ladder on near-identical ones; see
-:mod:`repro.core.replan`.
+:class:`~repro.core.replan.PlanRequest` (now, demands, capacity) to an
+:class:`~repro.core.allocation.AllocationPlan`.  Because that mapping is
+deterministic, the planner always memoises it — a fingerprint-keyed plan
+cache skips the LP for repeated job mixes (recurring workflows), and the
+previous solve's skyline warm-starts the lexmin ladder on near-identical
+ones; see :mod:`repro.core.replan`.  There is no switch: the cold ladder
+(a fresh planner per request) is the tests' oracle, not a product path.
 """
 
 from __future__ import annotations
@@ -109,13 +110,13 @@ class FlowTimePlanner:
     :class:`~repro.core.replan.PlanCache` (identical plans are reused
     outright) and the previous solve's utilisation skyline (used to
     warm-start the lexmin ladder on near-identical job mixes).  Both are
-    transparent: disabling them via :class:`PlannerConfig` changes latency,
-    never the plan's recorded metrics.
+    always on and transparent: a fresh planner per request (the cold
+    ladder, which the tests keep as their oracle) plans the same.
     """
 
     def __init__(self, config: PlannerConfig | None = None):
         self.config = config or PlannerConfig()
-        self.plan_cache = PlanCache(maxsize=self.config.plan_cache_size)
+        self.plan_cache = PlanCache()
         # Previous solve's skyline in absolute coordinates: (resources,
         # theta, absolute slot / r_index / utilisation of every cell).
         self._skyline: tuple | None = None
@@ -131,18 +132,15 @@ class FlowTimePlanner:
         the LP was infeasible even with relaxed windows and EDF
         water-filling was used.
         """
-        config = request.config or self.config
         obs = current_obs()
         with obs.span("sched.plan"):
-            if not config.plan_cache:
-                return self._plan(request, config)
-            key = request.fingerprint(config)
+            key = request.fingerprint()
             cached = self.plan_cache.get(key)
             if cached is not None:
                 obs.counter("sched.plan.cache.hit").inc()
                 return cached.materialise(request)
             obs.counter("sched.plan.cache.miss").inc()
-            plan = self._plan(request, config)
+            plan = self._plan(request)
             self.plan_cache.put(key, CachedPlan.from_plan(plan, request))
             return plan
 
@@ -165,7 +163,8 @@ class FlowTimePlanner:
         dense[relative, r_index[keep]] = levels[keep]
         return LexminWarmHint(theta=theta, levels=dense)
 
-    def _plan(self, request: PlanRequest, config: PlannerConfig) -> AllocationPlan:
+    def _plan(self, request: PlanRequest) -> AllocationPlan:
+        config = self.config
         now_slot = request.now_slot
         capacity = request.capacity
         resources = capacity.resources
@@ -175,8 +174,6 @@ class FlowTimePlanner:
         demands = DemandTable.of(request.demands)  # once, for both window sets
         plain = entries_from_demands(demands, now_slot, 0, repair=True)
         horizon = max(entry.deadline for entry in plain)
-        if config.horizon_slots is not None:
-            horizon = min(horizon, config.horizon_slots)
         stretched = int(horizon * 3 / 2) + 1
 
         def ladder() -> Iterator[tuple[int, list[ScheduleEntry], int]]:
@@ -216,7 +213,7 @@ class FlowTimePlanner:
         # The stored skyline came from whichever rung produced the last
         # plan — almost always the first — so only the first rung can
         # meaningfully reuse it; relaxed rungs see different windows.
-        hint = self._warm_hint(now_slot, resources) if config.warm_start else None
+        hint = self._warm_hint(now_slot, resources)
         failed = None
         for rung, entries, rung_horizon in ladder():
             if (entries, rung_horizon) == failed:
@@ -245,15 +242,14 @@ class FlowTimePlanner:
             obs.counter(f"sched.plan.rung.{rung}").inc()
             if result.warm:
                 obs.counter("sched.plan.warm").inc()
-            if config.warm_start:  # the skyline, in absolute coordinates
-                cells = problem.cell_array()
-                self._skyline = (
-                    resources,
-                    result.minimax,
-                    now_slot + cells[:, 0],
-                    cells[:, 1],
-                    result.utilisation,
-                )
+            cells = problem.cell_array()  # the skyline, in absolute coordinates
+            self._skyline = (
+                resources,
+                result.minimax,
+                now_slot + cells[:, 0],
+                cells[:, 1],
+                result.utilisation,
+            )
             return AllocationPlan(
                 origin_slot=now_slot,
                 horizon=rung_horizon,

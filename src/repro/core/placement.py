@@ -54,23 +54,10 @@ class PlannerConfig:
             6 slots of 10 s).  0 disables slack (the Fig. 5 ablation).
         max_lexmin_rounds: minimax refinement rounds (None = exact lexmin;
             small values keep re-planning fast with near-identical plans).
-        horizon_slots: hard cap on the planning horizon (None = plan until
-            the latest adjusted deadline).
         front_load: tie-break balanced optima toward earlier slots (see
             :func:`repro.core.lexmin.lexmin_schedule`); False is the
             paper-faithful behaviour where only the deadline slack guards
             against last-minute allocations.
-        plan_cache: memoise solved plans by a canonical fingerprint of
-            (remaining demands, capacity, config) so unchanged job mixes —
-            in particular recurring-workflow instances — skip the LP ladder
-            entirely.  Plans are deterministic functions of the fingerprint,
-            so cached plans are identical to cold solves.
-        plan_cache_size: LRU capacity of the plan cache.
-        warm_start: on a cache miss, seed the lexmin ladder from the
-            previous solve's utilisation skyline (see
-            :class:`repro.core.lexmin.LexminWarmHint`).  The minimax theta
-            is still solved exactly and a failed exactness check falls back
-            to the cold ladder, so plans stay minimax-optimal.
         solve_budget_s: optional wall-time budget per LP solve (the solver
             guardrail).  A solve that exceeds it — or any solver fault —
             raises :class:`~repro.lp.solver.SolverFailure` out of
@@ -81,19 +68,7 @@ class PlannerConfig:
 
     slack_slots: int = 6
     max_lexmin_rounds: int | None = 4
-    horizon_slots: int | None = None
     front_load: bool = True
-    plan_cache: bool = field(default=True, metadata={
-        "flag": "--no-plan-cache",
-        "help": "disable the FlowTime plan cache (ablation; ignored by "
-        "schedulers without a planner)",
-    })
-    plan_cache_size: int = 128
-    warm_start: bool = field(default=True, metadata={
-        "flag": "--no-warm-start",
-        "help": "disable warm-started lexmin solves (ablation; ignored by "
-        "schedulers without a planner)",
-    })
     solve_budget_s: float | None = field(default=None, metadata={
         "flag": "--solve-budget", "type": float, "metavar": "SECONDS",
         "help": "per-LP-solve wall-time budget; a blown budget triggers the "
@@ -103,10 +78,6 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.slack_slots < 0:
             raise ValueError("slack_slots must be >= 0")
-        if self.horizon_slots is not None and self.horizon_slots < 1:
-            raise ValueError("horizon_slots must be >= 1")
-        if self.plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
 
 
 def demand_row(window: JobWindow, tasks: TaskSpec, units: int) -> tuple:

@@ -10,10 +10,10 @@ offsets every period, and most re-plan triggers change a single job.
 This module keeps the planner's hot path incremental:
 
 * :class:`PlanRequest` — one value object carrying everything a plan needs
-  (now, demands, capacity, optional config override), replacing the
-  positional-argument sprawl of the old ``plan(now, demands, capacity)``.
+  (now, demands, capacity).
 * :func:`PlanRequest.fingerprint` — a canonical, time-shift-invariant key
-  of (remaining demands, windows, capacity skyline, config).  Demands are
+  of (remaining demands, windows, capacity skyline).  A cache belongs to
+  one planner and so to one config, which the key leaves out.  Demands are
   anonymised (job ids dropped, windows made relative to *now*) so the i-th
   instance of a recurring workflow hits the cache entries primed by the
   (i-1)-th, exactly the amortisation Morpheus (OSDI '16) argues for.
@@ -38,7 +38,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.core.allocation import AllocationPlan
-from repro.core.placement import JobDemand, PlannerConfig
+from repro.core.placement import JobDemand
 from repro.model.cluster import ClusterCapacity
 
 __all__ = ["CachedPlan", "PlanCache", "PlanRequest"]
@@ -86,26 +86,21 @@ class PlanRequest:
         now_slot: absolute slot the plan is anchored at.
         demands: remaining demands of the live deadline jobs.
         capacity: the cluster's (possibly time-varying) capacity.
-        config: optional per-request override of the planner's
-            :class:`~repro.core.placement.PlannerConfig` (None = use the
-            planner's own).
     """
 
     now_slot: int
     demands: tuple[JobDemand, ...]
     capacity: ClusterCapacity
-    config: PlannerConfig | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.demands, tuple):
             object.__setattr__(self, "demands", tuple(self.demands))
 
-    def fingerprint(self, config: PlannerConfig) -> Hashable:
-        """Canonical cache key under the *effective* planner config."""
+    def fingerprint(self) -> Hashable:
+        """Canonical cache key of the request."""
         return (
             tuple(sorted(_demand_key(d, self.now_slot) for d in self.demands)),
             _capacity_key(self.capacity, self.now_slot),
-            config,
         )
 
     def canonical_demands(self) -> list[JobDemand]:
@@ -199,18 +194,7 @@ class PlanCache:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "hit_rate": self.hit_rate,
-            "entries": float(len(self._entries)),
-        }

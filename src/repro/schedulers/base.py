@@ -151,16 +151,3 @@ class Scheduler(abc.ABC):
                     leftover = leftover.saturating_sub(demand)
                     progress = True
         return leftover
-
-    @staticmethod
-    def serve_adhoc(
-        policy: str,
-        view: ClusterView,
-        leftover: ResourceVector,
-        grants: dict[str, int],
-    ) -> ResourceVector:
-        if policy == "fifo":
-            return Scheduler.serve_adhoc_fifo(view, leftover, grants)
-        if policy == "fair":
-            return Scheduler.serve_adhoc_fair(view, leftover, grants)
-        raise ValueError(f"unknown ad-hoc policy {policy!r} (use 'fifo' or 'fair')")

@@ -27,17 +27,19 @@ from repro.model.events import Event, EventKind
 from repro.schedulers.base import Assignment, Scheduler
 from repro.simulator.view import ClusterView, fit_units
 
+#: Waiting time (slots) at which an ad-hoc job's utility reaches its
+#: remaining-work share: the soft deadline of the deadline-sensitive class.
+ADHOC_SOFT_DEADLINE_SLOTS = 30
+#: Weight of a deadline-critical job's required-progress utility.
+CRITICAL_WEIGHT = 4.0
+
 
 class CoraScheduler(Scheduler):
     """Utility-minimax progressive filling with two job classes."""
 
     name = "CORA"
 
-    def __init__(self, adhoc_soft_deadline_slots: int = 30, critical_weight: float = 4.0):
-        if adhoc_soft_deadline_slots < 1:
-            raise ValueError("adhoc_soft_deadline_slots must be >= 1")
-        self.adhoc_soft_deadline_slots = adhoc_soft_deadline_slots
-        self.critical_weight = critical_weight
+    def __init__(self) -> None:
         self._windows: dict[str, JobWindow] = {}
 
     def on_events(self, events: Sequence[Event], view: ClusterView) -> None:
@@ -55,7 +57,7 @@ class CoraScheduler(Scheduler):
             return 0.0
         slack = max(deadline - slot, 1)
         capacity_left = slack * job.max_parallel
-        return self.critical_weight * remaining / capacity_left
+        return CRITICAL_WEIGHT * remaining / capacity_left
 
     def _adhoc_utility(self, job, slot: int, granted: int) -> float:
         remaining = max(job.pending_units - granted, 0)
@@ -66,7 +68,7 @@ class CoraScheduler(Scheduler):
             remaining
             / max(job.pending_units, 1)
             * waited
-            / self.adhoc_soft_deadline_slots
+            / ADHOC_SOFT_DEADLINE_SLOTS
         )
 
     def assign(self, view: ClusterView) -> Assignment:

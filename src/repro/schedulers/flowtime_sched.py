@@ -55,14 +55,10 @@ class FlowTimeScheduler(Scheduler):
         *,
         cluster_aware_decomposition: bool = True,
         work_conserving: bool = True,
-        adhoc_policy: str = "fair",
     ):
-        if adhoc_policy not in ("fifo", "fair"):
-            raise ValueError(f"unknown ad-hoc policy {adhoc_policy!r}")
         self.planner = FlowTimePlanner(planner_config)
         self.cluster_aware_decomposition = cluster_aware_decomposition
         self.work_conserving = work_conserving
-        self.adhoc_policy = adhoc_policy
         self._windows: dict[str, JobWindow] = {}
         self._plan: Optional[AllocationPlan] = None
         self._needs_replan = False
@@ -230,8 +226,8 @@ class FlowTimeScheduler(Scheduler):
 
         # Everything the flattened deadline skyline does not use goes to
         # ad-hoc jobs *now* — this is how FlowTime wins Fig. 4(c).  The
-        # leftover is shared max-min fairly by default (FIFO optional).
-        leftover = self.serve_adhoc(self.adhoc_policy, view, leftover, grants)
+        # leftover is shared max-min fairly.
+        leftover = self.serve_adhoc_fair(view, leftover, grants)
 
         if self.work_conserving and not leftover.is_zero():
             self.top_up(ordered, leftover, grants)

@@ -10,7 +10,8 @@ jobs depend upon each other".  Our reproduction keeps exactly that split:
 * **reservation-based placement** — each job's demand is water-filled into
   its inferred window, lowest-skyline-first, one job at a time in inferred
   deadline order (a Rayon-style reservation heuristic, not a global LP);
-* leftover capacity serves ad-hoc jobs FIFO.
+* leftover capacity serves ad-hoc jobs max-min fairly, and what they
+  leave tops up ready deadline jobs (work-conserving).
 
 Without history for a workflow template Morpheus falls back to evenly
 spreading jobs across the window — the cold-start behaviour the real system
@@ -39,20 +40,8 @@ class MorpheusScheduler(Scheduler):
 
     name = "Morpheus"
 
-    def __init__(
-        self,
-        history: RunHistory | None = None,
-        *,
-        quantile: float = 0.95,
-        work_conserving: bool = True,
-        adhoc_policy: str = "fair",
-    ):
-        if adhoc_policy not in ("fifo", "fair"):
-            raise ValueError(f"unknown ad-hoc policy {adhoc_policy!r}")
+    def __init__(self, history: RunHistory | None = None):
         self.history = history or RunHistory()
-        self.quantile = quantile
-        self.work_conserving = work_conserving
-        self.adhoc_policy = adhoc_policy
         self._windows: dict[str, JobWindow] = {}
         self._plan: Optional[AllocationPlan] = None
         self._needs_replan = False
@@ -78,13 +67,12 @@ class MorpheusScheduler(Scheduler):
                 self.history,
                 template,
                 [local_of[job_id] for job_id in workflow.job_ids],
-                quantile=self.quantile,
             )
             offsets = {
                 job_id: local_offsets[local_of[job_id]]
                 for job_id in workflow.job_ids
             }
-            makespan = max(estimated_makespan(self.history, template, quantile=self.quantile), 1.0)
+            makespan = max(estimated_makespan(self.history, template), 1.0)
             scale = window / makespan
             for job_id, (start, completion) in offsets.items():
                 release = workflow.start_slot + int(np.floor(start * scale))
@@ -204,9 +192,9 @@ class MorpheusScheduler(Scheduler):
         runnable = {j.job_id: j for j in view.runnable_deadline_jobs()}
         leftover = self.grant_planned(plan, view, runnable, grants)
 
-        leftover = self.serve_adhoc(self.adhoc_policy, view, leftover, grants)
+        leftover = self.serve_adhoc_fair(view, leftover, grants)
 
-        if self.work_conserving and not leftover.is_zero():
+        if not leftover.is_zero():
             ordered = sorted(
                 runnable.values(),
                 key=lambda j: self._windows.get(

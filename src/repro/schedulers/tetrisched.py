@@ -35,19 +35,16 @@ from repro.model.resources import ResourceVector
 from repro.schedulers.base import Assignment, Scheduler
 from repro.simulator.view import ClusterView
 
+#: Length (slots) of the plan-ahead window every re-pack places blocks in.
+PLAN_AHEAD_SLOTS = 256
+
 
 class TetriSchedScheduler(Scheduler):
     """Rigid space-time blocks, globally re-packed with plan-ahead."""
 
     name = "TetriSched"
 
-    def __init__(self, *, plan_ahead_slots: int = 256, adhoc_policy: str = "fair"):
-        if plan_ahead_slots < 4:
-            raise ValueError("plan_ahead_slots must be >= 4")
-        if adhoc_policy not in ("fifo", "fair"):
-            raise ValueError(f"unknown ad-hoc policy {adhoc_policy!r}")
-        self.plan_ahead_slots = plan_ahead_slots
-        self.adhoc_policy = adhoc_policy
+    def __init__(self) -> None:
         self._windows: dict[str, JobWindow] = {}
         self._plan: Optional[AllocationPlan] = None
         self._needs_replan = False
@@ -83,7 +80,7 @@ class TetriSchedScheduler(Scheduler):
         if not live:
             return AllocationPlan.empty(now, 1, resources)
 
-        horizon = self.plan_ahead_slots
+        horizon = PLAN_AHEAD_SLOTS
         caps = caps_array(view.capacity, now, horizon)
         load = np.zeros_like(caps)
         grants: dict[str, np.ndarray] = {}
@@ -167,7 +164,7 @@ class TetriSchedScheduler(Scheduler):
         runnable = {j.job_id: j for j in view.runnable_deadline_jobs()}
         leftover = self.grant_planned(plan, view, runnable, grants)
 
-        leftover = self.serve_adhoc(self.adhoc_policy, view, leftover, grants)
+        leftover = self.serve_adhoc_fair(view, leftover, grants)
 
         if not leftover.is_zero():
             ordered = sorted(

@@ -3,10 +3,10 @@
 Each fuzz case draws a seeded random workload (cluster size, workflow
 DAGs, ad-hoc stream) and pushes it through one production path —
 
-* ``batch``: a cold batch simulation (:func:`repro.analysis.run_one`);
-* ``replan``: the same with the plan cache and warm-started lexmin on;
-* ``degraded``: with injected solver faults (:mod:`repro.chaos`), so the
-  fallback ladder and EDF degraded mode are exercised;
+* ``batch``: a batch simulation (:func:`repro.analysis.run_one`) on the
+  product planner, plan cache and skyline warm hint included;
+* ``degraded``: the same with injected solver faults (:mod:`repro.chaos`),
+  so the fallback ladder and EDF degraded mode are exercised;
 * ``journal``: through the online service with a write-ahead journal, a
   seeded subset of workflows handed off to another shard, a kill, and a
   journal-replay restart that must bring back the killed ledger exactly.
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 #: Production paths a fuzz case can exercise.
-FUZZ_PATHS: tuple[str, ...] = ("batch", "replan", "degraded", "journal")
+FUZZ_PATHS: tuple[str, ...] = ("batch", "degraded", "journal")
 
 #: Bound on reproduction runs spent minimising one failing workload.
 _MAX_SHRINK_RUNS = 40
@@ -167,22 +167,18 @@ def _validate_outcome(trace, capacity, result, events=None) -> list[str]:
     return violations
 
 
-def _run_batch(trace, capacity, seed: int, *, replan: bool) -> list[str]:
+def _run_batch(trace, capacity, seed: int) -> list[str]:
     from repro.analysis.experiments import run_one
     from repro.obs import Observability
     from repro.obs.trace import MemorySink
     from repro.simulator.engine import SimulationConfig
 
-    kwargs = (
-        {"planner": {"plan_cache": True, "warm_start": True}} if replan else None
-    )
     sink = MemorySink()
     outcome = run_one(
         "FlowTime",
         trace,
         capacity,
         config=SimulationConfig(record_execution=True),
-        scheduler_kwargs=kwargs,
         obs=Observability(sink=sink),
     )
     return _validate_outcome(trace, capacity, outcome.result, sink.events)
@@ -192,7 +188,7 @@ def _run_degraded(trace, capacity, seed: int) -> list[str]:
     from repro.chaos import ChaosConfig, chaos_solver
 
     with chaos_solver(ChaosConfig(solver_fault_prob=0.25, seed=seed)):
-        return _run_batch(trace, capacity, seed, replan=False)
+        return _run_batch(trace, capacity, seed)
 
 
 def _run_journal(trace, capacity, seed: int) -> list[str]:
@@ -264,8 +260,7 @@ def run_case(
     contract is "every path completes and validates clean".
     """
     runners: dict[str, Callable[[], list[str]]] = {
-        "batch": lambda: _run_batch(trace, capacity, seed, replan=False),
-        "replan": lambda: _run_batch(trace, capacity, seed, replan=True),
+        "batch": lambda: _run_batch(trace, capacity, seed),
         "degraded": lambda: _run_degraded(trace, capacity, seed),
         "journal": lambda: _run_journal(trace, capacity, seed),
     }

@@ -319,11 +319,9 @@ def _production_plan(instance: OracleInstance):
         for job in instance.jobs
     )
     capacity = ClusterCapacity(base=ResourceVector(instance.capacity))
-    planner = FlowTimePlanner(
-        # slack_slots=0 keeps the planner's windows identical to the
-        # oracle's; cache/warm-start off so every instance is a cold solve.
-        PlannerConfig(slack_slots=0, plan_cache=False, warm_start=False)
-    )
+    # slack_slots=0 keeps the planner's windows identical to the oracle's;
+    # a fresh planner per instance makes every instance a cold solve.
+    planner = FlowTimePlanner(PlannerConfig(slack_slots=0))
     request = PlanRequest(now_slot=0, demands=demands, capacity=capacity)
     return planner.plan(request)
 

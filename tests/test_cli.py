@@ -108,38 +108,6 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--trace", str(trace_path), "--scheduler", "SLURM"])
 
-    def test_no_plan_cache_flags_reach_planner(self, trace_path, monkeypatch):
-        import repro.cli as cli_mod
-
-        captured = {}
-        real_run_one = cli_mod.run_one
-
-        def spy(name, trace, cluster, **kwargs):
-            captured.update(kwargs)
-            return real_run_one(name, trace, cluster, **kwargs)
-
-        monkeypatch.setattr(cli_mod, "run_one", spy)
-        code = main(
-            ["run", "--trace", str(trace_path), "--no-plan-cache",
-             "--no-warm-start"]
-        )
-        assert code == 0
-        assert captured["scheduler_kwargs"] == {
-            "planner": {"plan_cache": False, "warm_start": False}
-        }
-
-    def test_no_plan_cache_matches_default_outcome(self, trace_path, capsys):
-        def summary(extra):
-            assert main(["run", "--trace", str(trace_path), *extra]) == 0
-            out = capsys.readouterr().out
-            return [
-                line for line in out.splitlines()
-                if line.startswith(("jobs missed", "workflows missed",
-                                    "ad-hoc turnaround"))
-            ]
-
-        assert summary(["--no-plan-cache"]) == summary([])
-
     def test_trace_out_writes_jsonl(self, trace_path, tmp_path, capsys):
         out_path = tmp_path / "run.jsonl"
         code = main(
@@ -380,7 +348,7 @@ class TestFlagSurface:
         "--scientific --seed --spread --workflows",
         "decompose": "--chart --cpu --mem --trace --workflow",
         "run": "--cpu --error-high --error-low --fault-seed --gantt "
-        "--max-setback --mem --metrics --no-plan-cache --no-warm-start "
+        "--max-setback --mem --metrics "
         "--scheduler --setback-prob --slot-seconds --solve-budget --trace "
         "--trace-out --verify",
         "verify": "--cpu --mem --slot-seconds --workload",
@@ -446,11 +414,8 @@ class TestFlagSurface:
             ((), {}, {}),
             (("--slot-seconds", "5", "--verify"),
              {"slot_seconds": 5.0, "verify": True}, {}),
-            (("--no-plan-cache", "--no-warm-start", "--solve-budget", "0.5"), {},
-             {"planner": {"plan_cache": False, "warm_start": False,
-                          "solve_budget_s": 0.5}}),
-            (("--scheduler", "FIFO", "--no-plan-cache", "--solve-budget", "1"),
-             {}, {}),
+            (("--solve-budget", "0.5"), {}, {"planner": {"solve_budget_s": 0.5}}),
+            (("--scheduler", "FIFO", "--solve-budget", "1"), {}, {}),
             (("--setback-prob", "0.25", "--max-setback", "2", "--fault-seed", "7"),
              {"failures": FailureModel(setback_prob=0.25, max_setback_units=2,
                                        seed=7)}, {}),

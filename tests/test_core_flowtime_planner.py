@@ -42,8 +42,6 @@ class TestPlannerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             PlannerConfig(slack_slots=-1)
-        with pytest.raises(ValueError):
-            PlannerConfig(horizon_slots=0)
 
 
 class TestBasicPlanning:
@@ -122,16 +120,6 @@ class TestWindowRepair:
         # Greedy still fills what fits: exactly one 10-core unit per slot.
         total = sum(plan.total_units(f"j{i}") for i in range(4))
         assert total == plan.horizon  # one unit per slot saturates cpu
-
-
-class TestHorizonCap:
-    def test_horizon_slots_clamps(self, cluster):
-        planner = FlowTimePlanner(
-            PlannerConfig(slack_slots=0, horizon_slots=5)
-        )
-        plan = make_plan(planner, 0, [demand(units=4, deadline=50)], cluster)
-        assert plan.horizon == 5
-        assert plan.total_units("j") == 4
 
 
 class TestPaperFormulation:

@@ -27,7 +27,6 @@ from repro.core.lexmin import LadderLayout, lexmin_schedule
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.core.placement import (
     JobDemand,
-    PlannerConfig,
     caps_array,
     entries_from_demands,
     max_placement,
@@ -37,6 +36,7 @@ from repro.lp import LinearProgram, scipy_backend
 from repro.model.cluster import ClusterCapacity
 from repro.model.resources import ResourceVector
 from repro.obs import Observability, use_obs
+from tests.planning_oracle import cold_planning
 from tests.test_lp_backend import _ladder_problems
 
 CLUSTER = ClusterCapacity.uniform(cpu=10, mem=20)
@@ -178,9 +178,9 @@ class TestLazyEqualsEager:
         seen: dict[str, int] = {}
         for seed in range(90):
             request = instance(seed)
-            planner = FlowTimePlanner(PlannerConfig(plan_cache=False))
+            planner = FlowTimePlanner()
             obs = Observability()
-            with use_obs(obs):
+            with use_obs(obs), cold_planning():
                 plan = planner.plan(request)
             grants, horizon, degraded = eager_plan(planner, request)
             assert (plan.horizon, plan.degraded) == (horizon, degraded), seed

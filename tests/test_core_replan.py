@@ -1,4 +1,12 @@
-"""Tests for the incremental re-planning layer (plan cache + warm starts)."""
+"""Tests for the incremental re-planning layer (plan cache + warm starts).
+
+The planner always memoises; the cold ladder these tests compare it with
+is the test-only oracle of ``tests/planning_oracle.py`` (:func:`cold_planning`:
+a fresh planner per request), and :class:`MissOnlyCache` gives a planner
+the skyline hint without the cache.
+"""
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -9,6 +17,7 @@ from repro.core.replan import CachedPlan, PlanCache, PlanRequest
 from repro.model.cluster import ClusterCapacity
 from repro.model.resources import CPU, MEM, ResourceVector
 from repro.obs import Observability, use_obs
+from tests.planning_oracle import MissOnlyCache, cold_planning, hint_only
 
 
 @pytest.fixture
@@ -29,10 +38,8 @@ def demand(
     )
 
 
-def request(now, demands, capacity, config=None) -> PlanRequest:
-    return PlanRequest(
-        now_slot=now, demands=tuple(demands), capacity=capacity, config=config
-    )
+def request(now, demands, capacity) -> PlanRequest:
+    return PlanRequest(now_slot=now, demands=tuple(demands), capacity=capacity)
 
 
 def shifted(d: JobDemand, by: int, job_id: str | None = None) -> JobDemand:
@@ -48,53 +55,53 @@ def shifted(d: JobDemand, by: int, job_id: str | None = None) -> JobDemand:
 
 class TestFingerprint:
     def test_time_shift_and_job_ids_are_anonymous(self, cluster):
-        config = PlannerConfig()
         base = [demand("a", 0, 10), demand("b", 2, 8, units=4)]
         later = [shifted(d, 50, job_id=f"other-{d.job_id}") for d in base]
-        first = request(0, base, cluster).fingerprint(config)
-        second = request(50, later, cluster).fingerprint(config)
+        first = request(0, base, cluster).fingerprint()
+        second = request(50, later, cluster).fingerprint()
         assert first == second
 
     def test_demand_order_is_canonical(self, cluster):
-        config = PlannerConfig()
         demands = [demand("a", 0, 10), demand("b", 2, 8, units=4)]
-        assert request(0, demands, cluster).fingerprint(config) == request(
+        assert request(0, demands, cluster).fingerprint() == request(
             0, list(reversed(demands)), cluster
-        ).fingerprint(config)
+        ).fingerprint()
 
     def test_capacity_change_misses(self, cluster):
-        config = PlannerConfig()
         smaller = ClusterCapacity.uniform(cpu=8, mem=20)
-        assert request(0, [demand()], cluster).fingerprint(config) != request(
+        assert request(0, [demand()], cluster).fingerprint() != request(
             0, [demand()], smaller
-        ).fingerprint(config)
+        ).fingerprint()
 
     def test_config_change_misses(self, cluster):
+        # The key leaves the config out, so a plan made under one config
+        # must never answer another: each planner owns its cache.
         req = request(0, [demand()], cluster)
-        assert req.fingerprint(PlannerConfig()) != req.fingerprint(
-            PlannerConfig(slack_slots=0)
-        )
+        default = FlowTimePlanner()
+        no_slack = FlowTimePlanner(PlannerConfig(slack_slots=0))
+        default.plan(req)
+        no_slack.plan(req)
+        assert default.plan_cache is not no_slack.plan_cache
+        assert (no_slack.plan_cache.hits, no_slack.plan_cache.misses) == (0, 1)
 
     def test_setback_misses(self, cluster):
         # An estimation-error setback raises believed remaining units,
         # which must re-plan rather than reuse the stale allocation.
-        config = PlannerConfig()
-        assert request(0, [demand(units=6)], cluster).fingerprint(
-            config
-        ) != request(0, [demand(units=9)], cluster).fingerprint(config)
+        assert request(0, [demand(units=6)], cluster).fingerprint() != request(
+            0, [demand(units=9)], cluster
+        ).fingerprint()
 
     def test_past_capacity_overrides_are_dropped(self, cluster):
-        config = PlannerConfig()
         half = ResourceVector({CPU: 5, MEM: 10})
         past = ClusterCapacity(base=cluster.base, overrides={3: half})
         future = ClusterCapacity(base=cluster.base, overrides={13: half})
-        plain = request(10, [demand(release=10, deadline=20)], cluster).fingerprint(config)
+        plain = request(10, [demand(release=10, deadline=20)], cluster).fingerprint()
         assert request(
             10, [demand(release=10, deadline=20)], past
-        ).fingerprint(config) == plain
+        ).fingerprint() == plain
         assert request(
             10, [demand(release=10, deadline=20)], future
-        ).fingerprint(config) != plain
+        ).fingerprint() != plain
 
 
 class TestPlanCache:
@@ -109,7 +116,7 @@ class TestPlanCache:
         assert cache.get("k") is plan
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == 0.5
-        assert cache.stats()["entries"] == 1.0
+        assert len(cache) == 1
 
     def test_lru_eviction(self):
         cache = PlanCache(maxsize=2)
@@ -128,14 +135,6 @@ class TestPlanCache:
     def test_maxsize_validation(self):
         with pytest.raises(ValueError):
             PlanCache(maxsize=0)
-        with pytest.raises(ValueError):
-            PlannerConfig(plan_cache_size=0)
-
-    def test_clear(self):
-        cache = PlanCache()
-        cache.put("k", CachedPlan(1, (np.zeros(1, dtype=int),), False, 0.0))
-        cache.clear()
-        assert len(cache) == 0
 
 
 class TestPlannerCache:
@@ -156,29 +155,30 @@ class TestPlannerCache:
         assert warm.degraded == cold.degraded
 
     def test_capacity_and_config_changes_miss(self, cluster):
+        # A config change is a new planner with its own cache; within one
+        # planner a capacity or demand change must miss.
         planner = FlowTimePlanner()
         planner.plan(request(0, [demand()], cluster))
         planner.plan(
             request(0, [demand()], ClusterCapacity.uniform(cpu=8, mem=20))
         )
-        planner.plan(
-            request(
-                0, [demand()], cluster, config=PlannerConfig(slack_slots=0)
-            )
-        )
         planner.plan(request(0, [demand(units=9)], cluster))
         assert planner.plan_cache.hits == 0
-        assert planner.plan_cache.misses == 4
+        assert planner.plan_cache.misses == 3
 
     def test_cache_disabled_never_stores(self, cluster):
-        planner = FlowTimePlanner(PlannerConfig(plan_cache=False))
-        planner.plan(request(0, [demand()], cluster))
-        planner.plan(request(0, [demand()], cluster))
+        # The cold oracle answers on a fresh planner: the caller's cache
+        # is never read or written, so a comparison with it is cold.
+        planner = FlowTimePlanner()
+        with cold_planning():
+            planner.plan(request(0, [demand()], cluster))
+            planner.plan(request(0, [demand()], cluster))
         assert len(planner.plan_cache) == 0
-        assert planner.plan_cache.hits == 0
+        assert planner.plan_cache.hits == planner.plan_cache.misses == 0
 
     def test_cache_size_bounds_entries(self, cluster):
-        planner = FlowTimePlanner(PlannerConfig(plan_cache_size=2))
+        planner = FlowTimePlanner()
+        planner.plan_cache = PlanCache(maxsize=2)
         for units in (3, 4, 5, 6):
             planner.plan(request(0, [demand(units=units)], cluster))
         assert len(planner.plan_cache) == 2
@@ -187,7 +187,8 @@ class TestPlannerCache:
 class TestWarmStart:
     def test_repeat_solve_is_warm_and_identical(self, cluster):
         obs = Observability()
-        planner = FlowTimePlanner(PlannerConfig(plan_cache=False))
+        planner = FlowTimePlanner()
+        planner.plan_cache = MissOnlyCache()
         demands = [demand("a", 0, 12), demand("b", 2, 10, units=4)]
         with use_obs(obs):
             cold = planner.plan(request(0, demands, cluster))
@@ -199,7 +200,8 @@ class TestWarmStart:
 
     def test_changed_mix_falls_back_to_cold_ladder(self, cluster):
         obs = Observability()
-        planner = FlowTimePlanner(PlannerConfig(plan_cache=False))
+        planner = FlowTimePlanner()
+        planner.plan_cache = MissOnlyCache()
         with use_obs(obs):
             planner.plan(request(0, [demand("a", 0, 12)], cluster))
             second = planner.plan(
@@ -215,12 +217,11 @@ class TestWarmStart:
         assert second.total_units("b") == 8
 
     def test_warm_start_disabled_records_no_warm_solves(self, cluster):
+        # The cold oracle offers no skyline hint: a repeat is solved cold.
         obs = Observability()
-        planner = FlowTimePlanner(
-            PlannerConfig(plan_cache=False, warm_start=False)
-        )
+        planner = FlowTimePlanner()
         demands = [demand("a", 0, 12)]
-        with use_obs(obs):
+        with use_obs(obs), cold_planning():
             planner.plan(request(0, demands, cluster))
             planner.plan(request(0, demands, cluster))
         assert obs.counter("sched.plan.warm").value == 0
@@ -250,10 +251,8 @@ class TestCachedEqualsCold:
                         max_parallel=int(rng.integers(1, 6)),
                     )
                 )
-            cold_planner = FlowTimePlanner(
-                PlannerConfig(plan_cache=False, warm_start=False)
-            )
-            cold = cold_planner.plan(request(now, demands, cluster))
+            with cold_planning():
+                cold = incremental.plan(request(now, demands, cluster))
             primed = incremental.plan(request(now, demands, cluster))
             hit = incremental.plan(request(now, demands, cluster))
             for d in demands:
@@ -269,7 +268,8 @@ class TestCachedEqualsCold:
 
 
 class TestEndToEndEquivalence:
-    """Cache and warm starts change latency, never scheduling outcomes."""
+    """Cache and warm starts change latency, not this trace's outcomes:
+    the product run, a hint-only run and the cold oracle agree."""
 
     @pytest.fixture(scope="class")
     def outcomes(self):
@@ -288,19 +288,15 @@ class TestEndToEndEquivalence:
             ),
         )
         modes = {
-            "cached": {},
-            "no-cache": {"plan_cache": False},
-            "cold": {"plan_cache": False, "warm_start": False},
+            "cached": nullcontext,
+            "no-cache": hint_only,
+            "cold": cold_planning,
         }
-        return {
-            mode: run_one(
-                "FlowTime",
-                trace,
-                capacity,
-                scheduler_kwargs={"planner": opts},
-            )
-            for mode, opts in modes.items()
-        }
+        outcomes = {}
+        for mode, planning in modes.items():
+            with planning():
+                outcomes[mode] = run_one("FlowTime", trace, capacity)
+        return outcomes
 
     def test_missed_deadlines_match(self, outcomes):
         cold = outcomes["cold"]
@@ -327,9 +323,10 @@ class TestEndToEndEquivalence:
 
 
 class TestReplanPathsVerified:
-    """The verification subsystem's differential check: cached and
-    warm-started runs are validator-clean and identical in outcome
-    metrics to a cold batch run (docs/VERIFICATION.md)."""
+    """The verification subsystem's differential check: the product run
+    (cache and warm hint) and a hint-only run are validator-clean and
+    identical in outcome metrics, on this trace, to a run on the cold
+    oracle (a fresh planner per request)."""
 
     @pytest.fixture(scope="class")
     def verified_outcomes(self):
@@ -348,21 +345,20 @@ class TestReplanPathsVerified:
         )
         windows = canonical_windows(trace, capacity)
         modes = {
-            "cold": {"plan_cache": False, "warm_start": False},
-            "cached": {},
-            "warm-only": {"plan_cache": False},
+            "cold": cold_planning,
+            "cached": nullcontext,
+            "warm-only": hint_only,
         }
-        outcomes = {
-            mode: run_one(
-                "FlowTime",
-                trace,
-                capacity,
-                windows=windows,
-                config=SimulationConfig(record_execution=True),
-                scheduler_kwargs={"planner": opts},
-            )
-            for mode, opts in modes.items()
-        }
+        outcomes = {}
+        for mode, planning in modes.items():
+            with planning():
+                outcomes[mode] = run_one(
+                    "FlowTime",
+                    trace,
+                    capacity,
+                    windows=windows,
+                    config=SimulationConfig(record_execution=True),
+                )
         return trace, capacity, windows, outcomes
 
     def test_every_mode_is_validator_clean(self, verified_outcomes):

@@ -36,14 +36,6 @@ class TestRegistryKwargs:
         scheduler = make_scheduler("FlowTime", work_conserving=False)
         assert scheduler.work_conserving is False
 
-    def test_cora_kwargs(self):
-        scheduler = make_scheduler("CORA", adhoc_soft_deadline_slots=10)
-        assert scheduler.adhoc_soft_deadline_slots == 10
-
-    def test_tetrisched_kwargs(self):
-        scheduler = make_scheduler("TetriSched", plan_ahead_slots=32)
-        assert scheduler.plan_ahead_slots == 32
-
 
 class TestEngineOrdering:
     def test_workflow_and_adhoc_same_slot(self, small_cluster):

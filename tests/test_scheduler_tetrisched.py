@@ -1,21 +1,11 @@
 """Tests for the TetriSched-style baseline."""
 
-import pytest
-
 from repro.schedulers.tetrisched import TetriSchedScheduler
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.failures import FailureModel
 from repro.simulator.metrics import missed_workflows
 from repro.workloads.dag_generators import chain_workflow, fork_join_workflow
 from tests.conftest import adhoc_job
-
-
-class TestConstruction:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TetriSchedScheduler(plan_ahead_slots=1)
-        with pytest.raises(ValueError):
-            TetriSchedScheduler(adhoc_policy="lifo")
 
 
 class TestRigidBlocks:
@@ -79,6 +69,6 @@ class TestIntegration:
     def test_plan_ahead_window_exceeded_work_still_finishes(self, small_cluster):
         # Deadline far beyond the plan-ahead window forces plan renewal.
         wf = chain_workflow("w", 2, 0, 5000)
-        scheduler = TetriSchedScheduler(plan_ahead_slots=8)
+        scheduler = TetriSchedScheduler()
         result = Simulation(small_cluster, scheduler, workflows=[wf]).run()
         assert result.finished

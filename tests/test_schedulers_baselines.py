@@ -123,10 +123,6 @@ class TestEdf:
 
 
 class TestCora:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CoraScheduler(adhoc_soft_deadline_slots=0)
-
     def test_urgent_deadline_job_prioritised(self, tiny_cluster):
         urgent = one_job_wf("u", deadline=6, count=8, duration=1, cores=1, mem=2)
         relaxed = one_job_wf("r", deadline=2000, count=8, duration=1, cores=1, mem=2)
