@@ -537,8 +537,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = outcome.result
     if config.verify:
         report = result.verification
-        # The runtime layer passed; also cross-check the reported metrics
-        # against an independent recomputation from the raw records.
+        # The end-of-run validation passed; also check the windows and the
+        # reported metrics against an independent recomputation.
         from repro.analysis.experiments import canonical_windows
         from repro.simulator.metrics import summarize
         from repro.verify import ScheduleValidator

@@ -102,9 +102,7 @@ def _apply(
         residual[slot, r_index[name]] -= sign * amount
 
 
-def quantize_coupled(
-    problem: ScheduleProblem, x: np.ndarray, *, relocation: bool = True
-) -> dict[str, np.ndarray]:
+def quantize_coupled(problem: ScheduleProblem, x: np.ndarray) -> dict[str, np.ndarray]:
     """Round a fractional coupled-mode solution to integral task-slot grants.
 
     Returns ``job_id -> int array over [0, horizon)`` whose row sums equal
@@ -186,9 +184,7 @@ def quantize_coupled(
                     break
             if placed:
                 continue
-            if relocation and _relocate_one(
-                problem, grants, residual, e_index, r_index
-            ):
+            if _relocate_one(problem, grants, residual, e_index, r_index):
                 continue
             raise IntegralizationError(
                 f"could not place {remaining} units of {entry.job_id}"

@@ -42,6 +42,7 @@ from repro.obs import current_obs
 
 _DUAL_TOL = 1e-7
 _THETA_TOL = 1e-9
+_SAT_TOL = 1e-6  # relative: saturation, and a warm hint's theta and exactness
 _FREEZE_RELAX = 1e-7  # relative slack added to frozen caps (numerical safety)
 
 
@@ -156,7 +157,6 @@ def _warm_frozen_caps(
     caps: np.ndarray,
     theta: float,
     hint: LexminWarmHint,
-    tol: float,
 ) -> np.ndarray | None:
     """Frozen caps from a warm hint, or None when the hint is unusable.
 
@@ -169,7 +169,7 @@ def _warm_frozen_caps(
     """
     if not np.isfinite(theta) or not np.isfinite(hint.theta):
         return None
-    if abs(theta - hint.theta) > tol * max(abs(theta), 1.0):
+    if abs(theta - hint.theta) > _SAT_TOL * max(abs(theta), 1.0):
         return None
     cells = problem.cell_array()
     if cells[:, 0].max(initial=-1) >= hint.levels.shape[0]:
@@ -185,7 +185,6 @@ def _finish_warm(
     caps: np.ndarray,
     theta: float,
     hint: LexminWarmHint,
-    tol: float,
     balance: Callable[[np.ndarray], LPSolution],
 ) -> LexminResult | None:
     """Attempt to finish the solve from a warm hint after the exact round 1.
@@ -195,7 +194,7 @@ def _finish_warm(
     None to continue the cold ladder.  ``balance`` is the ladder's
     balancing solve under given frozen caps.
     """
-    frozen = _warm_frozen_caps(problem, caps, theta, hint, tol)
+    frozen = _warm_frozen_caps(problem, caps, theta, hint)
     if frozen is None:
         return None
     sol = balance(frozen)
@@ -203,7 +202,7 @@ def _finish_warm(
         return None
     x = sol.x[: problem.n_vars]
     utilisation = np.asarray(problem.a_util @ x).ravel() / caps
-    if float(utilisation.max(initial=0.0)) > theta * (1.0 + tol) + tol:
+    if float(utilisation.max(initial=0.0)) > theta * (1.0 + _SAT_TOL) + _SAT_TOL:
         return None  # exactness check failed: hint would worsen the minimax
     return LexminResult(
         status="optimal",
@@ -252,7 +251,6 @@ def lexmin_schedule(
     problem: ScheduleProblem,
     *,
     max_rounds: int | None = None,
-    tol: float = 1e-6,
     front_load: bool = True,
     warm_hint: LexminWarmHint | None = None,
     solve_budget_s: float | None = None,
@@ -263,7 +261,6 @@ def lexmin_schedule(
         problem: pre-assembled LP structure.
         max_rounds: cap on minimax rounds; ``None`` means run until every
             utilisation cell is frozen (exact lexicographic optimum).
-        tol: relative tolerance for saturation detection.
         front_load: break ties among balanced optima toward *earlier* slots
             (a tiny earliness term in the final solve).  The minimax skyline
             is untouched (frozen caps bound every slot) but estimation noise
@@ -323,7 +320,7 @@ def lexmin_schedule(
         rounds += 1
 
         if rounds == 1 and warm_hint is not None:
-            warm = _finish_warm(problem, caps, theta, warm_hint, tol, balance)
+            warm = _finish_warm(problem, caps, theta, warm_hint, balance)
             if warm is not None:
                 return warm
             current_obs().counter("lexmin.warm.fallback").inc()
@@ -333,7 +330,7 @@ def lexmin_schedule(
             to_freeze = active[np.abs(sol.duals_ub[active]) > _DUAL_TOL]
         if not to_freeze.size:  # degeneracy hid the duals: saturation decides
             loads = np.asarray(problem.a_util[active] @ x_full[:n_vars]).ravel()
-            saturated = loads / caps[active] >= theta - tol * max(theta, 1.0)
+            saturated = loads / caps[active] >= theta - _SAT_TOL * max(theta, 1.0)
             to_freeze = active[saturated]
         if not to_freeze.size:  # defensive: never loop without progress
             to_freeze = active

@@ -137,7 +137,6 @@ def build_schedule_problem(
     resources: Sequence[str],
     *,
     mode: Mode = "coupled",
-    per_slot_caps: bool = True,
 ) -> ScheduleProblem:
     """Assemble the LP structure for the given jobs and capacity skyline.
 
@@ -145,18 +144,14 @@ def build_schedule_problem(
         entries: deadline jobs with relative windows inside ``[0, horizon)``.
         caps: ``[horizon, len(resources)]`` array of ``C_t^r``.
         resources: resource names fixing the column order of *caps*.
-        mode: variable layout (see module docstring).
-        per_slot_caps: bound each variable by the job's per-slot parallelism
-            (True, executable) or leave it unbounded above like the paper's
-            formulation (False; capacity rows still apply).
+        mode: variable layout (see module docstring).  Either way each
+            variable is bounded by the job's per-slot parallelism.
 
     Raises:
         ValueError on malformed windows or a window falling outside caps.
     """
     with current_obs().span("lp.build"):
-        return _build_schedule_problem(
-            entries, caps, resources, mode=mode, per_slot_caps=per_slot_caps
-        )
+        return _build_schedule_problem(entries, caps, resources, mode=mode)
 
 
 def _build_schedule_problem(
@@ -165,7 +160,6 @@ def _build_schedule_problem(
     resources: Sequence[str],
     *,
     mode: Mode,
-    per_slot_caps: bool,
 ) -> ScheduleProblem:
     caps = np.asarray(caps, dtype=float)
     if caps.ndim != 2 or caps.shape[1] != len(resources):
@@ -237,11 +231,7 @@ def _build_schedule_problem(
     entry_of_var = block_entry[block_of_var]
     resource_of_var = block_resource[block_of_var]
     var_meta = np.stack([entry_of_var, slot_of_var, resource_of_var], axis=1)
-    var_ub = (
-        block_ub[block_of_var]
-        if per_slot_caps
-        else np.full(n_vars, np.inf)
-    )
+    var_ub = block_ub[block_of_var]
 
     a_eq = sparse.csr_matrix(
         (np.ones(n_vars), (block_of_var, np.arange(n_vars))),

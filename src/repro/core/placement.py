@@ -265,9 +265,7 @@ def max_placement(
         if found is not None:
             return found
 
-    problem = build_schedule_problem(
-        table.rows(ScheduleEntry), caps, resources, mode="coupled", per_slot_caps=True
-    )
+    problem = build_schedule_problem(table.rows(ScheduleEntry), caps, resources)
     lp = LinearProgram(
         c=-np.ones(problem.n_vars),
         a_ub=sparse.vstack([problem.a_util, problem.a_eq]).tocsr(),

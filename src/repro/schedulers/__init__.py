@@ -19,7 +19,6 @@ from repro.schedulers.registry import (
     register_scheduler,
     unregister_scheduler,
 )
-from repro.schedulers.tetrisched import TetriSchedScheduler
 
 __all__ = [
     "Assignment",
@@ -31,7 +30,6 @@ __all__ = [
     "MorpheusScheduler",
     "SCHEDULER_NAMES",
     "Scheduler",
-    "TetriSchedScheduler",
     "available_schedulers",
     "make_scheduler",
     "register_scheduler",

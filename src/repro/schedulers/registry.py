@@ -19,7 +19,6 @@ from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.flowtime_sched import FlowTimeScheduler
 from repro.schedulers.morpheus import MorpheusScheduler
-from repro.schedulers.tetrisched import TetriSchedScheduler
 
 
 def _flowtime(**kwargs) -> Scheduler:
@@ -42,10 +41,9 @@ _FACTORIES: dict[str, Callable[..., Scheduler]] = {
     "Fair": lambda **kw: FairScheduler(**kw),
     "FIFO": lambda **kw: FifoScheduler(**kw),
     "Morpheus": lambda **kw: MorpheusScheduler(**kw),
-    "TetriSched": lambda **kw: TetriSchedScheduler(**kw),
 }
 
-#: The Fig. 4 legend, in the paper's order, plus the extras.  Frozen at
+#: The Fig. 4 legend plus the FlowTime_no_ds ablation.  Frozen at
 #: import time; use :func:`available_schedulers` for the live list.
 SCHEDULER_NAMES: tuple[str, ...] = tuple(_FACTORIES)
 

@@ -291,17 +291,6 @@ class HttpServiceClient:
         router drives the ``/shard/*`` endpoints through this)."""
         return self._request(method, path, payload)
 
-    def metrics_prometheus(self) -> str:
-        """GET /metrics?format=prometheus — raw text exposition 0.0.4."""
-        path = "/metrics?format=prometheus"
-        try:
-            response, raw = self._exchange("GET", path, None, {"Accept": "text/plain"})
-        except _TransientFailure as failure:
-            raise ServiceUnavailableError(f"GET {path}: {failure.cause}") from failure.cause
-        if response.status != 200:
-            raise ServiceUnavailableError(f"GET {path} -> {response.status}")
-        return raw.decode("utf-8")
-
     def close(self) -> None:
         """Close the pooled idle connections (a later request opens anew)."""
         with self._lock:

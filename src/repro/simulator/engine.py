@@ -50,37 +50,35 @@ class SimulationConfig:
         slot_seconds: wall-clock duration of one slot (paper: 10 s).
         max_slots: hard stop; a run not finished by then returns
             ``finished=False`` with whatever completed.
-        strict: validate scheduler assignments (grants to unready jobs,
-            over-capacity grants) by raising instead of clamping.
         record_execution: keep a per-slot record of executed task units per
             job (enables Gantt rendering; costs memory on long runs).
         failures: optional failure model injecting progress setbacks.
         node_cluster: optional node-level topology; when set, granted task
             units must also *pack* onto individual nodes, and units lost to
             fragmentation are recorded (schedulers keep the aggregate view).
-        verify: run the independent runtime assertion layer
-            (:mod:`repro.verify`): every slot is re-checked against
-            capacity/readiness/completion invariants as it executes, the
-            full :class:`~repro.verify.ScheduleValidator` runs over the
-            final result, and the run raises
+        verify: validate the run with :mod:`repro.verify`: the engine
+            records execution rows, :class:`~repro.verify.ScheduleValidator`
+            runs once over the final result, and the run raises
             :class:`~repro.verify.VerificationError` on any violation
-            (``repro run --verify``).  Off by default — it costs a
-            per-slot recheck and turns on execution recording.
+            (``repro run --verify``).  Off by default — it turns on
+            execution recording.
+
+    A scheduler grant to an unknown, unready or finished job, or one that
+    exceeds the slot's capacity, raises ``ValueError``.
     """
 
     slot_seconds: float = field(default=10.0, metadata={
         "flag": "--slot-seconds", "help": "modelled duration of one slot in seconds",
     })
     max_slots: int = 50_000
-    strict: bool = True
     record_execution: bool = False
     failures: FailureModel | None = None
     node_cluster: NodeCluster | None = None
     verify: bool = field(default=False, metadata={
         "flag": "--verify",
-        "help": "run the independent verification layer (docs/VERIFICATION.md): "
-        "per-slot runtime assertions plus a full end-of-run validation and "
-        "reported-metric recomputation; exits 1 on any violation",
+        "help": "validate the finished run independently (docs/VERIFICATION.md): "
+        "every invariant over the recorded execution plus a reported-metric "
+        "recomputation; exits 1 on any violation",
     })
 
 
@@ -142,15 +140,17 @@ class Simulation:
         result = core.result(finished)
         if self.config.verify:
             result.verification = self._verify(core, result)
+            # The snapshot above predates the validator's verify.* counters.
+            result.metrics = self.obs.registry.snapshot()
         return result
 
     def _verify(self, core: EngineCore, result: SimulationResult):
-        """Full end-of-run validation of a ``verify=True`` run.
+        """End-of-run validation of a ``verify=True`` run.
 
-        Merges the per-slot runtime report with a fresh independent pass of
-        the :class:`~repro.verify.ScheduleValidator` over the final result
-        and raises :class:`~repro.verify.VerificationError` on any
-        violation (the assertion-layer contract of ``run --verify``).
+        One independent pass of the :class:`~repro.verify.ScheduleValidator`
+        over the final result; raises
+        :class:`~repro.verify.VerificationError` on any violation (the
+        contract of ``run --verify``).
         """
         from repro.verify import ScheduleValidator
 
@@ -161,7 +161,5 @@ class Simulation:
             allow_setbacks=self.config.failures is not None,
         )
         report = validator.validate(result)
-        if core.verifier is not None:
-            report = core.verifier.report.merge(report)
         report.raise_if_violations()
         return report

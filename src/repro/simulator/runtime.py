@@ -207,20 +207,9 @@ class EngineCore:
         # stand-ins (test doubles) only need ``assign``.
         self._decide = getattr(scheduler, "decide", scheduler.assign)
         self._failure_rng = config.failures.rng() if config.failures else None
-        # The independent runtime assertion layer (repro.verify), enabled
-        # by config.verify: each executed slot is re-checked from the raw
-        # executed units, never from the scheduler's own bookkeeping.
-        # Imported lazily — verification is opt-in and the verify package
-        # depends on this module's result types.
-        self.verifier = None
-        self._record_execution = config.record_execution
-        if getattr(config, "verify", False):
-            from repro.verify import RuntimeVerifier
-
-            self.verifier = RuntimeVerifier(cluster)
-            # The end-of-run conservation checks need per-slot execution
-            # rows, so a verified run always records them.
-            self._record_execution = True
+        # The end-of-run validation of a verified run reads the per-slot
+        # execution rows, so a verified run always records them.
+        self._record_execution = config.record_execution or config.verify
         # Request correlation: entity id (workflow or job) -> request id.
         # Engine events fire on the stepping thread long after the
         # submission's context (and its request-id contextvar) is gone, so
@@ -550,8 +539,6 @@ class EngineCore:
         self._granted_rows.append([granted[r] for r in resources])
         if self._record_execution:
             self._execution_rows.append(executed)
-        if self.verifier is not None:
-            self.verifier.check_slot(slot, executed, completions, self._runs)
 
         if tracing:
             request_ids = self._request_ids
@@ -710,12 +697,10 @@ class EngineCore:
             if run is None:
                 raise ValueError(f"scheduler granted unknown job {job_id!r}")
             if run.done or not run.ready_at(slot):
-                if self.config.strict:
-                    raise ValueError(
-                        f"scheduler granted units to job {job_id!r} which is "
-                        f"{'done' if run.done else 'not ready'} at slot {slot}"
-                    )
-                continue
+                raise ValueError(
+                    f"scheduler granted units to job {job_id!r} which is "
+                    f"{'done' if run.done else 'not ready'} at slot {slot}"
+                )
             believed_demand = run.job.tasks.demand
             grant_vec = believed_demand * int(units)
             granted_total = granted_total + grant_vec
@@ -759,11 +744,10 @@ class EngineCore:
                 completions.append(job_id)
 
         if not granted_total.fits_in(capacity):
-            if self.config.strict:
-                raise ValueError(
-                    f"slot {slot}: scheduler granted {dict(granted_total)} "
-                    f"exceeding capacity {dict(capacity)}"
-                )
+            raise ValueError(
+                f"slot {slot}: scheduler granted {dict(granted_total)} "
+                f"exceeding capacity {dict(capacity)}"
+            )
         return used_total, granted_total, completions, executed
 
     # -- results -----------------------------------------------------------------

@@ -7,15 +7,13 @@ written once over a :class:`TraceIndex`, with two fronts —
 :func:`validate_trace` / :func:`recompute_trace_metrics` over JSONL event
 streams — a brute-force differential oracle for tiny instances
 (:mod:`repro.verify.oracle`), a seeded fuzz harness driving the batch,
-re-planning, degraded, and journal-replay paths
-(:mod:`repro.verify.fuzz`), the golden-trace corpus tooling
+degraded, and journal-replay paths (:mod:`repro.verify.fuzz`), the golden-trace corpus tooling
 (:mod:`repro.verify.golden`), and the cross-shard conservation check for
 sharded deployments (:mod:`repro.verify.cross_shard`).
 """
 
 from repro.verify.cross_shard import check_cross_shard_conservation
 from repro.verify.validator import (
-    RuntimeVerifier,
     ScheduleValidator,
     TraceIndex,
     VerificationError,
@@ -26,7 +24,6 @@ from repro.verify.validator import (
 )
 
 __all__ = [
-    "RuntimeVerifier",
     "ScheduleValidator",
     "TraceIndex",
     "VerificationError",

@@ -45,7 +45,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "METRIC_KEYS",
-    "RuntimeVerifier",
     "ScheduleValidator",
     "TraceIndex",
     "VerificationError",
@@ -116,11 +115,6 @@ class VerificationReport:
             )
             obs.counter("verify.violations").inc()
         return passed
-
-    def merge(self, other: "VerificationReport") -> "VerificationReport":
-        self.checks += other.checks
-        self.violations.extend(other.violations)
-        return self
 
     def summary(self) -> str:
         return f"verify: {self.checks} checks, {len(self.violations)} violations"
@@ -820,90 +814,3 @@ def recompute_trace_metrics(
     if index.n_slots is None:
         raise ValueError("trace has no run_end event; cannot size the run")
     return ScheduleValidator.of_trace(trace, None, windows).recompute_metrics(index)
-
-
-class RuntimeVerifier:
-    """Per-slot assertion layer for a verified run (``run --verify``).
-
-    The engine calls :meth:`check_slot` after executing each slot; the
-    verifier recomputes the slot's resource footprint from the executed
-    units and the jobs' true task specs and checks it against capacity,
-    plus readiness/completion sanity for every job that ran.  Violations
-    accumulate in :attr:`report`; the run raises at the end (the engine
-    keeps stepping so the report covers the whole run, not just the first
-    bad slot).
-    """
-
-    def __init__(self, cluster: "ClusterCapacity"):
-        self.cluster = cluster
-        self.report = VerificationReport()
-
-    def check_slot(
-        self,
-        slot: int,
-        executed: Mapping[str, int],
-        completions: Iterable[str],
-        runs: Mapping[str, object],
-    ) -> None:
-        report = self.report
-        cap = self.cluster.at(slot)
-        used: dict[str, float] = {}
-        for job_id, units in executed.items():
-            run = runs.get(job_id)
-            report.check(
-                "runtime.known",
-                run is not None,
-                "executed a job the engine does not track",
-                slot=slot,
-                subject=job_id,
-            )
-            if run is None:
-                continue
-            report.check(
-                "runtime.ready",
-                run.arrival_slot <= slot
-                and run.ready_slot is not None
-                and run.ready_slot <= slot,
-                f"ran while not ready (arrival={run.arrival_slot}, "
-                f"ready={run.ready_slot})",
-                slot=slot,
-                subject=job_id,
-            )
-            report.check(
-                "runtime.not_done",
-                run.completion_slot is None or run.completion_slot == slot,
-                f"ran after completing at slot {run.completion_slot}",
-                slot=slot,
-                subject=job_id,
-            )
-            spec = run.job.execution_tasks
-            report.check(
-                "runtime.parallelism",
-                0 < units <= spec.count,
-                f"{units} units outside (0, {spec.count}]",
-                slot=slot,
-                subject=job_id,
-            )
-            for name, amount in spec.demand.items():
-                used[name] = used.get(name, 0.0) + amount * units
-        for name, amount in used.items():
-            report.check(
-                "runtime.capacity",
-                amount <= cap[name] + _EPS,
-                f"{name} usage {amount:g} exceeds capacity {cap[name]:g}",
-                slot=slot,
-                subject=name,
-            )
-        for job_id in completions:
-            run = runs.get(job_id)
-            if run is None:
-                continue
-            report.check(
-                "runtime.completion",
-                run.completion_slot == slot
-                and run.executed_units >= run.true_total_units,
-                f"completion with {run.executed_units} of "
-                f"{run.true_total_units} units executed",
-                slot=slot,
-                subject=job_id,
-            )

@@ -71,16 +71,8 @@ class TestCoupledMode:
         assert all(set(dense[k][dense[k] != 0]) == {4.0} for k in mem_rows)
 
     def test_per_slot_caps_bound_variables(self):
-        problem = build_schedule_problem(
-            [entry(units=10, parallel=3)], caps(), RES, per_slot_caps=True
-        )
+        problem = build_schedule_problem([entry(units=10, parallel=3)], caps(), RES)
         assert np.all(problem.var_ub == 3.0)
-
-    def test_caps_disabled(self):
-        problem = build_schedule_problem(
-            [entry()], caps(), RES, per_slot_caps=False
-        )
-        assert np.all(np.isinf(problem.var_ub))
 
     def test_deadline_beyond_horizon_rejected(self):
         with pytest.raises(ValueError):

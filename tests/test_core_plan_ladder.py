@@ -222,7 +222,7 @@ def reference_round_lp(problem, active, frozen_value, caps) -> LinearProgram:
     )
 
 
-def cold_ladder(problem, tol: float = 1e-6):
+def cold_ladder(problem):
     """The lexmin ladder before it kept one model: each round LP built by
     :func:`reference_round_lp`, the balancing LP over the allocation
     variables alone, each solved on a fresh HiGHS.  ``(status, thetas,
@@ -240,7 +240,8 @@ def cold_ladder(problem, tol: float = 1e-6):
         to_freeze = active[np.abs(sol.duals_ub[: active.size]) > lexmin._DUAL_TOL]
         if not to_freeze.size:
             loads = np.asarray(problem.a_util[active] @ sol.x[:-1]).ravel()
-            to_freeze = active[loads / caps[active] >= theta - tol * max(theta, 1.0)]
+            tol = lexmin._SAT_TOL * max(theta, 1.0)
+            to_freeze = active[loads / caps[active] >= theta - tol]
         if not to_freeze.size or theta <= lexmin._THETA_TOL:
             to_freeze = active
         frozen_value[to_freeze] = lexmin._cap_at(theta, caps)[to_freeze]
@@ -349,16 +350,18 @@ class TestWarmLadder:
     def test_warm_ladder_answers_as_the_cold_ladder(self, seed):
         """Status, round-1 ``theta`` and the sorted utilisation vector: the
         plan itself may move, since the balancing LP has many optima."""
-        tol = 1e-6
         for problem in _ladder_problems(12, seed=seed):
-            status, thetas, utilisation = cold_ladder(problem, tol)
-            result = lexmin_schedule(problem, tol=tol)
+            status, thetas, utilisation = cold_ladder(problem)
+            result = lexmin_schedule(problem)
             assert result.status == status
             if status != "optimal":
                 continue
             assert result.thetas[0] == pytest.approx(thetas[0], rel=1e-9, abs=1e-12)
             np.testing.assert_allclose(
-                np.sort(result.utilisation), np.sort(utilisation), rtol=0, atol=tol
+                np.sort(result.utilisation),
+                np.sort(utilisation),
+                rtol=0,
+                atol=lexmin._SAT_TOL,
             )
 
     def test_a_warm_run_that_is_not_optimal_falls_back_to_a_fresh_instance(
@@ -429,9 +432,7 @@ class TestVectorisedBookkeeping:
         caps, theta = problem.cell_caps(), 0.45
         rng = np.random.default_rng(7)
         levels = rng.uniform(0.0, 0.6, size=(6, 2))
-        frozen = _warm_frozen_caps(
-            problem, caps, theta, LexminWarmHint(theta, levels), 1e-6
-        )
+        frozen = _warm_frozen_caps(problem, caps, theta, LexminWarmHint(theta, levels))
         for k, (slot, r) in enumerate(problem.util_cells):
             at_level = levels[slot, r] * caps[k] * (1.0 + _FREEZE_RELAX) + _FREEZE_RELAX
             at_theta = theta * caps[k] * (1.0 + _FREEZE_RELAX) + _FREEZE_RELAX
@@ -445,4 +446,4 @@ class TestVectorisedBookkeeping:
             LexminWarmHint(theta, levels[:5]),
             LexminWarmHint(theta + 0.01, levels),
         ):
-            assert _warm_frozen_caps(problem, caps, theta, hint, 1e-6) is None
+            assert _warm_frozen_caps(problem, caps, theta, hint) is None

@@ -102,26 +102,6 @@ class TestEngineEdges:
         assert result.finished
         assert result.n_slots == 0
 
-    def test_non_strict_mode_tolerates_bad_grants(self, small_cluster, chain3):
-        from repro.schedulers.base import Scheduler
-
-        class Sloppy(Scheduler):
-            name = "sloppy"
-
-            def assign(self, view):
-                # Grants to everything, ready or not; the engine should
-                # drop the invalid ones instead of raising.
-                grants = {j.job_id: 1 for j in view.deadline_jobs}
-                for j in view.waiting_adhoc_jobs():
-                    grants[j.job_id] = 1
-                return grants
-
-        config = SimulationConfig(strict=False, max_slots=500)
-        result = Simulation(
-            small_cluster, Sloppy(), workflows=[chain3], config=config
-        ).run()
-        assert result.finished
-
     def test_workflow_never_arriving_leaves_records_incomplete(self, small_cluster):
         wf = chain_workflow("late", 2, 400, 500)
         config = SimulationConfig(max_slots=10)

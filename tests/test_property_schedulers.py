@@ -3,8 +3,8 @@
 Whatever the policy, an assignment must: fit the slot's capacity, grant
 only to runnable deadline jobs or waiting ad-hoc jobs, respect per-job
 parallelism/pending bounds, and be non-negative.  These are exactly the
-checks the engine's strict mode enforces at runtime; testing them over
-randomised views catches policy bugs before a simulation ever runs.
+checks the engine enforces at runtime; testing them over randomised views
+catches policy bugs before a simulation ever runs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.flowtime_sched import FlowTimeScheduler
 from repro.schedulers.morpheus import MorpheusScheduler
-from repro.schedulers.tetrisched import TetriSchedScheduler
 from repro.simulator.view import AdhocJobView, ClusterView, DeadlineJobView
 from tests.conftest import deadline_job
 
@@ -88,12 +87,10 @@ def make_schedulers():
     schedulers = [
         FifoScheduler(),
         FairScheduler(),
-        FairScheduler(drf=True),
         EdfScheduler(),
         CoraScheduler(),
         FlowTimeScheduler(),
         MorpheusScheduler(),
-        TetriSchedScheduler(),
     ]
     return schedulers
 

@@ -1,4 +1,4 @@
-"""Tests for the DRF mode of the Fair scheduler and the planning column."""
+"""Tests for the Fair scheduler's unit round robin and the planning column."""
 
 from repro.analysis.experiments import run_comparison
 from repro.analysis.reporting import format_comparison_table
@@ -24,49 +24,18 @@ def job(job_id, arrival, count, duration, cores, mem):
 
 
 class TestDrfMode:
-    def test_drf_equalises_dominant_shares(self):
-        """A CPU-heavy and a memory-heavy job on a square cluster: DRF gives
-        each roughly the same dominant share, so both finish around the same
-        time, while plain unit-fairness lets the cheap-dominant job hog."""
-        cluster = ClusterCapacity.uniform(cpu=12, mem=12)
-        cpu_heavy = job("cpu", 0, count=12, duration=4, cores=2, mem=1)
-        mem_heavy = job("mem", 0, count=12, duration=4, cores=1, mem=2)
-        result = Simulation(
-            cluster,
-            FairScheduler(drf=True),
-            adhoc_jobs=[cpu_heavy, mem_heavy],
-            config=SimulationConfig(record_execution=True),
-        ).run()
-        assert result.finished
-        # Per slot, DRF alternates so each job runs ~same number of units.
-        first = result.execution[0]
-        assert abs(first.get("cpu", 0) - first.get("mem", 0)) <= 1
-
     def test_plain_fair_unit_round_robin(self):
         cluster = ClusterCapacity.uniform(cpu=12, mem=12)
         a = job("a", 0, count=12, duration=4, cores=1, mem=1)
         b = job("b", 0, count=12, duration=4, cores=1, mem=1)
         result = Simulation(
             cluster,
-            FairScheduler(drf=False),
+            FairScheduler(),
             adhoc_jobs=[a, b],
             config=SimulationConfig(record_execution=True),
         ).run()
         first = result.execution[0]
         assert first.get("a", 0) == first.get("b", 0)
-
-    def test_drf_completes_mixed_workload(self, small_cluster):
-        trace = generate_trace(
-            n_workflows=2, jobs_per_workflow=4, n_adhoc=5,
-            capacity=small_cluster, seed=6,
-        )
-        result = Simulation(
-            small_cluster,
-            FairScheduler(drf=True),
-            workflows=trace.workflows,
-            adhoc_jobs=trace.adhoc_jobs,
-        ).run()
-        assert result.finished
 
 
 class TestPlanningColumn:

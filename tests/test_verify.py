@@ -2,8 +2,9 @@
 
 The core property: a known-good schedule passes every check, and *any*
 mutation of it — a capacity overflow, a precedence swap, a shifted
-execution slot — is always flagged.  Plus the metric-recomputation
-regression over the example workload shapes and the trace-level checker.
+execution slot — is always flagged, and so is every engine fault planted
+under ``verify=True``.  Plus the metric-recomputation regression over the
+example workload shapes and the trace-level checker.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,6 +274,8 @@ class TestVerifyEndToEnd:
         assert result.counter_value("verify.violations") == 0
 
     def test_runtime_verifier_counts_every_slot(self, small_cluster):
+        """``verify=True`` records one execution row per slot, the evidence
+        the end-of-run validator reads; there is no per-slot layer."""
         workflow = diamond(deadline=60)
         from repro.schedulers.registry import make_scheduler
 
@@ -284,9 +286,108 @@ class TestVerifyEndToEnd:
             config=SimulationConfig(verify=True),
         )
         result = sim.run()
-        # verify=True forces execution recording for the conservation
-        # checks even though the caller did not ask for it.
+        # The caller did not ask for execution recording.
         assert len(result.execution) == result.n_slots
+
+
+def _ran_before_ready(core, slot, executed, completions):
+    for job_id, run in core._runs.items():
+        if not run.done and not run.ready_at(slot) and job_id not in executed:
+            executed[job_id] = 1
+            return True
+    return False
+
+
+def _over_capacity(core, slot, executed, completions):
+    if not executed:
+        return False
+    job_id = next(iter(executed))
+    per_unit = core._runs[job_id].job.execution_tasks.demand[CPU]
+    executed[job_id] += int(core.cluster.at(slot)[CPU] // per_unit) + 1
+    return True
+
+
+def _over_parallelism(core, slot, executed, completions):
+    if not executed:
+        return False
+    job_id = next(iter(executed))
+    executed[job_id] = core._runs[job_id].job.execution_tasks.count + 1
+    return True
+
+
+def _ran_after_completing(core, slot, executed, completions):
+    for job_id, run in core._runs.items():
+        if run.done and run.completion_slot < slot and job_id not in executed:
+            executed[job_id] = 1
+            return True
+    return False
+
+
+def _unknown_job(core, slot, executed, completions):
+    executed["ghost"] = 1
+    return True
+
+
+def _completed_short(core, slot, executed, completions):
+    for job_id in executed:
+        run = core._runs[job_id]
+        if run.true_remaining_units > 0:
+            run.completion_slot = slot
+            completions.append(job_id)
+            return True
+    return False
+
+
+class TestPlantedEngineFaults:
+    """A fault planted in the engine's execution of a slot fails the
+    ``verify=True`` run through the end-of-run validator alone."""
+
+    @pytest.mark.parametrize(
+        "plant,check",
+        [
+            pytest.param(_ran_before_ready, "placement.lifetime", id="before_ready"),
+            pytest.param(_over_capacity, "capacity.placed", id="over_capacity"),
+            pytest.param(
+                _over_parallelism, "conservation.parallelism", id="over_parallelism"
+            ),
+            pytest.param(
+                _ran_after_completing, "placement.completion", id="after_completing"
+            ),
+            pytest.param(_unknown_job, "capacity.known", id="unknown_job"),
+            pytest.param(_completed_short, "conservation.total", id="completed_short"),
+        ],
+    )
+    def test_fault_is_named_by_the_validator(self, monkeypatch, plant, check):
+        from repro.schedulers.registry import make_scheduler
+        from repro.simulator.runtime import EngineCore
+
+        execute = EngineCore._execute
+        planted = []
+
+        def faulty(core, slot, assignment, view):
+            used, granted, completions, executed = execute(
+                core, slot, assignment, view
+            )
+            if not planted and plant(core, slot, executed, completions):
+                planted.append(slot)
+            return used, granted, completions, executed
+
+        monkeypatch.setattr(EngineCore, "_execute", faulty)
+        capacity = ClusterCapacity.uniform(cpu=32, mem=64)
+        trace = generate_trace(
+            n_workflows=2, jobs_per_workflow=6, n_adhoc=6, capacity=capacity, seed=4
+        )
+        sim = Simulation(
+            capacity,
+            make_scheduler("FIFO"),
+            workflows=trace.workflows,
+            adhoc_jobs=trace.adhoc_jobs,
+            config=SimulationConfig(verify=True),
+        )
+        with pytest.raises(VerificationError) as excinfo:
+            sim.run()
+        assert planted
+        assert check in {v.check for v in excinfo.value.report.violations}
 
 
 def _example_workloads():
