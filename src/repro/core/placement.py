@@ -14,10 +14,10 @@ pipeline, and each step of it is written here once:
 4. :func:`max_placement` — the most work those windows can hold under those
    capacities, over the coupled polytope (``y[i,t]`` task-slots of job ``i``
    in slot ``t``, every row ``sum_i d[i,r]*y[i,t] <= C[t,r]``): one integer
-   max-flow when a resource binds (:func:`binding_resource`; Lemma 2's
-   transportation network, integer equality, no tolerance), otherwise the
-   max-placement LP, which is also the reference the flow is tested against.
-   The route is chosen from the input alone.
+   max-flow (scipy's ``maximum_flow``) when a resource binds
+   (:func:`binding_resource`; Lemma 2's transportation network, integer
+   equality, no tolerance), otherwise the max-placement LP, which is also the
+   reference the flow is tested against.  The route is chosen from the input.
 """
 
 from __future__ import annotations
@@ -29,17 +29,18 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import maximum_flow
 
 from repro.core.decomposition_types import JobWindow
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.lp.problem import LinearProgram
+from repro.lp.scipy_backend import scipy_extension
 from repro.lp.solver import solve_lp
 from repro.model.cluster import ClusterCapacity
 from repro.model.job import TaskSpec
 from repro.model.resources import ResourceVector
 
-#: scipy's max-flow carries int32 capacities.
+#: scipy's max-flow (int32 capacities), loaded without ``scipy.sparse.csgraph``.
+maximum_flow = scipy_extension("scipy.sparse.csgraph._flow").maximum_flow
 _INT32_MAX = 2**31 - 1
 #: An LP-route job is short when it misses more than this share of its units.
 _LP_SHORT_TOL = 1e-6

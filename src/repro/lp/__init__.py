@@ -1,14 +1,11 @@
 """Linear-programming substrate.
 
-The paper solves its scheduling LP with CPLEX (Sec. VII); this
-reproduction solves every LP with scipy's HiGHS
-(:mod:`repro.lp.scipy_backend`) through one entry point,
-:func:`repro.lp.solver.solve_lp`, which adds the fault hook, the wall-time
-budget and the counters.
-
-Lemma 2's transportation network is executable as the integer max-flow of
-:func:`repro.core.placement.max_placement`; its total-unimodularity claim
-is checked on generated instances by ``tests/unimodular.py``.
+The paper solves its scheduling LP with CPLEX (Sec. VII); this reproduction
+solves every LP through :func:`repro.lp.solver.solve_lp` (fault hook, wall-time
+budget, counters) on scipy's compiled HiGHS, which :mod:`repro.lp.scipy_backend`
+loads without importing ``scipy.optimize``.  Lemma 2's transportation network
+is the integer max-flow of :func:`repro.core.placement.max_placement`; its
+total-unimodularity claim is checked by ``tests/unimodular.py``.
 """
 
 from repro.lp.problem import LinearProgram, LPSolution, LPStatus

@@ -1,31 +1,49 @@
 """The LP solver: the HiGHS that scipy ships (called by :func:`repro.lp.solver.solve_lp`).
 
-The model goes straight to ``scipy.optimize._highspy._core``, the object
-``linprog(method="highs")`` itself drives, with the options ``linprog`` sets,
-so a fresh solve is ``linprog``'s bit for bit (``tests/test_lp_backend.py``
-holds the two against each other).  What is skipped is ``linprog``'s Python
-around the solve: input canonicalisation, the ``A_ub``/``A_eq`` stack and
-its CSC conversion (the matrix goes in row-wise, as the two CSR blocks
-already are), option validation and the result object.
-
-Only ``_core`` names that scipy's own ``_highs_wrapper.py`` uses are read.
-A call solves on its caller's :class:`Highs`, never on module state, because
-threaded shards solve concurrently.  ``kHighsInf`` is IEEE infinity, so
-infinite variable bounds pass as they are.
+A model goes row-wise to ``scipy.optimize._highspy._core``, which ``linprog``
+drives, with ``linprog``'s options and none of its Python: a fresh solve is
+``linprog``'s bit for bit.  Only ``_core`` names that scipy's ``_highs_wrapper``
+reads are read.  A solve runs on its caller's :class:`Highs`, never on module
+state: shards solve concurrently.
 """
 
 from __future__ import annotations
 
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from types import ModuleType
+
 import numpy as np
-import scipy.optimize._highspy._core as _h
+import scipy
 
 from repro.lp.problem import LinearProgram, LPSolution, LPStatus
 from repro.obs import current_obs
 
 
+def scipy_extension(name: str) -> ModuleType:
+    """scipy's compiled module *name*, loaded without its packages' ``__init__``
+    (``scipy.optimize``'s alone is a third of the stack's import time) under *name*,
+    which a later ``import scipy...`` reuses: pybind11 refuses a second copy."""
+    if name not in sys.modules:
+        path = "/".join([scipy.__path__[0], *name.split(".")[1:-1]])
+        spec = PathFinder.find_spec(name, [path])
+        if spec is None:
+            raise ImportError(f"no module named {name!r}", name=name)
+        sys.modules[name] = module_from_spec(spec)
+        try:
+            spec.loader.exec_module(sys.modules[name])
+        except BaseException:
+            sys.modules.pop(name, None)
+            raise
+    return sys.modules[name]
+
+
+_h = scipy_extension("scipy.optimize._highspy._core")
+
+
 def _options() -> _h.HighsOptions:
-    """``linprog(method="highs")``'s options.  Read-only once built: every
-    ``passOptions`` copies it."""
+    """``linprog(method="highs")``'s options; read-only: ``passOptions`` copies it."""
     options = _h.HighsOptions()
     options.presolve = "on"
     # Dual simplex, set by value: scipy moved ``simplex_constants``.
@@ -88,10 +106,8 @@ def _check_finite(problem: LinearProgram) -> None:
 
 
 def _model(problem: LinearProgram) -> _h.HighsLp:
-    """``lhs <= [A_ub; A_eq] x <= rhs``, the matrix passed row-wise.
-
-    Lists, not arrays: the bindings copy a list two to three times faster.
-    """
+    """``lhs <= [A_ub; A_eq] x <= rhs``, row-wise, in lists (the bindings copy a
+    list 2-3x faster than an array); ``kHighsInf`` is IEEE inf, so inf bounds pass."""
     a_ub, a_eq = problem.a_ub, problem.a_eq
     n_col, n_row = problem.n_variables, problem.n_constraints
     lp = _h.HighsLp()

@@ -1,27 +1,16 @@
 """The one LP solve path: HiGHS plus its guardrails.
 
-Every LP in the product goes through :func:`solve_lp`, which makes it the
-observability *and* fault-tolerance choke point.  One call is one attempt:
-
-* the fault hook runs first (:func:`install_fault_injector`; the chaos
-  harness, :mod:`repro.chaos`, injects solver exceptions and slow solves
-  through it — production code never installs one);
-* HiGHS (:func:`repro.lp.scipy_backend.solve`) solves the problem, timed
-  into the ``lp.solve`` histogram;
-* an optional **wall-time budget** bounds planning latency: an answer that
-  arrives after it raises :class:`SolverFailure` (``reason="budget"``,
-  ``lp.solve.budget_exceeded``) instead of letting a pathological instance
-  stall the scheduling loop;
-* a solver exception or an ERROR status raises :class:`SolverFailure`
-  (``reason="error"``, ``lp.solve.errors.highs`` and
-  ``lp.solve.failures``) — callers never silently consume a broken
-  solution, and the FlowTime scheduler answers the slot from degraded mode
-  (:class:`repro.schedulers.flowtime_sched.FlowTimeScheduler`) rather than
-  waiting on a second solver.
-
-INFEASIBLE and UNBOUNDED are answers, returned normally and counted in
-``lp.solve.nonoptimal``; ``tag`` adds an ``lp.solve.tag.<tag>`` count per
-solve.
+Every LP goes through :func:`solve_lp`, the observability and fault-tolerance
+choke point.  One call is one attempt: the fault hook first
+(:func:`install_fault_injector`; only the chaos harness, :mod:`repro.chaos`,
+installs one), then HiGHS (:func:`repro.lp.scipy_backend.solve`), timed into
+the ``lp.solve`` histogram.  A solver exception, an ERROR status or an answer
+after the optional wall-time budget raises :class:`SolverFailure` (counted in
+``lp.solve.errors.highs`` and ``lp.solve.failures``, or in
+``lp.solve.budget_exceeded``): callers never consume a broken solution, and the
+FlowTime scheduler answers the slot from degraded mode instead of stalling.
+INFEASIBLE and UNBOUNDED are answers, returned and counted in
+``lp.solve.nonoptimal``; ``tag`` adds an ``lp.solve.tag.<tag>`` count.
 """
 
 from __future__ import annotations
@@ -41,15 +30,11 @@ _BACKEND = "highs"
 
 
 class SolverFailure(RuntimeError):
-    """The LP could not be solved.
-
-    Distinct from an *infeasible* or *unbounded* LP — those are valid
-    answers (properties of the problem; relaxation ladders probe for
-    infeasibility) and are returned as a normal
-    :class:`~repro.lp.problem.LPSolution`.  ``SolverFailure`` means the
-    solver itself misbehaved: an exception, an ERROR status, or a blown
-    wall-time budget.  Callers that can make progress without a fresh
-    solution (the FlowTime scheduler's degraded mode) catch this type.
+    """The solver itself misbehaved: an exception, an ERROR status, or a
+    blown wall-time budget.  An *infeasible* or *unbounded* LP is an answer
+    (relaxation ladders probe for infeasibility), not a failure.  Callers
+    that can progress without a fresh solution (the FlowTime scheduler's
+    degraded mode) catch this type.
 
     Attributes:
         backend: the solver that failed (``"highs"``).
