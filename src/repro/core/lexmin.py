@@ -187,13 +187,9 @@ def _finish_warm(
     hint: LexminWarmHint,
     balance: Callable[[np.ndarray], LPSolution],
 ) -> LexminResult | None:
-    """Attempt to finish the solve from a warm hint after the exact round 1.
-
-    Returns the warm :class:`LexminResult` when the hinted skyline is
-    feasible for the current demands and exact (no cell exceeds theta), or
-    None to continue the cold ladder.  ``balance`` is the ladder's
-    balancing solve under given frozen caps.
-    """
+    """The warm :class:`LexminResult` after the exact round 1 when the hinted
+    skyline, solved by *balance*, is feasible and exact (no cell above
+    theta); None to go on with the cold ladder."""
     frozen = _warm_frozen_caps(problem, caps, theta, hint)
     if frozen is None:
         return None
@@ -292,15 +288,19 @@ def lexmin_schedule(
         raise ValueError("every utilisation cell must have positive capacity")
 
     layout = LadderLayout(problem, caps)
-    highs = Highs()  # every round solves on it, warm after the first
+    # Every round solves on it, warm after the first.  Presolve halves a
+    # cold round 1's iterations; on a hinted re-plan it saves none.
+    highs = Highs(presolve=warm_hint is None)
 
     c_final = _balance_cost(problem, caps, front_load)
 
     def balance(frozen_value: np.ndarray) -> LPSolution:
-        """Final solve: minimise ``c_final`` under the frozen caps.  Fresh:
-        a new cost is far from the rounds' basis, and presolve shrinks it."""
+        """Final solve: minimise ``c_final`` under the frozen caps, fresh (the
+        rounds' basis is far from it) and unpresolved (it saves no iteration)."""
         lp_final = layout.lp(frozen_value, c_final)
-        return solve_lp(lp_final, tag="balance", time_budget_s=solve_budget_s)
+        return solve_lp(
+            lp_final, tag="balance", time_budget_s=solve_budget_s, highs=Highs(presolve=False)
+        )
 
     active = np.arange(n_cells)
     frozen_value = np.full(n_cells, np.inf)
@@ -325,9 +325,7 @@ def lexmin_schedule(
                 return warm
             current_obs().counter("lexmin.warm.fallback").inc()
 
-        to_freeze = active[:0]
-        if sol.duals_ub is not None:
-            to_freeze = active[np.abs(sol.duals_ub[active]) > _DUAL_TOL]
+        to_freeze = active[np.abs(sol.duals_ub[active]) > _DUAL_TOL]
         if not to_freeze.size:  # degeneracy hid the duals: saturation decides
             loads = np.asarray(problem.a_util[active] @ x_full[:n_vars]).ravel()
             saturated = loads / caps[active] >= theta - _SAT_TOL * max(theta, 1.0)

@@ -32,10 +32,15 @@ def _as_2d(matrix, n_cols: int):
     if arr.ndim != 2:
         raise ValueError(f"constraint matrix must be 2-D, got shape {arr.shape}")
     if arr.shape[1] != n_cols:
-        raise ValueError(
-            f"constraint matrix has {arr.shape[1]} columns, objective has {n_cols}"
-        )
+        raise ValueError(f"constraint matrix has {arr.shape[1]} columns, objective has {n_cols}")
     return sparse.csr_matrix(arr)
+
+
+def _as_1d(values, size: int, default: float) -> np.ndarray:
+    """A float vector; None becomes *size* copies of *default*."""
+    if values is None:
+        return np.full(size, default)
+    return np.asarray(values, dtype=float).ravel()
 
 
 @dataclass
@@ -57,31 +62,18 @@ class LinearProgram:
             raise ValueError("a linear program needs at least one variable")
         self.a_ub = _as_2d(self.a_ub, n)
         self.a_eq = _as_2d(self.a_eq, n)
-        self.b_ub = (
-            np.zeros(0) if self.b_ub is None else np.asarray(self.b_ub, dtype=float).ravel()
-        )
-        self.b_eq = (
-            np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).ravel()
-        )
-        if self.a_ub.shape[0] != self.b_ub.size:
-            raise ValueError(
-                f"A_ub has {self.a_ub.shape[0]} rows but b_ub has {self.b_ub.size}"
-            )
-        if self.a_eq.shape[0] != self.b_eq.size:
-            raise ValueError(
-                f"A_eq has {self.a_eq.shape[0]} rows but b_eq has {self.b_eq.size}"
-            )
-        self.lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, dtype=float).ravel()
-        self.ub = (
-            np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float).ravel()
-        )
+        self.b_ub = _as_1d(self.b_ub, 0, 0.0)
+        self.b_eq = _as_1d(self.b_eq, 0, 0.0)
+        for name, a, b in (("ub", self.a_ub, self.b_ub), ("eq", self.a_eq, self.b_eq)):
+            if a.shape[0] != b.size:
+                raise ValueError(f"A_{name} has {a.shape[0]} rows but b_{name} has {b.size}")
+        self.lb = _as_1d(self.lb, n, 0.0)
+        self.ub = _as_1d(self.ub, n, np.inf)
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bounds must have one entry per variable")
         if np.any(self.lb > self.ub):
             bad = int(np.argmax(self.lb > self.ub))
-            raise ValueError(
-                f"variable {bad} has lb={self.lb[bad]} > ub={self.ub[bad]}"
-            )
+            raise ValueError(f"variable {bad} has lb={self.lb[bad]} > ub={self.ub[bad]}")
 
     @property
     def n_variables(self) -> int:

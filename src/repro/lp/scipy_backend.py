@@ -2,8 +2,9 @@
 
 A model goes row-wise to ``scipy.optimize._highspy._core``, which ``linprog``
 drives, with ``linprog``'s options and none of its Python: a fresh solve is
-``linprog``'s bit for bit.  Only ``_core`` names that scipy's ``_highs_wrapper``
-reads are read.  A solve runs on its caller's :class:`Highs`, never on module
+``linprog``'s bit for bit, with its ``presolve`` option that of the
+:class:`Highs`.  Only ``_core`` names that scipy's ``_highs_wrapper`` reads
+are read.  A solve runs on its caller's :class:`Highs`, never on module
 state: shards solve concurrently.
 """
 
@@ -42,10 +43,11 @@ def scipy_extension(name: str) -> ModuleType:
 _h = scipy_extension("scipy.optimize._highspy._core")
 
 
-def _options() -> _h.HighsOptions:
-    """``linprog(method="highs")``'s options; read-only: ``passOptions`` copies it."""
+def _options(presolve: bool) -> _h.HighsOptions:
+    """``linprog(method="highs")``'s options, with *presolve* on or off;
+    read-only: ``passOptions`` copies it."""
     options = _h.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "on" if presolve else "off"
     # Dual simplex, set by value: scipy moved ``simplex_constants``.
     options.simplex_strategy = 1
     options.output_flag = False
@@ -54,7 +56,7 @@ def _options() -> _h.HighsOptions:
     return options
 
 
-_OPTIONS = _options()
+_OPTIONS = {presolve: _options(presolve) for presolve in (True, False)}
 
 #: ``linprog``'s status mapping (``_highs_to_scipy_status_message``): every
 #: other model status, time and iteration limits included, is ERROR.
@@ -75,17 +77,21 @@ class Highs:
     It keeps :attr:`last`, its last optimum, and solves an LP of the same
     layout (:func:`_same_layout`) warm (:func:`_warm_run`); any other LP is
     passed anew and answers as on a fresh instance.  A solve whose
-    ``passModel`` or ``run`` failed or raised discards the instance."""
+    ``passModel`` or ``run`` failed or raised discards the instance.
+    *presolve* applies to fresh solves: a warm run starts from a basis."""
 
     _core: _h._Highs | None = None
     last: LinearProgram | None = None
+
+    def __init__(self, presolve: bool = True):
+        self.presolve = presolve
 
     def take(self) -> _h._Highs:
         """The instance, held by one solve until :meth:`keep` returns it."""
         core, self._core, self.last = self._core, None, None
         if core is None:
             core = _h._Highs()
-            core.passOptions(_OPTIONS)
+            core.passOptions(_OPTIONS[self.presolve])
         return core
 
     def keep(self, core: _h._Highs, optimal: LinearProgram | None = None) -> None:
@@ -185,7 +191,8 @@ def solve(problem: LinearProgram, highs: Highs | None = None) -> LPSolution:
     on *highs*'s instance or a fresh one.
 
     A warm answer that is not optimal is never returned: the LP is solved
-    again on a fresh instance, counted in ``lp.solve.warm_fallback``."""
+    again on a fresh instance with *highs*'s presolve, counted in
+    ``lp.solve.warm_fallback``; each fresh solve in ``lp.solve.presolve.on|off``."""
     _check_finite(problem)
     highs = highs if highs is not None else Highs()
     last = highs.last
@@ -196,7 +203,8 @@ def solve(problem: LinearProgram, highs: Highs | None = None) -> LPSolution:
             highs.keep(core, problem)
             return solution
         current_obs().counter("lp.solve.warm_fallback").inc()
-        core = Highs().take()
+        core = Highs(highs.presolve).take()
+    current_obs().counter(f"lp.solve.presolve.{'on' if highs.presolve else 'off'}").inc()
     solved = False
     if core.passModel(_model(problem)) == _h.HighsStatus.kError:
         model_status = _h.HighsModelStatus.kModelError

@@ -23,7 +23,7 @@ from scipy import sparse
 from repro.core.allocation import IntegralizationError, greedy_fill, quantize_coupled
 from repro.core.flowtime import FlowTimePlanner, _clamp
 from repro.core import lexmin
-from repro.core.lexmin import LadderLayout, lexmin_schedule
+from repro.core.lexmin import LadderLayout, LexminWarmHint, lexmin_schedule
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.core.placement import (
     JobDemand,
@@ -369,8 +369,12 @@ class TestWarmLadder:
     ):
         problems = _ladder_problems(6, seed=3)
         fresh = scipy_backend.solve
+
+        def on_a_fresh_instance(problem, highs):
+            return fresh(problem, scipy_backend.Highs(highs.presolve))
+
         with monkeypatch.context() as patch:
-            patch.setattr(scipy_backend, "solve", lambda problem, highs=None: fresh(problem))
+            patch.setattr(scipy_backend, "solve", on_a_fresh_instance)
             expected = [lexmin_schedule(problem) for problem in problems]
         real = scipy_backend._warm_run
 
@@ -390,6 +394,66 @@ class TestWarmLadder:
         # Every round after a ladder's first was warm, and fell back.
         rounds = obs.counter("lp.solve.tag.round").value
         assert obs.counter("lp.solve.warm_fallback").value == rounds - len(problems) > 0
+
+    @pytest.mark.parametrize("hinted", [False, True])
+    def test_presolve_runs_only_on_a_cold_ladders_round_1(self, hinted, monkeypatch):
+        """A ladder with a warm hint (a re-plan) solves its rounds on an
+        unpresolved instance, one without presolves its round 1; every
+        balancing LP, the hint's included, is solved on a fresh unpresolved
+        instance."""
+        problems = _ladder_problems(12, seed=1)
+        hints = [None] * len(problems)
+        if hinted:  # a finishing hint (its own skyline) and a failing one
+            hints = [_own_skyline(problem) for problem in problems]
+            hints[::2] = [
+                None if hint is None else LexminWarmHint(hint.theta, 0 * hint.levels)
+                for hint in hints[::2]
+            ]
+        built: list[scipy_backend.Highs] = []
+        solves: list[tuple[str, scipy_backend.Highs, bool]] = []
+        real_solve = lexmin.solve_lp
+
+        class Spy(scipy_backend.Highs):
+            def __init__(self, presolve=True):
+                super().__init__(presolve)
+                built.append(self)
+
+        def recording_solve(lp, *, tag, highs, **kwargs):
+            solves.append((tag, highs, highs.last is None))
+            return real_solve(lp, tag=tag, highs=highs, **kwargs)
+
+        monkeypatch.setattr(lexmin, "Highs", Spy)
+        monkeypatch.setattr(lexmin, "solve_lp", recording_solve)
+        obs = Observability()
+        with use_obs(obs):
+            results = [
+                lexmin_schedule(problem, warm_hint=hint) for problem, hint in zip(problems, hints)
+            ]
+        balances = [highs for tag, highs, _ in solves if tag == "balance"]
+        ladders = [highs for highs in built if highs not in balances]
+        assert len(ladders) == len(problems) and len(built) == len(problems) + len(balances)
+        assert all(not highs.presolve for highs in balances)
+        assert all(fresh for tag, _, fresh in solves if tag == "balance")
+        cold = [hint is None for hint in hints]
+        assert [highs.presolve for highs in ladders] == cold
+        first_rounds = [fresh for tag, _, fresh in solves if tag == "round"].count(True)
+        assert first_rounds == len(problems)
+        assert obs.counter("lp.solve.presolve.on").value == sum(cold)
+        assert obs.counter("lp.solve.presolve.off").value == len(balances) + cold.count(False)
+        if hinted:
+            warm = sum(result.warm for result in results)
+            assert 0 < warm < sum(result.is_optimal for result in results)
+
+
+def _own_skyline(problem) -> LexminWarmHint | None:
+    """The hint a re-plan of *problem* would get: its own lexmin skyline."""
+    result = lexmin_schedule(problem)
+    if not result.is_optimal:
+        return None
+    cells = problem.cell_array()
+    levels = np.full((problem.horizon, int(cells[:, 1].max()) + 1), np.nan)
+    levels[cells[:, 0], cells[:, 1]] = result.utilisation
+    return LexminWarmHint(result.minimax, levels)
 
 
 class TestVectorisedBookkeeping:

@@ -6,8 +6,9 @@ its oracle: on every LP of a small seeded FlowTime run, and on hand-built
 edge cases, the two must agree bit for bit on status, ``x``, both dual
 vectors and the objective — also when one reused
 :class:`~repro.lp.scipy_backend.Highs` solves them all, and when lexmin
-ladders, each on its own instance, run on many threads at once.  An LP of
-the same layout as the instance's last optimum is solved warm from its
+ladders, each on its own instance, run on many threads at once.  A
+``Highs(presolve=False)`` answers as ``linprog`` with presolve off.  An LP
+of the same layout as the instance's last optimum is solved warm from its
 basis; that answer is the same optimum, not always the same vertex.
 """
 
@@ -42,7 +43,7 @@ _LINPROG_STATUS = {
 }
 
 
-def oracle(problem: LinearProgram):
+def oracle(problem: LinearProgram, presolve: bool = True):
     """``(status, x, duals_ub, duals_eq, objective)`` from ``linprog``."""
     res = linprog(
         c=problem.c,
@@ -52,6 +53,7 @@ def oracle(problem: LinearProgram):
         b_eq=problem.b_eq if problem.b_eq.size else None,
         bounds=np.column_stack([problem.lb, problem.ub]),
         method="highs",
+        options={"presolve": presolve},
     )
     status = _LINPROG_STATUS.get(res.status, LPStatus.ERROR)
     if status is not LPStatus.OPTIMAL:
@@ -62,7 +64,7 @@ def oracle(problem: LinearProgram):
 
 
 def assert_same(problem: LinearProgram, highs: scipy_backend.Highs | None = None) -> LPStatus:
-    expected = oracle(problem)
+    expected = oracle(problem, highs is None or highs.presolve)
     got = scipy_backend.solve(problem, highs)
     status, x, duals_ub, duals_eq, objective = expected
     assert got.status is status
@@ -119,6 +121,17 @@ def test_every_lp_of_a_flowtime_run_matches_linprog(flowtime_lps):
     assert len(flowtime_lps) >= 10
     statuses = [assert_same(problem) for problem in flowtime_lps]
     assert LPStatus.OPTIMAL in statuses
+
+
+def test_every_lp_of_a_flowtime_run_matches_linprog_without_presolve(flowtime_lps):
+    obs = Observability()
+    with use_obs(obs):
+        statuses = [
+            assert_same(problem, scipy_backend.Highs(presolve=False)) for problem in flowtime_lps
+        ]
+    assert LPStatus.OPTIMAL in statuses
+    assert obs.counter("lp.solve.presolve.off").value == len(flowtime_lps)
+    assert obs.counter("lp.solve.presolve.on").value == 0
 
 
 def test_kHighsInf_is_infinity():
@@ -253,16 +266,7 @@ class TestReusedInstance:
         warm and is ``linprog``'s optimum, and an unchanged LP re-solves in
         no simplex iteration.  An LP of another layout in between answers
         bit for bit and drops the basis."""
-        (problem,) = _ladder_problems(1, seed=5)
-        caps = problem.cell_caps()
-        layout = LadderLayout(problem, caps)
-        frozen = np.full(caps.size, np.inf)
-        round_1 = layout.lp(frozen)
-        theta = scipy_backend.solve(round_1).x[-1]
-        frozen[: caps.size // 2] = (theta + 1e-6) * caps[: caps.size // 2]
-        round_2 = layout.lp(frozen)
-        frozen[caps.size // 2 :] = caps[caps.size // 2 :]
-        balance = layout.lp(frozen, np.ones(problem.n_vars))
+        round_1, round_2, balance = _ladder_lps()
         highs = scipy_backend.Highs()
         assert_same(round_1, highs)
         assert highs.last is round_1
@@ -276,6 +280,49 @@ class TestReusedInstance:
         assert assert_same(self.INFEASIBLE, highs) is LPStatus.INFEASIBLE
         assert highs.last is None
         assert assert_same(round_2, highs) is LPStatus.OPTIMAL
+
+    def test_a_ladder_without_presolve_matches_linprog_without_presolve(self):
+        """Each LP of the ladder fresh on an unpresolved instance answers
+        as ``linprog`` with presolve off; on one such instance, each after
+        the first is warm and answers its optimum."""
+        lps = _ladder_lps()
+        for lp in lps:
+            assert assert_same(lp, scipy_backend.Highs(presolve=False)) is LPStatus.OPTIMAL
+        highs = scipy_backend.Highs(presolve=False)
+        assert assert_same(lps[0], highs) is LPStatus.OPTIMAL
+        for successor in lps[1:]:
+            assert assert_same_optimum(successor, highs) is LPStatus.OPTIMAL
+            assert highs.last is successor
+
+    @pytest.mark.parametrize("presolve", [True, False])
+    def test_a_warm_answer_that_falls_back_keeps_the_presolve_setting(
+        self, presolve, monkeypatch
+    ):
+        """The fresh re-solve runs on an instance with the same presolve
+        setting, and answers as ``linprog`` with that setting."""
+        round_1, round_2, _ = _ladder_lps()
+        highs = scipy_backend.Highs(presolve=presolve)
+        assert assert_same(round_1, highs) is LPStatus.OPTIMAL
+        built: list[bool] = []
+
+        class Recording(scipy_backend.Highs):
+            def __init__(self, presolve=True):
+                super().__init__(presolve)
+                built.append(presolve)
+
+        def not_optimal(core, last, problem):
+            return True, scipy_backend._h.HighsModelStatus.kIterationLimit
+
+        monkeypatch.setattr(scipy_backend, "Highs", Recording)
+        monkeypatch.setattr(scipy_backend, "_warm_run", not_optimal)
+        obs = Observability()
+        with use_obs(obs):
+            assert assert_same(round_2, highs) is LPStatus.OPTIMAL
+        assert built == [presolve]
+        assert obs.counter("lp.solve.warm_fallback").value == 1
+        setting = "on" if presolve else "off"
+        assert obs.counter(f"lp.solve.presolve.{setting}").value == 1
+        assert highs.presolve is presolve and highs.last is round_2
 
     def test_a_solve_that_raises_discards_the_instance(self, monkeypatch):
         lp = LinearProgram(c=[1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0])
@@ -293,6 +340,21 @@ class TestReusedInstance:
                 scipy_backend.solve(lp, highs)
         assert highs.take() is not used
         assert assert_same(lp, highs) is LPStatus.OPTIMAL
+
+
+def _ladder_lps() -> tuple[LinearProgram, LinearProgram, LinearProgram]:
+    """Round 1, round 2 (half the cells frozen) and the balancing LP of one
+    ladder's layout."""
+    (problem,) = _ladder_problems(1, seed=5)
+    caps = problem.cell_caps()
+    layout = LadderLayout(problem, caps)
+    frozen = np.full(caps.size, np.inf)
+    round_1 = layout.lp(frozen)
+    theta = scipy_backend.solve(round_1).x[-1]
+    frozen[: caps.size // 2] = (theta + 1e-6) * caps[: caps.size // 2]
+    round_2 = layout.lp(frozen)
+    frozen[caps.size // 2 :] = caps[caps.size // 2 :]
+    return round_1, round_2, layout.lp(frozen, np.ones(problem.n_vars))
 
 
 def _ladder_problems(count: int, seed: int) -> list:
