@@ -120,6 +120,7 @@ class FlowTimePlanner:
         # Previous solve's skyline in absolute coordinates: (resources,
         # theta, absolute slot / r_index / utilisation of every cell).
         self._skyline: tuple | None = None
+        self._highs: dict = {}  # the HiGHS instances its ladders reuse
 
     # -- planning ----------------------------------------------------------------
 
@@ -229,6 +230,7 @@ class FlowTimePlanner:
                 front_load=config.front_load,
                 warm_hint=hint,
                 solve_budget_s=config.solve_budget_s,
+                instances=self._highs,
             )
             hint = None
             grants = None

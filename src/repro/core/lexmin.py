@@ -22,8 +22,10 @@ allocation — we compute the same optimum iteratively:
 
 The first round's ``theta*`` is exactly the paper's ``max z/C`` optimum;
 subsequent rounds refine lower-order components of the sorted utilisation
-vector.  Every LP of a ladder is one model (:class:`LadderLayout`); each
-round after the first re-runs from the previous round's basis.
+vector.  Every LP of a ladder is one model (:class:`LadderLayout`), kept
+as the arrays and lists HiGHS takes: round 1 and the balancing LP go to
+HiGHS whole, each later round as the cells frozen since the round before
+it, re-run from that round's basis.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.lp_formulation import ScheduleProblem
-from repro.lp.problem import LinearProgram, LPSolution, LPStatus
-from repro.lp.scipy_backend import Highs
-from repro.lp.solver import SolverFailure, solve_lp
+from repro.lp.problem import LinearProgram, LPSolution
+from repro.lp.scipy_backend import Highs, rowwise_lp
+from repro.lp.solver import solve_lp
 from repro.obs import current_obs
 
 _DUAL_TOL = 1e-7
@@ -101,9 +103,8 @@ class LexminResult:
 
 
 class LadderLayout:
-    """The one model every LP of a lexmin ladder is, so that the ladder's
-    :class:`~repro.lp.scipy_backend.Highs` solves each round after the
-    first warm.
+    """The one model every LP of a lexmin ladder is, as the arrays and lists
+    HiGHS takes (an LP of it is a :class:`LadderLP`).
 
     The allocation variables plus a trailing ``0 <= theta <= 1``.  Row
     ``k`` is cell ``k``: ``load - theta * C <= 0`` while active, ``load <=
@@ -115,34 +116,76 @@ class LadderLayout:
     """
 
     def __init__(self, problem: ScheduleProblem, caps: np.ndarray):
-        n_vars, a_eq = problem.n_vars, problem.a_eq
-        # A row's theta entry is its last: freezing zeroes a known entry.
-        self._rows = sparse.hstack([problem.a_util, -caps[:, None]], format="csr")
-        self._theta_at = self._rows.indptr[1:] - 1
-        self._round_cost = np.zeros(n_vars + 1)
-        self._round_cost[-1] = 1.0
-        self._a_eq = sparse.csr_matrix(  # [a_eq | 0] on a_eq's own arrays
-            (a_eq.data, a_eq.indices, a_eq.indptr), shape=(a_eq.shape[0], n_vars + 1)
+        n_vars, a_util, a_eq, b_eq = problem.n_vars, problem.a_util, problem.a_eq, problem.b_eq
+        ends = a_util.indptr[1:]
+        if (caps.shape, a_util.shape[1], a_eq.shape[1], b_eq.shape, problem.var_ub.shape) != (
+            (ends.size,), n_vars, n_vars, (a_eq.shape[0],), (n_vars,)
+        ):
+            raise ValueError("a ladder needs one cap per cell and one bound per variable")
+        # [a_util | -C], each row's theta entry its last: freezing zeroes a known entry.
+        self._indptr = a_util.indptr + np.arange(ends.size + 1, dtype=ends.dtype)
+        self._indices = np.insert(a_util.indices, ends, n_vars)
+        self._data = np.insert(a_util.data, ends, -caps)
+        if not all(np.isfinite(v).all() for v in (self._data, a_eq.data, b_eq, problem.var_ub)):
+            raise ValueError("a ladder's matrix, demands and bounds must be finite")
+        self._theta_at, self._a_eq, self.b_eq = self._indptr[1:] - 1, a_eq, b_eq
+        self.n_variables, self.lb = n_vars + 1, np.zeros(n_vars + 1)
+        self.ub, self.round_cost = np.append(problem.var_ub, 1.0), np.append(np.zeros(n_vars), 1.0)
+        # What a whole model sends and no LP of the ladder changes, as lists once.
+        self.b_eq_list, self.eq_values = b_eq.tolist(), a_eq.data.tolist()
+        self.columns = (self.lb.tolist(), self.ub.tolist())
+        self.rows = (
+            [-np.inf] * ends.size + self.b_eq_list,
+            self._indptr.tolist() + (a_eq.indptr[1:] + self._data.size).tolist(),
+            self._indices.tolist() + a_eq.indices.tolist(),
         )
-        self._b_eq = problem.b_eq
-        self._lb = np.zeros(n_vars + 1)
-        self._ub = np.append(problem.var_ub, 1.0)
+
+    def values(self, frozen: np.ndarray) -> np.ndarray:
+        """``[a_util | -C]``'s values, the *frozen* cells' theta entries 0."""
+        values = self._data.copy()
+        values[self._theta_at[frozen]] = 0.0
+        return values
 
     def lp(self, frozen_value: np.ndarray, cost: np.ndarray | None = None) -> LinearProgram:
         """Cells of finite *frozen_value* frozen there; ``min theta`` (a
         round), or *cost* on the allocation variables (the balancing LP)."""
-        frozen = np.isfinite(frozen_value)
-        a_ub = self._rows.copy()
-        a_ub.data[self._theta_at[frozen]] = 0.0
+        frozen, eq, n_col = np.isfinite(frozen_value), self._a_eq, self.n_variables
+        a_ub = (self.values(frozen), self._indices, self._indptr)
         return LinearProgram(
-            c=self._round_cost if cost is None else np.append(cost, 0.0),
-            a_ub=a_ub,
+            c=self.round_cost if cost is None else np.append(cost, 0.0),
+            a_ub=sparse.csr_matrix(a_ub, shape=(frozen.size, n_col)),
             b_ub=np.where(frozen, frozen_value, 0.0),
-            a_eq=self._a_eq,
-            b_eq=self._b_eq,
-            lb=self._lb,
-            ub=self._ub,
+            a_eq=sparse.csr_matrix((eq.data, eq.indices, eq.indptr), shape=(eq.shape[0], n_col)),
+            b_eq=self.b_eq,
+            lb=self.lb,
+            ub=self.ub,
         )
+
+
+class LadderLP:
+    """:meth:`LadderLayout.lp` as :func:`repro.lp.scipy_backend.solve` takes
+    it: whole (:meth:`highs_lp`), or as ``push``, the caps of the cells
+    *since* names, frozen after the round the ladder's instance holds."""
+
+    def __init__(self, layout: LadderLayout, frozen_value, cost=None, since=None):
+        self.layout, self.frozen_value, self.cost = layout, frozen_value.copy(), cost
+        self.push = None if since is None else (since, frozen_value[since], layout.n_variables - 1)
+        self.frozen = np.isfinite(frozen_value)
+        self.c = layout.round_cost if cost is None else np.append(cost, 0.0)
+        self.b_ub = np.where(self.frozen, frozen_value, 0.0)
+        self.n_variables, self.b_eq = layout.n_variables, layout.b_eq
+        self.lb, self.ub = layout.lb, layout.ub
+
+    def highs_lp(self):
+        layout, (row_lower, start, index) = self.layout, self.layout.rows
+        row_upper = self.b_ub.tolist() + layout.b_eq_list
+        values = layout.values(self.frozen).tolist() + layout.eq_values
+        cost = self.c.tolist()
+        return rowwise_lp(cost, *layout.columns, row_lower, row_upper, start, index, values)
+
+    def program(self) -> LinearProgram:
+        """This LP for another solver, or an oracle."""
+        return self.layout.lp(self.frozen_value, self.cost)
 
 
 def _cap_at(theta: float | np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -194,7 +237,7 @@ def _finish_warm(
     if frozen is None:
         return None
     sol = balance(frozen)
-    if sol.status is not LPStatus.OPTIMAL:
+    if not sol.is_optimal:
         return None
     x = sol.x[: problem.n_vars]
     utilisation = np.asarray(problem.a_util @ x).ravel() / caps
@@ -229,20 +272,6 @@ def _balance_cost(problem: ScheduleProblem, caps: np.ndarray, front_load: bool) 
     return c_final
 
 
-def _answered(sol: LPSolution, stage: str) -> bool:
-    """True for an optimal *sol*, False for an infeasible one."""
-    if sol.status is LPStatus.OPTIMAL:
-        return True
-    if sol.status is LPStatus.INFEASIBLE:
-        return False
-    raise SolverFailure(  # pragma: no cover - solve_lp raises first
-        f"lexmin {stage} failed: {sol.message}",
-        backend="highs",
-        reason="error",
-        elapsed=0.0,
-    )
-
-
 def lexmin_schedule(
     problem: ScheduleProblem,
     *,
@@ -250,6 +279,7 @@ def lexmin_schedule(
     front_load: bool = True,
     warm_hint: LexminWarmHint | None = None,
     solve_budget_s: float | None = None,
+    instances: dict | None = None,
 ) -> LexminResult:
     """Run the iterative lexicographic minimax on a :class:`ScheduleProblem`.
 
@@ -275,47 +305,52 @@ def lexmin_schedule(
             fault) raises
             :class:`~repro.lp.solver.SolverFailure`, which propagates to
             the caller — the FlowTime scheduler's degraded mode handles it.
+        instances: the caller's :class:`~repro.lp.scipy_backend.Highs` by
+            purpose and presolve setting, reused by its ladders one at a time.
 
     Returns:
         A :class:`LexminResult`; ``status == "infeasible"`` means some job's
         demand cannot fit its window under the capacity caps (callers relax
         windows and retry).
     """
-    n_cells = len(problem.util_cells)
     n_vars = problem.n_vars
     caps = problem.cell_caps()
     if np.any(caps <= 0):
         raise ValueError("every utilisation cell must have positive capacity")
 
     layout = LadderLayout(problem, caps)
+    instances = {} if instances is None else instances
     # Every round solves on it, warm after the first.  Presolve halves a
     # cold round 1's iterations; on a hinted re-plan it saves none.
-    highs = Highs(presolve=warm_hint is None)
+    highs = instances.setdefault(("round", warm_hint is None), Highs(warm_hint is None))
 
-    c_final = _balance_cost(problem, caps, front_load)
+    c_final, paper = _balance_cost(problem, caps, front_load), problem.mode == "paper"
 
     def balance(frozen_value: np.ndarray) -> LPSolution:
         """Final solve: minimise ``c_final`` under the frozen caps, fresh (the
-        rounds' basis is far from it) and unpresolved (it saves no iteration)."""
-        lp_final = layout.lp(frozen_value, c_final)
+        rounds' basis is far from it); presolved only in the paper's
+        formulation (on a coupled LP it saves no iteration)."""
         return solve_lp(
-            lp_final, tag="balance", time_budget_s=solve_budget_s, highs=Highs(presolve=False)
+            LadderLP(layout, frozen_value, c_final),
+            tag="balance",
+            time_budget_s=solve_budget_s,
+            highs=instances.setdefault(("balance", paper), Highs(paper)),
         )
 
-    active = np.arange(n_cells)
-    frozen_value = np.full(n_cells, np.inf)
+    active = np.arange(caps.size)
+    frozen_value = np.full(caps.size, np.inf)
+    frozen_since: np.ndarray | None = None  # the cells the last round froze
     thetas: list[float] = []
     rounds = 0
 
     while active.size:
         if max_rounds is not None and rounds >= max_rounds:
             break
-        lp = layout.lp(frozen_value)
-        sol = solve_lp(lp, tag="round", time_budget_s=solve_budget_s, highs=highs)
-        if not _answered(sol, "round"):
+        round_lp = LadderLP(layout, frozen_value, since=frozen_since)
+        sol = solve_lp(round_lp, tag="round", time_budget_s=solve_budget_s, highs=highs)
+        if not sol.is_optimal:  # every column is bounded: infeasible
             return LexminResult(status="infeasible")
-        x_full = sol.x
-        theta = float(x_full[-1])
+        theta = float(sol.x[-1])
         thetas.append(theta)
         rounds += 1
 
@@ -327,15 +362,14 @@ def lexmin_schedule(
 
         to_freeze = active[np.abs(sol.duals_ub[active]) > _DUAL_TOL]
         if not to_freeze.size:  # degeneracy hid the duals: saturation decides
-            loads = np.asarray(problem.a_util[active] @ x_full[:n_vars]).ravel()
+            loads = np.asarray(problem.a_util[active] @ sol.x[:n_vars]).ravel()
             saturated = loads / caps[active] >= theta - _SAT_TOL * max(theta, 1.0)
             to_freeze = active[saturated]
-        if not to_freeze.size:  # defensive: never loop without progress
-            to_freeze = active
-        if theta <= _THETA_TOL:
+        if not to_freeze.size or theta <= _THETA_TOL:  # never loop without progress
             to_freeze = active
 
         frozen_value[to_freeze] = _cap_at(theta, caps)[to_freeze]
+        frozen_since = to_freeze
         active = active[~np.isfinite(frozen_value[active])]
 
     if active.size:  # max_rounds exhausted: freeze the rest at the last theta
@@ -343,7 +377,7 @@ def lexmin_schedule(
         frozen_value[active] = _cap_at(last, caps)[active]
 
     sol = balance(frozen_value)
-    if not _answered(sol, "final solve"):
+    if not sol.is_optimal:
         return LexminResult(status="infeasible")
 
     x = sol.x[:n_vars]

@@ -16,9 +16,8 @@ Two variable layouts are supported:
   gives up the TU guarantee, so the integral repair in
   :mod:`repro.core.allocation` does the final quantisation.
 
-Both layouts share :class:`ScheduleProblem`, which pre-assembles the sparse
-utilisation matrix so the lexicographic minimax solver can slice rows
-cheaply on every round.
+Both layouts share :class:`ScheduleProblem`, its CSR matrices assembled
+straight from their index arrays.
 """
 
 from __future__ import annotations
@@ -117,11 +116,7 @@ class ScheduleProblem:
         return np.asarray(self.util_cells, dtype=np.int64).reshape(-1, 2)
 
     def cell_caps(self) -> np.ndarray:
-        """Per-utilisation-row capacity vector (vectorised ``cap_of_cell``).
-
-        The lexmin ladder reads this once per rung; a single fancy-index
-        gather replaces the per-cell Python loop on the hot path.
-        """
+        """Per-utilisation-row capacity vector (vectorised ``cap_of_cell``)."""
         cells = self.cell_array()
         return self.caps[cells[:, 0], cells[:, 1]].astype(float)
 
@@ -163,25 +158,19 @@ def _build_schedule_problem(
 ) -> ScheduleProblem:
     caps = np.asarray(caps, dtype=float)
     if caps.ndim != 2 or caps.shape[1] != len(resources):
-        raise ValueError(
-            f"caps must be [horizon, {len(resources)}], got {caps.shape}"
-        )
+        raise ValueError(f"caps must be [horizon, {len(resources)}], got {caps.shape}")
     horizon = caps.shape[0]
     entries = tuple(entries)
     for entry in entries:
         if entry.deadline > horizon:
-            raise ValueError(
-                f"{entry.job_id}: deadline {entry.deadline} beyond horizon {horizon}"
-            )
+            raise ValueError(f"{entry.job_id}: deadline {entry.deadline} beyond horizon {horizon}")
 
     resources = tuple(resources)
     known = set(resources)
     for entry in entries:
         unknown = set(entry.unit_demand) - known
         if unknown:
-            raise KeyError(
-                f"{entry.job_id}: demand names unknown resource(s) {sorted(unknown)}"
-            )
+            raise KeyError(f"{entry.job_id}: demand names unknown resource(s) {sorted(unknown)}")
 
     if not entries:
         raise ValueError("no variables: entries list is empty")
@@ -189,17 +178,14 @@ def _build_schedule_problem(
     n_entries = len(entries)
     n_resources = len(resources)
     release = np.array([entry.release for entry in entries], dtype=np.int64)
-    window = np.array(
-        [entry.deadline - entry.release for entry in entries], dtype=np.int64
-    )
+    window = np.array([entry.deadline for entry in entries], dtype=np.int64) - release
     units = np.array([entry.units for entry in entries], dtype=np.int64)
     parallel_cap = np.minimum(
         np.array([entry.max_parallel for entry in entries], dtype=np.int64), units
     )
-    demand = np.zeros((n_entries, n_resources))
-    for e_index, entry in enumerate(entries):
-        for r, name in enumerate(resources):
-            demand[e_index, r] = entry.unit_demand[name]
+    demand = np.array(
+        [[entry.unit_demand[name] for name in resources] for entry in entries], dtype=float
+    ).reshape(n_entries, n_resources)
 
     # Every (block, slot) pair becomes one variable; blocks are whole jobs
     # in coupled mode and (job, resource-with-demand) pairs in paper mode.
@@ -212,30 +198,24 @@ def _build_schedule_problem(
         block_ub = parallel_cap.astype(float)
     elif mode == "paper":
         block_entry, block_resource = np.nonzero(demand > 0)
-        block_rhs = (
-            units[block_entry] * demand[block_entry, block_resource]
-        ).astype(float)
-        block_ub = (
-            parallel_cap[block_entry] * demand[block_entry, block_resource]
-        ).astype(float)
+        block_rhs = (units[block_entry] * demand[block_entry, block_resource]).astype(float)
+        block_ub = (parallel_cap[block_entry] * demand[block_entry, block_resource]).astype(float)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     block_len = window[block_entry]
     n_vars = int(block_len.sum())
     block_of_var = np.repeat(np.arange(block_entry.size), block_len)
-    offsets = np.concatenate([[0], np.cumsum(block_len)[:-1]])
-    slot_of_var = (
-        np.arange(n_vars) - offsets[block_of_var] + release[block_entry][block_of_var]
-    )
+    bounds = np.concatenate([[0], np.cumsum(block_len)])  # of each block's variables
+    slot_of_var = np.arange(n_vars) - bounds[block_of_var] + release[block_entry][block_of_var]
     entry_of_var = block_entry[block_of_var]
     resource_of_var = block_resource[block_of_var]
     var_meta = np.stack([entry_of_var, slot_of_var, resource_of_var], axis=1)
     var_ub = block_ub[block_of_var]
 
+    # Block ones: row b holds the variables of block b, in order.
     a_eq = sparse.csr_matrix(
-        (np.ones(n_vars), (block_of_var, np.arange(n_vars))),
-        shape=(block_entry.size, n_vars),
+        (np.ones(n_vars), np.arange(n_vars), bounds), shape=(block_entry.size, n_vars)
     )
     b_eq = block_rhs
 
@@ -250,19 +230,17 @@ def _build_schedule_problem(
         cell_var = np.arange(n_vars)
         cell_coeff = np.ones(n_vars)
         cell_key = slot_of_var * n_resources + resource_of_var
-    # np.unique sorts keys exactly like the historical sorted() over
-    # (slot, r) tuples, so row order — and the golden traces — are stable.
-    uniq_keys, cell_row = np.unique(cell_key, return_inverse=True)
-    cell_row = cell_row.ravel()
+    # Rows in (slot, r) order, so the golden traces are stable; a stable
+    # sort keeps each row's variables ascending, as CSR has them.
+    order = np.argsort(cell_key, kind="stable")
+    keys = cell_key[order]
+    starts = np.flatnonzero(np.diff(keys)) + 1
+    uniq_keys = keys[np.concatenate([[0], starts])]
     a_util = sparse.csr_matrix(
-        (cell_coeff, (cell_row, cell_var)), shape=(uniq_keys.size, n_vars)
+        (cell_coeff[order], cell_var[order], np.concatenate([[0], starts, [keys.size]])),
+        shape=(uniq_keys.size, n_vars),
     )
-    util_cells = tuple(
-        zip(
-            (uniq_keys // n_resources).tolist(),
-            (uniq_keys % n_resources).tolist(),
-        )
-    )
+    util_cells = tuple(zip((uniq_keys // n_resources).tolist(), (uniq_keys % n_resources).tolist()))
 
     return ScheduleProblem(
         entries=entries,

@@ -26,14 +26,12 @@ def _as_2d(matrix, n_cols: int):
     """Normalise an optional constraint matrix; None becomes a 0-row matrix."""
     if matrix is None:
         return sparse.csr_matrix((0, n_cols))
-    if sparse.issparse(matrix):
-        return matrix.tocsr()
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"constraint matrix must be 2-D, got shape {arr.shape}")
-    if arr.shape[1] != n_cols:
-        raise ValueError(f"constraint matrix has {arr.shape[1]} columns, objective has {n_cols}")
-    return sparse.csr_matrix(arr)
+    matrix = matrix.tocsr() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"constraint matrix must be 2-D, got shape {matrix.shape}")
+    if matrix.shape[1] != n_cols:  # sparse too: HiGHS would call it infeasible
+        raise ValueError(f"constraint matrix has {matrix.shape[1]} columns, objective has {n_cols}")
+    return sparse.csr_matrix(matrix) if isinstance(matrix, np.ndarray) else matrix
 
 
 def _as_1d(values, size: int, default: float) -> np.ndarray:

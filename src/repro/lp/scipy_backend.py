@@ -4,8 +4,11 @@ A model goes row-wise to ``scipy.optimize._highspy._core``, which ``linprog``
 drives, with ``linprog``'s options and none of its Python: a fresh solve is
 ``linprog``'s bit for bit, with its ``presolve`` option that of the
 :class:`Highs`.  Only ``_core`` names that scipy's ``_highs_wrapper`` reads
-are read.  A solve runs on its caller's :class:`Highs`, never on module
-state: shards solve concurrently.
+are read.  A :class:`~repro.lp.problem.LinearProgram` is passed whole; a
+lexmin ladder's LP (:class:`repro.core.lexmin.LadderLP`) is passed whole
+too, or, onto the instance holding the round before it, as the rows that
+round froze (:func:`_warm_run`).  A solve runs on its caller's
+:class:`Highs`, never on module state: shards solve concurrently.
 """
 
 from __future__ import annotations
@@ -74,95 +77,70 @@ _FEASIBILITY_TOL = np.sqrt(1e-9) * 10
 class Highs:
     """One HiGHS for a sequence of solves, owned by one caller on one thread.
 
-    It keeps :attr:`last`, its last optimum, and solves an LP of the same
-    layout (:func:`_same_layout`) warm (:func:`_warm_run`); any other LP is
-    passed anew and answers as on a fresh instance.  A solve whose
-    ``passModel`` or ``run`` failed or raised discards the instance.
-    *presolve* applies to fresh solves: a warm run starts from a basis."""
+    :attr:`core` is the instance after an optimal solve, holding that model
+    and its basis for the next solve's push (a ladder LP's); None before the
+    first solve and after one that answered otherwise or raised.  Any other
+    solve passes its whole model and answers as on a fresh instance.
+    *presolve* applies to whole-model solves: a push starts from a basis."""
 
-    _core: _h._Highs | None = None
-    last: LinearProgram | None = None
+    core: _h._Highs | None = None
 
     def __init__(self, presolve: bool = True):
         self.presolve = presolve
 
-    def take(self) -> _h._Highs:
-        """The instance, held by one solve until :meth:`keep` returns it."""
-        core, self._core, self.last = self._core, None, None
-        if core is None:
-            core = _h._Highs()
-            core.passOptions(_OPTIONS[self.presolve])
-        return core
 
-    def keep(self, core: _h._Highs, optimal: LinearProgram | None = None) -> None:
-        self._core, self.last = core, optimal
-
-
-def _check_finite(problem: LinearProgram) -> None:
-    """Reject what ``linprog``'s input checks reject: non-finite data."""
-    for name, values in (
-        ("c", problem.c),
-        ("A_ub", problem.a_ub.data),
-        ("b_ub", problem.b_ub),
-        ("A_eq", problem.a_eq.data),
-        ("b_eq", problem.b_eq),
-    ):
+def _check_finite(problem) -> None:
+    """Reject what ``linprog``'s input checks reject: non-finite data.  Of a
+    ladder LP, whose layout checked its matrix, the costs and row bounds it sets."""
+    named = [("c", problem.c), ("b_ub", problem.b_ub)]
+    if isinstance(problem, LinearProgram):
+        named += [("A_ub", problem.a_ub.data), ("A_eq", problem.a_eq.data), ("b_eq", problem.b_eq)]
+    for name, values in named:
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must not contain inf or nan")
 
 
-def _model(problem: LinearProgram) -> _h.HighsLp:
-    """``lhs <= [A_ub; A_eq] x <= rhs``, row-wise, in lists (the bindings copy a
-    list 2-3x faster than an array); ``kHighsInf`` is IEEE inf, so inf bounds pass."""
-    a_ub, a_eq = problem.a_ub, problem.a_eq
-    n_col, n_row = problem.n_variables, problem.n_constraints
+def rowwise_lp(cost, lower, upper, row_lower, row_upper, start, index, value) -> _h.HighsLp:
+    """``row_lower <= A x <= row_upper``, ``A`` row-wise, from lists (the
+    bindings copy a list 2-3x faster than an array); ``kHighsInf`` is IEEE
+    inf, so inf bounds pass."""
     lp = _h.HighsLp()
-    lp.num_col_ = n_col
-    lp.num_row_ = n_row
-    lp.col_cost_ = problem.c.tolist()
-    lp.col_lower_ = problem.lb.tolist()
-    lp.col_upper_ = problem.ub.tolist()
-    lp.row_lower_ = [-_h.kHighsInf] * a_ub.shape[0] + problem.b_eq.tolist()
-    lp.row_upper_ = problem.b_ub.tolist() + problem.b_eq.tolist()
+    lp.num_col_, lp.num_row_ = len(cost), len(row_lower)
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
     matrix = lp.a_matrix_
     matrix.format_ = _h.MatrixFormat.kRowwise
-    matrix.num_col_ = n_col
-    matrix.num_row_ = n_row
-    matrix.start_ = a_ub.indptr.tolist() + (a_eq.indptr[1:] + a_ub.nnz).tolist()
-    matrix.index_ = a_ub.indices.tolist() + a_eq.indices.tolist()
-    matrix.value_ = a_ub.data.tolist() + a_eq.data.tolist()
+    matrix.num_col_, matrix.num_row_ = len(cost), len(row_lower)
+    matrix.start_, matrix.index_, matrix.value_ = start, index, value
     return lp
 
 
-def _same_layout(last: LinearProgram, problem: LinearProgram) -> bool:
-    """*problem* differs from *last* only in what a warm solve pushes: its
-    costs, upper bounds, ``b_ub`` and the values of ``A_ub``."""
-    a, b, a_eq, b_eq = last.a_ub, problem.a_ub, last.a_eq, problem.a_eq
-    pairs = [(a.indptr, b.indptr), (a.indices, b.indices), (last.b_eq, problem.b_eq)]
-    pairs += [(a_eq.indptr, b_eq.indptr), (a_eq.indices, b_eq.indices), (a_eq.data, b_eq.data)]
-    pairs.append((last.lb, problem.lb))
-    return a.shape == b.shape and all(np.array_equal(x, y) for x, y in pairs)
+def _model(problem: LinearProgram) -> _h.HighsLp:
+    """``lhs <= [A_ub; A_eq] x <= rhs``."""
+    a_ub, a_eq, b_eq = problem.a_ub, problem.a_eq, problem.b_eq.tolist()
+    return rowwise_lp(
+        problem.c.tolist(),
+        problem.lb.tolist(),
+        problem.ub.tolist(),
+        [-_h.kHighsInf] * a_ub.shape[0] + b_eq,
+        problem.b_ub.tolist() + b_eq,
+        a_ub.indptr.tolist() + (a_eq.indptr[1:] + a_ub.nnz).tolist(),
+        a_ub.indices.tolist() + a_eq.indices.tolist(),
+        a_ub.data.tolist() + a_eq.data.tolist(),
+    )
 
 
-def _warm_run(core: _h._Highs, last: LinearProgram, problem: LinearProgram) -> tuple:
-    """Push the entries of *problem* that differ from *last*, *core*'s
-    model, and run primal simplex from the kept basis: ``(run did not
-    fail, status)``.  Primal, because a lexmin round keeps the previous
-    optimum feasible; dual simplex from it ran several times longer than a
-    fresh solve on large ladders."""
-    cols = np.flatnonzero(last.c != problem.c).astype(np.int32)
-    core.changeColsCost(cols.size, cols, problem.c[cols])
-    cols = np.flatnonzero(last.ub != problem.ub).astype(np.int32)
-    core.changeColsBounds(cols.size, cols, problem.lb[cols], problem.ub[cols])
-    for row in np.flatnonzero(last.b_ub != problem.b_ub).tolist():
-        core.changeRowBounds(row, -_h.kHighsInf, float(problem.b_ub[row]))
-    a_ub = problem.a_ub
-    changed = np.flatnonzero(last.a_ub.data != a_ub.data)
-    rows = np.searchsorted(a_ub.indptr, changed, side="right") - 1
-    for row, col, value in zip(
-        rows.tolist(), a_ub.indices[changed].tolist(), a_ub.data[changed].tolist()
-    ):
-        core.changeCoeff(row, col, value)
+def _warm_run(core: _h._Highs, rows: np.ndarray, upper: np.ndarray, col: int) -> tuple:
+    """Give *rows* the upper bounds *upper* and a 0 in column *col* (a
+    ladder round's newly frozen cells), and run primal simplex from the kept
+    basis: ``(run did not fail, status)``.  Primal, because a lexmin round
+    keeps the previous optimum feasible; dual simplex from it ran several
+    times longer than a fresh solve on large ladders."""
+    rows, upper = rows.tolist(), upper.tolist()
+    for row, bound in zip(rows, upper):
+        core.changeRowBounds(row, -_h.kHighsInf, bound)
+    for row in rows:
+        core.changeCoeff(row, col, 0.0)
     core.setOptionValue("simplex_strategy", 4)
     try:
         solved = core.run() != _h.HighsStatus.kError
@@ -171,10 +149,10 @@ def _warm_run(core: _h._Highs, last: LinearProgram, problem: LinearProgram) -> t
     return solved, core.getModelStatus()
 
 
-def _feasible(problem: LinearProgram, x: np.ndarray, row: np.ndarray, objective: float) -> bool:
+def _feasible(problem, x: np.ndarray, row: np.ndarray, objective: float) -> bool:
     """``linprog``'s ``_check_result``: an optimum must hold within tolerance."""
     tol = _FEASIBILITY_TOL
-    m_ub = problem.a_ub.shape[0]
+    m_ub = problem.b_ub.size
     slack = problem.b_ub - row[:m_ub]
     con = problem.b_eq - row[m_ub:]
     if np.isnan(objective) or np.isnan(x).any() or np.isnan(row).any():
@@ -186,38 +164,44 @@ def _feasible(problem: LinearProgram, x: np.ndarray, row: np.ndarray, objective:
     )
 
 
-def solve(problem: LinearProgram, highs: Highs | None = None) -> LPSolution:
+def solve(problem, highs: Highs | None = None) -> LPSolution:
     """Solve with HiGHS dual simplex (vertex solutions, duals available),
     on *highs*'s instance or a fresh one.
 
-    A warm answer that is not optimal is never returned: the LP is solved
-    again on a fresh instance with *highs*'s presolve, counted in
-    ``lp.solve.warm_fallback``; each fresh solve in ``lp.solve.presolve.on|off``."""
+    *problem* is a :class:`LinearProgram` or a lexmin ladder's LP
+    (:class:`repro.core.lexmin.LadderLP`: its answer's vectors, its whole
+    model ``highs_lp()`` and its ``push``, the :func:`_warm_run` arguments).
+    A push that does not answer optimally is solved again whole on a fresh
+    instance with *highs*'s presolve, counted in ``lp.solve.warm_fallback``;
+    each whole-model solve in ``lp.solve.presolve.on|off``."""
     _check_finite(problem)
+    program = isinstance(problem, LinearProgram)
     highs = highs if highs is not None else Highs()
-    last = highs.last
-    core = highs.take()
-    if last is not None and _same_layout(last, problem):
-        solution = _answer(core, problem, *_warm_run(core, last, problem))
+    core, highs.core = highs.core, None  # kept again once it answers optimally
+    if core is not None and not program and problem.push is not None:
+        solution = _answer(core, problem, *_warm_run(core, *problem.push))
         if solution.is_optimal:
-            highs.keep(core, problem)
+            highs.core = core
             return solution
         current_obs().counter("lp.solve.warm_fallback").inc()
-        core = Highs(highs.presolve).take()
+        core = None
+    if core is None:
+        core = _h._Highs()
+        core.passOptions(_OPTIONS[highs.presolve])
     current_obs().counter(f"lp.solve.presolve.{'on' if highs.presolve else 'off'}").inc()
     solved = False
-    if core.passModel(_model(problem)) == _h.HighsStatus.kError:
+    if core.passModel(_model(problem) if program else problem.highs_lp()) == _h.HighsStatus.kError:
         model_status = _h.HighsModelStatus.kModelError
     else:
         solved = core.run() != _h.HighsStatus.kError
         model_status = core.getModelStatus()
     solution = _answer(core, problem, solved, model_status)
-    if solved:
-        highs.keep(core, problem if solution.is_optimal else None)
+    if solution.is_optimal:
+        highs.core = core
     return solution
 
 
-def _answer(core: _h._Highs, problem: LinearProgram, solved: bool, model_status) -> LPSolution:
+def _answer(core: _h._Highs, problem, solved: bool, model_status) -> LPSolution:
     """``linprog``'s reading of *core*'s run on *problem*."""
     info = core.getInfo()
     iterations = info.simplex_iteration_count if solved else 0
@@ -235,12 +219,12 @@ def _answer(core: _h._Highs, problem: LinearProgram, solved: bool, model_status)
     if not _feasible(problem, x, row, objective):
         return LPSolution(status=LPStatus.ERROR, message=f"{message} outside tolerance")
     duals = np.array(solution.row_dual)
-    m_ub = problem.a_ub.shape[0]
+    m_ub = problem.b_ub.size
     return LPSolution(
         status=LPStatus.OPTIMAL,
         x=x,
         objective=float(objective),
         duals_ub=duals[:m_ub] if m_ub else None,
-        duals_eq=duals[m_ub:] if problem.a_eq.shape[0] else None,
+        duals_eq=duals[m_ub:] if problem.b_eq.size else None,
         message=message,
     )

@@ -79,13 +79,16 @@ def solve_lp(
     time_budget_s: float | None = None,
     highs: scipy_backend.Highs | None = None,
 ) -> LPSolution:
-    """Solve *problem* with HiGHS: one attempt, under the guardrails above.
+    """Solve *problem*, a ``LinearProgram`` or a lexmin ladder's LP
+    (:func:`repro.lp.scipy_backend.solve`), with HiGHS: one attempt, under
+    the guardrails above.
 
     ``tag`` attributes the solve to a caller-chosen purpose (e.g.
     ``"round"``) via an ``lp.solve.tag.<tag>`` counter.  ``time_budget_s``
     bounds the attempt's wall time.  ``highs`` is the instance to solve on
-    (warm after a same-layout optimum), a fresh one without it.  A fault or a blown budget raises
-    :class:`SolverFailure`; INFEASIBLE and UNBOUNDED are returned.
+    (a ladder round's push lands on its optimum), a fresh one without it.
+    A fault or a blown budget raises :class:`SolverFailure`; INFEASIBLE and
+    UNBOUNDED are returned.
     """
     obs = current_obs()
     if tag is not None:

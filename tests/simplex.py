@@ -99,6 +99,8 @@ def solve(problem: LinearProgram, highs: object = None) -> LPSolution:
     """Two-phase simplex solve of *problem*; returns a vertex solution.
 
     *highs* is ``scipy_backend.solve``'s instance to reuse, ignored here."""
+    if not isinstance(problem, LinearProgram):  # a lexmin ladder's LP
+        problem = problem.program()
     n = problem.n_variables
     lb = problem.lb.copy()
     ub = problem.ub.copy()

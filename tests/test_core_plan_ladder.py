@@ -9,7 +9,8 @@ ladder is one fixed layout whose round ``theta*`` is that of the round LP
 assembled block by block with the hard-capacity rows; and the warm ladder
 answers as the cold one that solved each such LP on a fresh HiGHS (also a
 test-only oracle here), and falls back to a fresh instance when a warm run
-is not optimal.
+is not optimal.  That the ladder sends HiGHS the models it sent before it
+kept its own is ``tests/test_ladder_model.py``.
 """
 
 import math
@@ -306,25 +307,39 @@ class TestRoundPieces:
         assert round_theta(lp) == pytest.approx(round_theta(reference), rel=1e-9, abs=1e-12)
 
     def test_every_ladder_lp_has_one_layout(self, problem):
+        """Rounds and the balancing LP differ only in their costs, their row
+        upper bounds and the frozen cells' theta entries: what lets a round
+        go to HiGHS as the cells it froze."""
         caps = problem.cell_caps()
         layout = LadderLayout(problem, caps)
         frozen_value = np.full(caps.size, np.inf)
         first = layout.lp(frozen_value)
         frozen_value[::3] = caps[::3]
-        for lp in (layout.lp(frozen_value), layout.lp(caps, np.ones(problem.n_vars))):
-            assert scipy_backend._same_layout(first, lp)
+        balance = layout.lp(caps, np.ones(problem.n_vars))
+        for lp, frozen in ((layout.lp(frozen_value), frozen_value), (balance, caps)):
+            for a, b in ((first.a_ub, lp.a_ub), (first.a_eq, lp.a_eq)):
+                assert a.shape == b.shape
+                assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            assert np.array_equal(first.a_eq.data, lp.a_eq.data)
+            for name in ("b_eq", "lb", "ub"):
+                assert np.array_equal(getattr(first, name), getattr(lp, name))
+            changed = np.flatnonzero(first.a_ub.data != lp.a_ub.data)
+            theta_at = lp.a_ub.indptr[1:] - 1
+            assert np.array_equal(changed, theta_at[np.isfinite(frozen)])
+            assert not lp.a_ub.data[changed].any()
 
     def test_ladder_rounds_are_the_assembled_rounds(self, problem, monkeypatch):
         """Every round a real ladder solves warm — empty, partial and
         growing frozen sets as they actually occur — has the ``theta*`` of
         the assembled round on a fresh HiGHS."""
         frozen_sets, thetas = [], []
-        real_lp, real_solve = LadderLayout.lp, lexmin.solve_lp
+        real_solve = lexmin.solve_lp
 
-        def recording_lp(self, frozen_value, cost=None):
-            if cost is None:
-                frozen_sets.append(frozen_value.copy())
-            return real_lp(self, frozen_value, cost)
+        class RecordingLP(lexmin.LadderLP):
+            def __init__(self, layout, frozen_value, cost=None, since=None):
+                super().__init__(layout, frozen_value, cost, since)
+                if cost is None:
+                    frozen_sets.append(self.frozen_value)
 
         def recording_solve(lp, *, tag, **kwargs):
             sol = real_solve(lp, tag=tag, **kwargs)
@@ -332,7 +347,7 @@ class TestRoundPieces:
                 thetas.append(float(sol.x[-1]))
             return sol
 
-        monkeypatch.setattr(LadderLayout, "lp", recording_lp)
+        monkeypatch.setattr(lexmin, "LadderLP", RecordingLP)
         monkeypatch.setattr(lexmin, "solve_lp", recording_solve)
         result = lexmin_schedule(problem, max_rounds=None)
         assert result.is_optimal and result.rounds == len(thetas) >= 2
@@ -378,8 +393,8 @@ class TestWarmLadder:
             expected = [lexmin_schedule(problem) for problem in problems]
         real = scipy_backend._warm_run
 
-        def not_optimal(core, last, problem):
-            solved, _ = real(core, last, problem)
+        def not_optimal(core, rows, upper, col):
+            solved, _ = real(core, rows, upper, col)
             return solved, scipy_backend._h.HighsModelStatus.kIterationLimit
 
         monkeypatch.setattr(scipy_backend, "_warm_run", not_optimal)
@@ -399,8 +414,8 @@ class TestWarmLadder:
     def test_presolve_runs_only_on_a_cold_ladders_round_1(self, hinted, monkeypatch):
         """A ladder with a warm hint (a re-plan) solves its rounds on an
         unpresolved instance, one without presolves its round 1; every
-        balancing LP, the hint's included, is solved on a fresh unpresolved
-        instance."""
+        balancing LP, the hint's included, is passed whole to an unpresolved
+        instance of its own."""
         problems = _ladder_problems(12, seed=1)
         hints = [None] * len(problems)
         if hinted:  # a finishing hint (its own skyline) and a failing one
@@ -409,20 +424,13 @@ class TestWarmLadder:
                 None if hint is None else LexminWarmHint(hint.theta, 0 * hint.levels)
                 for hint in hints[::2]
             ]
-        built: list[scipy_backend.Highs] = []
         solves: list[tuple[str, scipy_backend.Highs, bool]] = []
         real_solve = lexmin.solve_lp
 
-        class Spy(scipy_backend.Highs):
-            def __init__(self, presolve=True):
-                super().__init__(presolve)
-                built.append(self)
-
         def recording_solve(lp, *, tag, highs, **kwargs):
-            solves.append((tag, highs, highs.last is None))
+            solves.append((tag, highs, lp.push is None))
             return real_solve(lp, tag=tag, highs=highs, **kwargs)
 
-        monkeypatch.setattr(lexmin, "Highs", Spy)
         monkeypatch.setattr(lexmin, "solve_lp", recording_solve)
         obs = Observability()
         with use_obs(obs):
@@ -430,19 +438,34 @@ class TestWarmLadder:
                 lexmin_schedule(problem, warm_hint=hint) for problem, hint in zip(problems, hints)
             ]
         balances = [highs for tag, highs, _ in solves if tag == "balance"]
-        ladders = [highs for highs in built if highs not in balances]
-        assert len(ladders) == len(problems) and len(built) == len(problems) + len(balances)
+        first_rounds = [highs for tag, highs, whole in solves if tag == "round" and whole]
+        assert len(first_rounds) == len(problems)  # every later round is a push
+        assert not set(balances) & set(first_rounds)
         assert all(not highs.presolve for highs in balances)
-        assert all(fresh for tag, _, fresh in solves if tag == "balance")
+        assert all(whole for tag, _, whole in solves if tag == "balance")
         cold = [hint is None for hint in hints]
-        assert [highs.presolve for highs in ladders] == cold
-        first_rounds = [fresh for tag, _, fresh in solves if tag == "round"].count(True)
-        assert first_rounds == len(problems)
+        assert [highs.presolve for highs in first_rounds] == cold
         assert obs.counter("lp.solve.presolve.on").value == sum(cold)
         assert obs.counter("lp.solve.presolve.off").value == len(balances) + cold.count(False)
         if hinted:
             warm = sum(result.warm for result in results)
             assert 0 < warm < sum(result.is_optimal for result in results)
+
+    def test_the_paper_formulation_presolves_its_balancing_lp(self):
+        """Its balancing LP needs presolve (FIG7's paper point: about half
+        the simplex iterations); a coupled one saves none with it."""
+        entries = [
+            ScheduleEntry("a", 0, 6, 9, ResourceVector(cpu=2, mem=1), 3),
+            ScheduleEntry("b", 1, 7, 7, ResourceVector(cpu=1, mem=4), 2),
+        ]
+        caps = np.tile([10.0, 20.0], (8, 1))
+        for mode, presolved in (("paper", 2), ("coupled", 1)):
+            problem = build_schedule_problem(entries, caps, ("cpu", "mem"), mode=mode)
+            obs = Observability()
+            with use_obs(obs):
+                assert lexmin_schedule(problem, max_rounds=1).is_optimal
+            assert obs.counter("lp.solve.presolve.on").value == presolved, mode
+            assert obs.counter("lp.solve.tag.balance").value == 1
 
 
 def _own_skyline(problem) -> LexminWarmHint | None:

@@ -2,14 +2,15 @@
 
 :func:`repro.lp.scipy_backend.solve` hands scipy's bundled HiGHS the model
 directly instead of going through ``linprog``.  ``linprog`` stays here as
-its oracle: on every LP of a small seeded FlowTime run, and on hand-built
-edge cases, the two must agree bit for bit on status, ``x``, both dual
-vectors and the objective — also when one reused
-:class:`~repro.lp.scipy_backend.Highs` solves them all, and when lexmin
-ladders, each on its own instance, run on many threads at once.  A
-``Highs(presolve=False)`` answers as ``linprog`` with presolve off.  An LP
-of the same layout as the instance's last optimum is solved warm from its
-basis; that answer is the same optimum, not always the same vertex.
+its oracle: on every LP of a small seeded FlowTime run (the lexmin ladders'
+LPs as their layout sends them whole), and on hand-built edge cases, the
+two must agree bit for bit on status, ``x``, both dual vectors and the
+objective — also when one reused :class:`~repro.lp.scipy_backend.Highs`
+solves them all, and when lexmin ladders, each on its own instance, run on
+many threads at once.  A ``Highs(presolve=False)`` answers as ``linprog``
+with presolve off.  A ladder round sent as the cells it froze is solved
+warm from the instance's basis; that answer is the same optimum, not always
+the same vertex.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from repro.core.lexmin import LadderLayout, lexmin_schedule
+from repro.core.lexmin import LadderLayout, LadderLP, lexmin_schedule
 from repro.core.lp_formulation import ScheduleEntry, build_schedule_problem
 from repro.lp import LinearProgram, LPStatus, SolverFailure, solve_lp
 from repro.lp import scipy_backend
@@ -63,8 +64,13 @@ def oracle(problem: LinearProgram, presolve: bool = True):
     return status, res.x, duals_ub, duals_eq, float(res.fun)
 
 
-def assert_same(problem: LinearProgram, highs: scipy_backend.Highs | None = None) -> LPStatus:
-    expected = oracle(problem, highs is None or highs.presolve)
+def program(problem) -> LinearProgram:
+    """*problem*, or the ``LinearProgram`` a ladder LP stands for."""
+    return problem if isinstance(problem, LinearProgram) else problem.program()
+
+
+def assert_same(problem, highs: scipy_backend.Highs | None = None) -> LPStatus:
+    expected = oracle(program(problem), highs is None or highs.presolve)
     got = scipy_backend.solve(problem, highs)
     status, x, duals_ub, duals_eq, objective = expected
     assert got.status is status
@@ -77,9 +83,9 @@ def assert_same(problem: LinearProgram, highs: scipy_backend.Highs | None = None
     return status
 
 
-def assert_same_optimum(problem: LinearProgram, highs: scipy_backend.Highs) -> LPStatus:
+def assert_same_optimum(problem, highs: scipy_backend.Highs) -> LPStatus:
     """A warm answer: ``linprog``'s status and objective, at some vertex."""
-    status, *_, objective = oracle(problem)
+    status, *_, objective = oracle(program(problem))
     got = scipy_backend.solve(problem, highs)
     assert got.status is status
     if status is LPStatus.OPTIMAL:
@@ -88,9 +94,9 @@ def assert_same_optimum(problem: LinearProgram, highs: scipy_backend.Highs) -> L
 
 
 @pytest.fixture(scope="module")
-def flowtime_lps() -> list[LinearProgram]:
+def flowtime_lps() -> list:
     """Every LP one seeded FlowTime run solves."""
-    captured: list[LinearProgram] = []
+    captured: list = []
     solve = scipy_backend.solve
 
     def capture(problem, highs=None):
@@ -119,6 +125,7 @@ def flowtime_lps() -> list[LinearProgram]:
 
 def test_every_lp_of_a_flowtime_run_matches_linprog(flowtime_lps):
     assert len(flowtime_lps) >= 10
+    assert any(getattr(problem, "push", None) is not None for problem in flowtime_lps)
     statuses = [assert_same(problem) for problem in flowtime_lps]
     assert LPStatus.OPTIMAL in statuses
 
@@ -234,17 +241,17 @@ class TestInputChecks:
 
 
 class TestReusedInstance:
-    """One :class:`~repro.lp.scipy_backend.Highs` for many solves.  An LP
-    whose layout differs from the last optimum's is passed as a new model
-    and answers as a fresh instance per solve, which is what ``linprog``
-    builds; a same-layout successor is solved warm from the kept basis and
-    answers the same optimum."""
+    """One :class:`~repro.lp.scipy_backend.Highs` for many solves.  A
+    ``LinearProgram``, or a ladder LP without a push, is passed whole and
+    answers as a fresh instance per solve, which is what ``linprog`` builds;
+    a ladder round pushed onto the optimum of the round before it is solved
+    warm from the kept basis and answers the same optimum."""
 
     INFEASIBLE = LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
     NON_FINITE = LinearProgram(c=[np.nan, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0])
 
     def test_shuffled_lps_on_one_instance_match_linprog(self, flowtime_lps):
-        order = list(flowtime_lps)
+        order = [program(problem) for problem in flowtime_lps]
         random.Random(7).shuffle(order)
         highs = scipy_backend.Highs()
         statuses = []
@@ -254,82 +261,72 @@ class TestReusedInstance:
             if index % 7 == 3:
                 with pytest.raises(ValueError):
                     scipy_backend.solve(self.NON_FINITE, highs)
-            last = highs.last
-            if last is not None and scipy_backend._same_layout(last, problem):
-                statuses.append(assert_same_optimum(problem, highs))
-            else:
-                statuses.append(assert_same(problem, highs))
+            statuses.append(assert_same(problem, highs))
         assert LPStatus.OPTIMAL in statuses
 
     def test_a_ladder_on_one_instance_is_solved_warm(self):
-        """Round by round, then the balancing LP: each after the first is
-        warm and is ``linprog``'s optimum, and an unchanged LP re-solves in
-        no simplex iteration.  An LP of another layout in between answers
-        bit for bit and drops the basis."""
+        """Round 1 is passed whole and answers bit for bit; round 2, pushed,
+        is ``linprog``'s optimum; a round that freezes nothing more
+        re-solves in no simplex iteration.  An answer other than optimal
+        drops the instance's model, and the next round is passed whole."""
         round_1, round_2, balance = _ladder_lps()
         highs = scipy_backend.Highs()
-        assert_same(round_1, highs)
-        assert highs.last is round_1
-        for successor in (round_2, balance):
-            assert assert_same_optimum(successor, highs) is LPStatus.OPTIMAL
-            assert highs.last is successor
+        assert assert_same(round_1, highs) is LPStatus.OPTIMAL
+        assert highs.core is not None
+        assert assert_same_optimum(round_2, highs) is LPStatus.OPTIMAL
+        layout = round_2.layout
         obs = Observability()
         with use_obs(obs):
-            assert assert_same_optimum(balance, highs) is LPStatus.OPTIMAL
+            again = LadderLP(layout, round_2.frozen_value, since=np.array([], dtype=int))
+            assert assert_same_optimum(again, highs) is LPStatus.OPTIMAL
         assert obs.histogram("lp.backend.highs.iterations").sum == 0
+        assert obs.counter("lp.solve.presolve.on").value == 0
         assert assert_same(self.INFEASIBLE, highs) is LPStatus.INFEASIBLE
-        assert highs.last is None
+        assert highs.core is None
         assert assert_same(round_2, highs) is LPStatus.OPTIMAL
+        assert assert_same(balance, scipy_backend.Highs()) is LPStatus.OPTIMAL
 
     def test_a_ladder_without_presolve_matches_linprog_without_presolve(self):
-        """Each LP of the ladder fresh on an unpresolved instance answers
-        as ``linprog`` with presolve off; on one such instance, each after
-        the first is warm and answers its optimum."""
+        """Each LP of the ladder whole on an unpresolved instance answers as
+        ``linprog`` with presolve off; on one such instance, round 2 pushed
+        onto round 1 answers its optimum."""
         lps = _ladder_lps()
         for lp in lps:
             assert assert_same(lp, scipy_backend.Highs(presolve=False)) is LPStatus.OPTIMAL
         highs = scipy_backend.Highs(presolve=False)
         assert assert_same(lps[0], highs) is LPStatus.OPTIMAL
-        for successor in lps[1:]:
-            assert assert_same_optimum(successor, highs) is LPStatus.OPTIMAL
-            assert highs.last is successor
+        assert assert_same_optimum(lps[1], highs) is LPStatus.OPTIMAL
+        assert highs.core is not None
 
     @pytest.mark.parametrize("presolve", [True, False])
     def test_a_warm_answer_that_falls_back_keeps_the_presolve_setting(
         self, presolve, monkeypatch
     ):
-        """The fresh re-solve runs on an instance with the same presolve
+        """The fresh re-solve runs on a new instance with the same presolve
         setting, and answers as ``linprog`` with that setting."""
         round_1, round_2, _ = _ladder_lps()
         highs = scipy_backend.Highs(presolve=presolve)
         assert assert_same(round_1, highs) is LPStatus.OPTIMAL
-        built: list[bool] = []
+        held = highs.core
 
-        class Recording(scipy_backend.Highs):
-            def __init__(self, presolve=True):
-                super().__init__(presolve)
-                built.append(presolve)
-
-        def not_optimal(core, last, problem):
+        def not_optimal(core, rows, upper, col):
             return True, scipy_backend._h.HighsModelStatus.kIterationLimit
 
-        monkeypatch.setattr(scipy_backend, "Highs", Recording)
         monkeypatch.setattr(scipy_backend, "_warm_run", not_optimal)
         obs = Observability()
         with use_obs(obs):
             assert assert_same(round_2, highs) is LPStatus.OPTIMAL
-        assert built == [presolve]
         assert obs.counter("lp.solve.warm_fallback").value == 1
         setting = "on" if presolve else "off"
         assert obs.counter(f"lp.solve.presolve.{setting}").value == 1
-        assert highs.presolve is presolve and highs.last is round_2
+        assert highs.presolve is presolve and highs.core not in (None, held)
 
     def test_a_solve_that_raises_discards_the_instance(self, monkeypatch):
         lp = LinearProgram(c=[1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-2.0])
         highs = scipy_backend.Highs()
         assert scipy_backend.solve(lp, highs).is_optimal
-        used = highs.take()
-        highs.keep(used)
+        used = highs.core
+        assert used is not None
 
         def broken_model(problem):
             raise RuntimeError("broken")
@@ -338,23 +335,25 @@ class TestReusedInstance:
             patch.setattr(scipy_backend, "_model", broken_model)
             with pytest.raises(RuntimeError):
                 scipy_backend.solve(lp, highs)
-        assert highs.take() is not used
+        assert highs.core is None
         assert assert_same(lp, highs) is LPStatus.OPTIMAL
+        assert highs.core is not used
 
 
-def _ladder_lps() -> tuple[LinearProgram, LinearProgram, LinearProgram]:
-    """Round 1, round 2 (half the cells frozen) and the balancing LP of one
-    ladder's layout."""
+def _ladder_lps() -> tuple:
+    """Round 1, round 2 (half the cells frozen, pushed) and the balancing LP
+    of one ladder's layout."""
     (problem,) = _ladder_problems(1, seed=5)
     caps = problem.cell_caps()
     layout = LadderLayout(problem, caps)
     frozen = np.full(caps.size, np.inf)
-    round_1 = layout.lp(frozen)
+    round_1 = LadderLP(layout, frozen)
     theta = scipy_backend.solve(round_1).x[-1]
-    frozen[: caps.size // 2] = (theta + 1e-6) * caps[: caps.size // 2]
-    round_2 = layout.lp(frozen)
+    half = np.arange(caps.size // 2)
+    frozen[half] = (theta + 1e-6) * caps[half]
+    round_2 = LadderLP(layout, frozen, since=half)
     frozen[caps.size // 2 :] = caps[caps.size // 2 :]
-    return round_1, round_2, layout.lp(frozen, np.ones(problem.n_vars))
+    return round_1, round_2, LadderLP(layout, frozen, np.ones(problem.n_vars))
 
 
 def _ladder_problems(count: int, seed: int) -> list:

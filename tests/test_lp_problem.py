@@ -28,6 +28,13 @@ class TestLinearProgram:
         with pytest.raises(ValueError):
             LinearProgram(c=[1.0], a_ub=[[1.0, 2.0]], b_ub=[1.0])
 
+    def test_rejects_sparse_column_mismatch(self):
+        # Wider than c: ``linprog`` raises, and HiGHS would answer INFEASIBLE.
+        with pytest.raises(ValueError, match="3 columns, objective has 2"):
+            LinearProgram(c=[1, 1], a_ub=sparse.csr_matrix([[1, 1, 1]]), b_ub=[-1])
+        with pytest.raises(ValueError):
+            LinearProgram(c=[1, 1, 1], a_eq=sparse.csr_matrix([[1, 1]]), b_eq=[1])
+
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):
             LinearProgram(c=[1.0], lb=[2.0], ub=[1.0])
